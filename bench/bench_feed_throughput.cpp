@@ -66,7 +66,8 @@ FeedConfig bench_config(bool estimate) {
 
 PassResult run_sync(const Market& full, std::size_t visible, bool estimate) {
   MarketBoard board(full.window(0, visible));
-  FeedPipeline pipe(&board, bench_config(estimate));
+  BoardFanout fanout({&board});
+  FeedPipeline pipe(&fanout, bench_config(estimate));
   const std::size_t len = full.trace({0, 0}).steps();
   ReplayTickSource source(&full, {}, visible, len - visible);
 
@@ -84,7 +85,8 @@ PassResult run_sync(const Market& full, std::size_t visible, bool estimate) {
 
 PassResult run_mpsc(const Market& full, std::size_t visible, std::size_t producers) {
   MarketBoard board(full.window(0, visible));
-  FeedPipeline pipe(&board, bench_config(/*estimate=*/false));
+  BoardFanout fanout({&board});
+  FeedPipeline pipe(&fanout, bench_config(/*estimate=*/false));
   const std::size_t len = full.trace({0, 0}).steps();
   const std::vector<CircleGroupSpec> all = full.catalog().all_groups();
 

@@ -337,7 +337,8 @@ int main(int argc, char** argv) {
         fcfg.publish_every = 4;
         fcfg.estimation.samples = 128;
         fcfg.estimation.horizon_steps = 32;
-        feed::FeedPipeline pipe(&board, fcfg);
+        BoardFanout fanout({&board});
+        feed::FeedPipeline pipe(&fanout, fcfg);
         if (producers == 1) {
           feed::ReplayTickSource source(&full, {}, cursor, steps);
           pipe.ingest(source);

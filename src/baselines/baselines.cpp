@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "common/error.h"
@@ -152,54 +153,46 @@ Plan BaselineFactory::single_group(const AppProfile& app, const Market& history,
   return plan;
 }
 
-Plan BaselineFactory::spot_inf(const AppProfile& app, const Market& history,
-                               double deadline_h) const {
-  // At an unbeatable bid the expected running price is the overall mean;
-  // choose the (type, zone) with the cheapest expected full-run cost among
-  // those meeting the deadline.
+CircleGroupSpec BaselineFactory::cheapest_group(
+    const AppProfile& app, const Market& history, double deadline_h,
+    const std::function<double(const SpotTrace&)>& running_price) const {
+  const std::vector<CircleGroupSpec> groups = catalog_->all_groups();
   const CircleGroupSpec* best = nullptr;
   double best_cost = std::numeric_limits<double>::infinity();
-  const auto groups = catalog_->all_groups();
-  for (const auto& spec : groups) {
-    const InstanceType& type = catalog_->type(spec.type_index);
-    const double t_h = estimator_->hours(app, type);
+  for (const CircleGroupSpec& spec : groups) {
+    // Timed in the group's own zone, exactly as single_group() builds it.
+    const double t_h = estimator_->hours(app, catalog_->type(spec.type_index),
+                                         catalog_->zone(spec.zone_index).name);
     if (t_h > deadline_h) continue;
-    const SpotTrace& trace = history.trace(spec);
-    const double mean_price = trace.mean_below(trace.max_price());
-    const double cost = mean_price * catalog_->instances_for(spec.type_index, app.processes) * t_h;
+    const double cost = running_price(history.trace(spec)) *
+                        catalog_->instances_for(spec.type_index, app.processes) * t_h;
     if (cost < best_cost) {
       best_cost = cost;
       best = &spec;
     }
   }
   SOMPI_REQUIRE_MSG(best != nullptr, "no instance type meets the deadline");
-  return single_group(app, history, deadline_h, *best, kInfiniteBid);
+  return *best;
+}
+
+Plan BaselineFactory::spot_inf(const AppProfile& app, const Market& history,
+                               double deadline_h) const {
+  // At an unbeatable bid the expected running price is the overall mean.
+  const CircleGroupSpec best = cheapest_group(
+      app, history, deadline_h,
+      [](const SpotTrace& trace) { return trace.mean_below(trace.max_price()); });
+  return single_group(app, history, deadline_h, best, kInfiniteBid);
 }
 
 Plan BaselineFactory::spot_avg(const AppProfile& app, const Market& history,
                                double deadline_h) const {
   // Bid the historical average; expected running price is the mean of
   // prices below that bid.
-  const CircleGroupSpec* best = nullptr;
-  double best_bid = 0.0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  const auto groups = catalog_->all_groups();
-  for (const auto& spec : groups) {
-    const InstanceType& type = catalog_->type(spec.type_index);
-    const double t_h = estimator_->hours(app, type);
-    if (t_h > deadline_h) continue;
-    const SpotTrace& trace = history.trace(spec);
-    const double avg = trace.mean_below(trace.max_price());
-    const double cost =
-        trace.mean_below(avg) * catalog_->instances_for(spec.type_index, app.processes) * t_h;
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = &spec;
-      best_bid = avg;
-    }
-  }
-  SOMPI_REQUIRE_MSG(best != nullptr, "no instance type meets the deadline");
-  return single_group(app, history, deadline_h, *best, best_bid);
+  const auto average = [](const SpotTrace& trace) { return trace.mean_below(trace.max_price()); };
+  const CircleGroupSpec best =
+      cheapest_group(app, history, deadline_h,
+                     [&](const SpotTrace& trace) { return trace.mean_below(average(trace)); });
+  return single_group(app, history, deadline_h, best, average(history.trace(best)));
 }
 
 }  // namespace sompi

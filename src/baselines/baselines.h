@@ -15,6 +15,8 @@
 // AdaptiveConfig knobs (see ablations.h).
 #pragma once
 
+#include <functional>
+
 #include "core/optimizer.h"
 #include "trace/market.h"
 
@@ -50,6 +52,13 @@ class BaselineFactory {
   /// given bid policy; returns the plan plus its model expectation.
   Plan replicate_type(const AppProfile& app, const Market& history, double deadline_h,
                       std::size_t type_index, double bid_usd, bool checkpoints) const;
+
+  /// The deadline-feasible group with the cheapest expected full-run spot
+  /// cost, running_price(trace) × instances × T, each candidate timed in its
+  /// own zone. Throws when no group meets the deadline.
+  CircleGroupSpec cheapest_group(
+      const AppProfile& app, const Market& history, double deadline_h,
+      const std::function<double(const SpotTrace&)>& running_price) const;
 
   /// Single-group plan on the given spec with an explicit bid.
   Plan single_group(const AppProfile& app, const Market& history, double deadline_h,

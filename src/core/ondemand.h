@@ -4,7 +4,15 @@
 // recovery tier d* decouples from the bid/checkpoint search: pick the type
 // with the smallest full-run cost whose runtime fits Deadline × (1 − Slack),
 // the slack being the time reserved for checkpointing and recovery.
+//
+// On-demand zone rule: an on-demand instance is not a spot circle group and
+// has no zone, so its runtime is the estimator's empty-zone estimate — the
+// platform's host rates with no zone link or derating folded in (the
+// catalog columns for the default estimator).
 #pragma once
+
+#include <string>
+#include <vector>
 
 #include "cloud/catalog.h"
 #include "core/problem.h"
@@ -23,8 +31,10 @@ class OnDemandSelector {
   /// The paper's d*: cheapest full-run cost subject to
   /// T_d <= deadline × (1 − slack). When no type fits, returns the fastest
   /// type with feasible = false (the optimizer then falls back to it anyway —
-  /// there is no better option).
-  OnDemandChoice select(const AppProfile& app, double deadline_h, double slack) const;
+  /// there is no better option). A non-empty `allowed_types` (catalog type
+  /// names) restricts both choices to those types.
+  OnDemandChoice select(const AppProfile& app, double deadline_h, double slack,
+                        const std::vector<std::string>& allowed_types = {}) const;
 
   /// The paper's Baseline: the on-demand type with the minimal execution
   /// time, regardless of cost (§5.1 "Comparisons").

@@ -97,26 +97,29 @@ SompiOptimizer::SompiOptimizer(const Catalog* catalog, const ExecTimeEstimator* 
   SOMPI_REQUIRE(config_.max_candidates >= 1);
 }
 
-Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history,
-                              double deadline_h) const {
-  return optimize(app, history, deadline_h, nullptr);
-}
-
 Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history, double deadline_h,
-                              ReplanContext* ctx) const {
+                              ReplanContext* ctx,
+                              const std::vector<std::string>& allowed_types,
+                              const std::vector<std::string>& allowed_zones) const {
   SOMPI_REQUIRE(deadline_h > 0.0);
-  // The on-demand tier first: it depends only on (app, deadline, slack), and
-  // the warm setup lookup hashes it.
+  const auto allowed = [](const std::vector<std::string>& names, const std::string& name) {
+    return names.empty() || std::find(names.begin(), names.end(), name) != names.end();
+  };
+  // The on-demand tier first: it depends only on (app, deadline, slack,
+  // allowed types), and the warm setup lookup hashes it.
   const OnDemandSelector od_selector(catalog_, estimator_);
-  const OnDemandChoice od = od_selector.select(app, deadline_h, config_.slack);
+  const OnDemandChoice od = od_selector.select(app, deadline_h, config_.slack, allowed_types);
 
-  // SetupBuilder::build_candidates, with the per-group build routed through
-  // the warm store: same specs, same order, same deadline cutoff.
+  // The candidate groups: every allowed (type, zone) whose productive
+  // runtime fits the deadline, in catalog order, each built through the warm
+  // store. Filtering before building is what lets a constrained scope skip
+  // disallowed groups' Monte-Carlo.
   std::vector<GroupSetup> candidates;
   for (const CircleGroupSpec& spec : catalog_->all_groups()) {
-    const double t_h = estimator_->hours(app, catalog_->type(spec.type_index),
-                                         catalog_->zone(spec.zone_index).name);
-    if (t_h > deadline_h) continue;  // cannot complete before the deadline
+    const InstanceType& type = catalog_->type(spec.type_index);
+    const std::string& zone = catalog_->zone(spec.zone_index).name;
+    if (!allowed(allowed_types, type.name) || !allowed(allowed_zones, zone)) continue;
+    if (estimator_->hours(app, type, zone) > deadline_h) continue;  // cannot finish in time
     candidates.push_back(setup_for(app, spec, history, od, deadline_h, ctx));
   }
 
@@ -143,11 +146,6 @@ GroupSetup SompiOptimizer::setup_for(const AppProfile& app, const CircleGroupSpe
   GroupSetup setup = art->setup;
   ctx->store->store(ctx->scope, spec, chash, std::move(art));
   return setup;
-}
-
-Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup> candidates,
-                                   const OnDemandChoice& od, double deadline_h) const {
-  return optimize_over(app, std::move(candidates), od, deadline_h, nullptr);
 }
 
 Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup> candidates,

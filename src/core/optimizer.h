@@ -128,27 +128,28 @@ class SompiOptimizer {
 
   /// Produces the cost-minimizing plan for `app` under `deadline_h`, using
   /// `history` as the spot-price history (the model's only market input).
-  Plan optimize(const AppProfile& app, const Market& history, double deadline_h) const;
-  /// Warm-start variant: reuses `ctx`'s cached artifacts for groups whose
-  /// history version matches and stores back what it builds. nullptr (or an
-  /// unusable context) is exactly the cold overload.
+  /// With a usable `ctx` it reuses the context's cached artifacts for groups
+  /// whose history version matches and stores back what it builds; nullptr
+  /// (or an unusable context) is the cold path. Non-empty `allowed_types` /
+  /// `allowed_zones` (catalog names) restrict the on-demand tier to the
+  /// allowed types (zones are a spot-market concept) and the candidate
+  /// groups to allowed (type, zone) pairs; empty means all.
   Plan optimize(const AppProfile& app, const Market& history, double deadline_h,
-                ReplanContext* ctx) const;
+                ReplanContext* ctx = nullptr,
+                const std::vector<std::string>& allowed_types = {},
+                const std::vector<std::string>& allowed_zones = {}) const;
 
   /// Like optimize(), but over a fixed candidate-group list (used by the
   /// adaptive engine for residual work and by ablation baselines).
   Plan optimize_over(const AppProfile& app, std::vector<GroupSetup> candidates,
-                     const OnDemandChoice& od, double deadline_h) const;
-  Plan optimize_over(const AppProfile& app, std::vector<GroupSetup> candidates,
-                     const OnDemandChoice& od, double deadline_h, ReplanContext* ctx) const;
+                     const OnDemandChoice& od, double deadline_h,
+                     ReplanContext* ctx = nullptr) const;
 
-  /// The per-group unit of SetupBuilder::build_candidates with warm setup
+  /// The per-group unit of optimize()'s candidate loop with warm setup
   /// reuse: returns the cached GroupSetup when `ctx` holds an artifact for
   /// `spec` at its current history version (skipping the Monte-Carlo failure
   /// estimation), otherwise builds one and stores a setup-only artifact so
-  /// even groups later pruned from the search never rebuild it. Callers
-  /// that restrict the candidate list (e.g. the service's constraint path)
-  /// apply their own filters and deadline cutoff around this.
+  /// even groups later pruned from the search never rebuild it.
   GroupSetup setup_for(const AppProfile& app, const CircleGroupSpec& spec,
                        const Market& history, const OnDemandChoice& od, double deadline_h,
                        ReplanContext* ctx) const;

@@ -32,7 +32,7 @@ GroupSetup SetupBuilder::build_with_bids(const AppProfile& app, const CircleGrou
   const InstanceType& type = catalog_->type(spec.type_index);
   // Zone-qualified estimates: with a platform-aware estimator the group's
   // zone folds its fabric/uplink into T_i, O_i and R_i (flat platforms and
-  // the catalog-only estimator reproduce the zone-less numbers bit-exactly).
+  // the catalog-only estimator reproduce the catalog columns bit-exactly).
   const std::string& zone = catalog_->zone(spec.zone_index).name;
 
   const double t_h = estimator_->hours(app, type, zone);
@@ -56,20 +56,6 @@ GroupSetup SetupBuilder::build_with_bids(const AppProfile& app, const CircleGrou
       .r_steps = r_steps,
       .failure = FailureModel(history.trace(spec), std::move(bids), fec),
   };
-}
-
-std::vector<GroupSetup> SetupBuilder::build_candidates(const AppProfile& app,
-                                                       const Market& history,
-                                                       const SetupConfig& config,
-                                                       double max_hours) const {
-  std::vector<GroupSetup> out;
-  for (const CircleGroupSpec& spec : catalog_->all_groups()) {
-    const double t_h = estimator_->hours(app, catalog_->type(spec.type_index),
-                                         catalog_->zone(spec.zone_index).name);
-    if (t_h > max_hours) continue;  // cannot complete before the deadline
-    out.push_back(build(app, spec, history, config));
-  }
-  return out;
 }
 
 }  // namespace sompi

@@ -48,11 +48,6 @@ class SetupBuilder {
                              const Market& history, const SetupConfig& config,
                              std::vector<double> bids) const;
 
-  /// Builds setups for every (type, zone) group whose productive runtime
-  /// fits within `max_hours` (pass the deadline; infinity keeps all).
-  std::vector<GroupSetup> build_candidates(const AppProfile& app, const Market& history,
-                                           const SetupConfig& config, double max_hours) const;
-
   const Catalog& catalog() const { return *catalog_; }
   const ExecTimeEstimator& estimator() const { return *estimator_; }
 

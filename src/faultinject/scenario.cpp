@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -138,11 +140,62 @@ struct CkptOps {
   std::function<int()> latest;
 };
 
-ScenarioOutcome run_checkpoint_scenario(std::uint64_t seed, bool incremental) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = incremental ? "incremental" : "checkpoint";
+/// The chaos retry loop shared by the checkpointing kinds. Attempt 0 runs
+/// under the plan's kill schedule; once the plan's attempt budget is spent
+/// the injector is quiesced (deterministically, at an attempt boundary), so
+/// the next attempt runs clean — completion within max_faults + 4 attempts
+/// is itself an invariant. `trace` (optional) sees every attempt's result.
+/// Returns the attempts made.
+int run_with_retries(int ranks, const mpi::Runtime::RankFn& rank_fn, const FaultPlan& plan,
+                     FaultInjector& injector, Violations& violations,
+                     const std::function<void(int, const mpi::RunResult&)>& trace = {}) {
+  const int max_attempts = static_cast<int>(plan.max_faults) + 4;
+  bool completed = false;
+  int attempts = 0;
+  for (; attempts < max_attempts && !completed; ++attempts) {
+    if (attempts >= static_cast<int>(plan.max_faults) + 1) injector.quiesce();
+    const mpi::RunResult result =
+        attempts == 0 ? mpi::Runtime::run_with_plan(ranks, rank_fn, plan)
+                      : mpi::Runtime::run(ranks, rank_fn);
+    if (trace) trace(attempts, result);
+    if (violations.any()) break;
+    completed = result.completed;
+    for (const std::string& err : result.errors) {
+      if (!InjectedFault::describes(err)) {
+        violations.record("non-injected error escaped: " + err);
+        break;
+      }
+    }
+    if (violations.any()) break;
+  }
+  if (!violations.any() && !completed)
+    violations.record("run did not complete within the fault budget (" +
+                      std::to_string(max_attempts) + " attempts)");
+  return attempts;
+}
 
+/// Post-mortem with chaos disabled: `load` must return the final state of
+/// every rank.
+void verify_final_state(
+    int ranks, const std::function<std::optional<std::vector<std::byte>>(mpi::Comm&)>& load,
+    std::uint64_t seed, int total_iters, std::size_t doubles, Violations& violations) {
+  const mpi::RunResult result = mpi::Runtime::run(ranks, [&](mpi::Comm& comm) {
+    const auto blob = load(comm);
+    if (!blob) {
+      violations.record("no committed snapshot after a completed run");
+      return;
+    }
+    const auto want = expected_state(seed, comm.rank(), total_iters, doubles);
+    if (*blob != want)
+      violations.record("final committed snapshot of rank " + std::to_string(comm.rank()) +
+                        " is not the final state");
+  });
+  if (!result.completed && !violations.any())
+    violations.record("chaos-free verification world failed");
+}
+
+void run_checkpoint(std::uint64_t seed, bool incremental, Digest& digest,
+                    Violations& violations) {
   Rng rng(seed ^ 0xC4EC4EC4EC4ULL);
   const int ranks = 1 + static_cast<int>(rng.uniform_index(4));
   const int total_iters = 6 + static_cast<int>(rng.uniform_index(18));
@@ -170,7 +223,6 @@ ScenarioOutcome run_checkpoint_scenario(std::uint64_t seed, bool incremental) {
     ops.latest = [&] { return full.latest_version(); };
   }
 
-  Violations violations;
   // Written by rank 0 only; reads happen after join() (which synchronizes).
   std::vector<std::pair<int, int>> committed;  // (version, iter), in commit order
   int max_attempted = 0;
@@ -218,60 +270,32 @@ ScenarioOutcome run_checkpoint_scenario(std::uint64_t seed, bool incremental) {
     }
   };
 
-  // Chaos retry loop. Once the plan's attempt budget is spent the injector
-  // is quiesced (deterministically, at an attempt boundary), so the next
-  // attempt runs clean — completion within max_attempts is itself an
-  // invariant.
-  const int max_attempts = static_cast<int>(plan.max_faults) + 4;
-  bool completed = false;
-  int attempts = 0;
-  for (; attempts < max_attempts && !completed; ++attempts) {
-    if (attempts >= static_cast<int>(plan.max_faults) + 1) injector.quiesce();
-    const mpi::RunResult result =
-        attempts == 0 ? mpi::Runtime::run_with_plan(ranks, rank_fn, plan)
-                      : mpi::Runtime::run(ranks, rank_fn);
-    if (std::getenv("SOMPI_FUZZ_DEBUG") != nullptr) {
+  std::function<void(int, const mpi::RunResult&)> trace;
+  if (std::getenv("SOMPI_FUZZ_DEBUG") != nullptr) {
+    trace = [&](int attempt, const mpi::RunResult& result) {
       std::string line = "dbg seed=" + std::to_string(seed) + " attempt=" +
-                         std::to_string(attempts) + " completed=" +
+                         std::to_string(attempt) + " completed=" +
                          std::to_string(result.completed ? 1 : 0) + " killed=" +
                          std::to_string(result.killed ? 1 : 0) + " injected=" +
                          std::to_string(injector.injected_count()) + " latest=" +
                          std::to_string(ops.latest()) + " errors=";
       for (const auto& e : result.errors) line += "[" + e + "]";
       std::fprintf(stderr, "%s\n", line.c_str());
-    }
-    if (violations.any()) break;
-    completed = result.completed;
-    for (const std::string& err : result.errors) {
-      if (!InjectedFault::describes(err)) {
-        violations.record("non-injected error escaped: " + err);
-        break;
-      }
-    }
-    if (violations.any()) break;
+    };
   }
-  if (!violations.any() && !completed)
-    violations.record("run did not complete within the fault budget (" +
-                      std::to_string(max_attempts) + " attempts)");
+  const int attempts = run_with_retries(ranks, rank_fn, plan, injector, violations, trace);
 
-  // Post-mortem over the raw store, chaos disabled: the latest committed
-  // snapshot must be the final state of every rank.
+  // Post-mortem over the raw store: the latest committed snapshot must be
+  // the final state of every rank.
   if (!violations.any()) {
     Checkpointer verify_full(&inner, "fuzz");
     IncrementalCheckpointer verify_inc(&inner, "fuzz", block);
-    const mpi::RunResult result = mpi::Runtime::run(ranks, [&](mpi::Comm& comm) {
-      const auto blob = incremental ? verify_inc.load_latest(comm) : verify_full.load_latest(comm);
-      if (!blob) {
-        violations.record("no committed snapshot after a completed run");
-        return;
-      }
-      const auto want = expected_state(seed, comm.rank(), total_iters, doubles);
-      if (*blob != want)
-        violations.record("final committed snapshot of rank " + std::to_string(comm.rank()) +
-                          " is not the final state");
-    });
-    if (!result.completed && !violations.any())
-      violations.record("chaos-free verification world failed");
+    verify_final_state(
+        ranks,
+        [&](mpi::Comm& comm) {
+          return incremental ? verify_inc.load_latest(comm) : verify_full.load_latest(comm);
+        },
+        seed, total_iters, doubles, violations);
   }
 
   if (std::getenv("SOMPI_FUZZ_DEBUG") != nullptr) {
@@ -289,8 +313,6 @@ ScenarioOutcome run_checkpoint_scenario(std::uint64_t seed, bool incremental) {
     std::fprintf(stderr, "%s\n", line.c_str());
   }
 
-  Digest digest;
-  digest.mix(out.kind);
   digest.mix(static_cast<std::uint64_t>(ranks));
   digest.mix(static_cast<std::uint64_t>(total_iters));
   digest.mix(static_cast<std::uint64_t>(ckpt_every));
@@ -305,10 +327,6 @@ ScenarioOutcome run_checkpoint_scenario(std::uint64_t seed, bool incremental) {
   digest.mix(static_cast<std::uint64_t>(ops.latest()));
   for (int r = 0; r < ranks; ++r)
     digest.mix_bytes(expected_state(seed, r, total_iters, doubles));
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -336,12 +354,7 @@ Digest replay_digest(const ReplayResult& r) {
   return d;
 }
 
-ScenarioOutcome run_replay_scenario(std::uint64_t seed) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = "replay";
-  Violations violations;
-
+void run_replay(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0x5CE9A7105EEDULL);
   const Catalog catalog = paper_catalog();
   const MarketProfile profile = rng.bernoulli(0.5)
@@ -428,18 +441,14 @@ ScenarioOutcome run_replay_scenario(std::uint64_t seed) {
                         std::to_string(r1.time_h) + " > " + std::to_string(bound));
   }
 
-  Digest digest;
-  digest.mix(out.kind);
   digest.mix(replay_digest(r1).value());
   digest.mix(replay_digest(rq).value());
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 3: PlanService under shed pressure and epoch bumps.
+// The lockstep-oracle harness shared by the planning and serving kinds:
+// small solver configs, seeded apps and request pools, the served-vs-oracle
+// check and the outcome tally.
 
 OptimizerConfig tiny_optimizer_config() {
   OptimizerConfig opt;
@@ -451,12 +460,99 @@ OptimizerConfig tiny_optimizer_config() {
   return opt;
 }
 
-ScenarioOutcome run_service_scenario(std::uint64_t seed) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = "service";
-  Violations violations;
+ServiceConfig tiny_service_config() {
+  ServiceConfig config;
+  config.cache.shards = 2;
+  config.cache.capacity = 8;
+  config.latency_window = 32;
+  config.opt = tiny_optimizer_config();
+  return config;
+}
 
+/// The roomy tier the sharded and wire kinds drive: a seeded shape from the
+/// acceptance set {1, 2, 4, 8} shards with a seeded ring salt — the
+/// equivalence contract must hold for EVERY one — and budgets no request
+/// exhausts. With a 3-request pool the per-shard ceil split of the cache
+/// can never evict a fitting key and the queue never sheds, so tier and
+/// 1-shard oracle classify every request alike.
+ShardedConfig roomy_sharded_config(Rng& rng) {
+  const std::size_t shard_choices[] = {1, 2, 4, 8};
+  ShardedConfig config;
+  config.shards = shard_choices[rng.uniform_index(4)];
+  config.vnodes = 16;
+  config.salt = rng();
+  config.service = tiny_service_config();
+  config.service.cache.capacity = 32;
+  config.service.max_concurrent_solves = 2;
+  config.service.max_queued_solves = 16;
+  return config;
+}
+
+/// A seeded paper app from the NPB subset the planning kinds draw from.
+AppProfile random_paper_app(Rng& rng) {
+  const char* names[] = {"BT", "SP", "LU", "FT", "IS"};
+  return paper_profile(names[rng.uniform_index(5)]);
+}
+
+/// One request per app name, each with a deadline of the app's on-demand
+/// baseline × (1.2 + U[0, 3]). `constrain` (optional) runs right after each
+/// request's deadline draw, so it may draw constraints in stream order.
+std::vector<PlanRequest> request_pool(std::initializer_list<const char*> names, Rng& rng,
+                                      const std::function<void(PlanRequest&)>& constrain = {}) {
+  const Catalog catalog = paper_catalog();
+  const ExecTimeEstimator estimator;
+  const OnDemandSelector selector(&catalog, &estimator);
+  std::vector<PlanRequest> pool;
+  for (const char* name : names) {
+    PlanRequest r;
+    r.app = paper_profile(name);
+    r.deadline_h = selector.baseline(r.app).t_h * (1.2 + rng.uniform(0.0, 3.0));
+    if (constrain) constrain(r);
+    pool.push_back(std::move(r));
+  }
+  return pool;
+}
+
+/// The served-vs-oracle step: mixes the served outcome and epoch, requires
+/// the oracle's epoch, then requires the served plan to be
+/// fingerprint-identical to `want` and mixes it. A planless response (or a
+/// missing oracle plan) is a violation, except an explicit planless shed when
+/// `sheds_allowed`. Returns whether the served plan matched.
+bool check_lockstep(const std::string& who, const PlanResponse& got, std::uint64_t want_epoch,
+                    const Plan* want, bool sheds_allowed, Digest& digest,
+                    Violations& violations) {
+  digest.mix(std::string(outcome_label(got.outcome)));
+  digest.mix(got.epoch);
+  if (got.epoch != want_epoch)
+    violations.record(who + " and its oracle answered at different epochs");
+  if (sheds_allowed && got.outcome == PlanOutcome::kShed) {
+    if (got.plan != nullptr) violations.record(who + ": shed response carried a plan");
+    return false;
+  }
+  if (got.plan == nullptr || want == nullptr) {
+    violations.record(who + (sheds_allowed ? ": non-shed response carried no plan"
+                                           : ": roomy budgets still produced a planless response"));
+    return false;
+  }
+  const std::string fp = plan_fingerprint(*got.plan);
+  if (fp != plan_fingerprint(*want)) {
+    violations.record(who + ": served plan is not fingerprint-identical to its oracle");
+    return false;
+  }
+  digest.mix(fp);
+  return true;
+}
+
+/// Every request lands in exactly one outcome class.
+void check_tally(const std::string& who, const ServiceStats& stats, Violations& violations) {
+  if (stats.requests != stats.hits + stats.solves + stats.dedup_joins + stats.sheds)
+    violations.record(who + ": outcome classes do not partition the requests");
+}
+
+// ---------------------------------------------------------------------------
+// Scenario 3: PlanService under shed pressure and epoch bumps.
+
+void run_service(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0x5E121CE5EEDULL);
   const Catalog catalog = paper_catalog();
   const ExecTimeEstimator estimator;
@@ -464,80 +560,41 @@ ScenarioOutcome run_service_scenario(std::uint64_t seed) {
 
   const FaultPlan fplan = FaultPlan::from_seed(seed);
   FaultInjector injector(fplan);
-  ServiceConfig config;
-  config.cache.shards = 2;
-  config.cache.capacity = 8;
+  ServiceConfig config = tiny_service_config();
   config.max_concurrent_solves = 2;
   config.max_queued_solves = 4;
-  config.latency_window = 32;
-  config.opt = tiny_optimizer_config();
   config.faults = &injector;
   PlanService service(&catalog, &estimator, &board, config);
 
   // A small request pool; the sequence draws from it with repeats, so cache
   // hits arise naturally — and must stay fingerprint-identical to fresh
   // solves even while epoch bumps race through the sequence.
-  const OnDemandSelector selector(&catalog, &estimator);
-  std::vector<PlanRequest> pool;
-  for (const char* name : {"BT", "SP", "FT"}) {
-    PlanRequest r;
-    r.app = paper_profile(name);
-    r.deadline_h = selector.baseline(r.app).t_h * (1.2 + rng.uniform(0.0, 3.0));
-    pool.push_back(std::move(r));
-  }
+  const std::vector<PlanRequest> pool = request_pool({"BT", "SP", "FT"}, rng);
   const std::size_t n_requests = 5 + rng.uniform_index(4);
 
-  Digest digest;
-  digest.mix(out.kind);
   for (std::size_t i = 0; i < n_requests; ++i) {
     if (injector.epoch_bump_at(i)) board.ingest({});  // mid-sequence invalidation
     const PlanRequest& request = pool[rng.uniform_index(pool.size())];
     const MarketSnapshot snap = board.snapshot();
     const PlanResponse response = service.serve(request);
-    digest.mix(std::string(outcome_label(response.outcome)));
-    digest.mix(response.epoch);
-    if (response.epoch != snap.epoch)
-      violations.record("single-threaded serve answered at an unexpected epoch");
-    if (response.outcome == PlanOutcome::kShed) {
-      if (response.plan != nullptr) violations.record("shed response carried a plan");
-      continue;
-    }
-    if (response.plan == nullptr) {
-      violations.record("non-shed response carried no plan");
-      continue;
-    }
-    const Plan fresh = service.solve(canonicalized(request), *snap.market);
-    if (plan_fingerprint(*response.plan) != plan_fingerprint(fresh)) {
-      violations.record(std::string("served plan (") + outcome_label(response.outcome) +
-                        ") is not fingerprint-identical to a fresh solve at its epoch");
-      continue;
-    }
-    digest.mix(plan_fingerprint(*response.plan));
+    std::optional<Plan> fresh;
+    if (response.plan != nullptr) fresh = service.solve(canonicalized(request), *snap.market);
+    check_lockstep("service", response, snap.epoch, fresh ? &*fresh : nullptr,
+                   /*sheds_allowed=*/true, digest, violations);
   }
 
   const ServiceStats stats = service.stats();
-  if (stats.requests != stats.hits + stats.solves + stats.dedup_joins + stats.sheds)
-    violations.record("service stats do not tally");
+  check_tally("service", stats, violations);
   digest.mix(stats.hits);
   digest.mix(stats.solves);
   digest.mix(stats.sheds);
   digest.mix(stats.stale_evicted);
-
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
 // Scenario 4: the optimizer is a pure function of its inputs.
 
-ScenarioOutcome run_plan_scenario(std::uint64_t seed) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = "plan";
-  Violations violations;
-
+void run_plan(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0x71A2DE7E12ULL);
   const Catalog catalog = paper_catalog();
   const ExecTimeEstimator estimator;
@@ -546,8 +603,7 @@ ScenarioOutcome run_plan_scenario(std::uint64_t seed) {
                                     : random_market_profile(catalog, rng);
   const Market market = generate_market(catalog, profile, 1.0 + rng.uniform(0.0, 1.0), 0.25,
                                         rng());
-  const char* names[] = {"BT", "SP", "LU", "FT", "IS"};
-  const AppProfile app = paper_profile(names[rng.uniform_index(5)]);
+  const AppProfile app = random_paper_app(rng);
   const double deadline_h =
       OnDemandSelector(&catalog, &estimator).baseline(app).t_h * (1.2 + rng.uniform(0.0, 3.0));
 
@@ -565,14 +621,7 @@ ScenarioOutcome run_plan_scenario(std::uint64_t seed) {
     violations.record("same-seed re-solve changed the plan fingerprint");
   if (fp != plan_fingerprint(p3))
     violations.record("thread count changed the plan fingerprint");
-
-  Digest digest;
-  digest.mix(out.kind);
   digest.mix(fp);
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -606,12 +655,7 @@ void drain_round_robin(std::vector<std::unique_ptr<feed::TickSource>>& sources,
   }
 }
 
-ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = "feed";
-  Violations violations;
-
+void run_feed(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0xFEEDD1CE5ULL);
   const Catalog catalog = paper_catalog();
   const Market full = generate_market(catalog, paper_market_profile(catalog),
@@ -646,7 +690,8 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
 
   // --- Run A: synchronous, single consumer, interleaved group order. ---
   MarketBoard board_a(full.window(0, visible));
-  feed::FeedPipeline pipe_a(&board_a, fcfg);
+  BoardFanout fanout_a({&board_a});
+  feed::FeedPipeline pipe_a(&fanout_a, fcfg);
   FaultInjector injector_a(fplan);
   {
     auto [inners, chains] = chaos_chains(injector_a);
@@ -656,7 +701,8 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
 
   // --- Run B: multi-producer through the bounded queue. ---
   MarketBoard board_b(full.window(0, visible));
-  feed::FeedPipeline pipe_b(&board_b, fcfg);
+  BoardFanout fanout_b({&board_b});
+  feed::FeedPipeline pipe_b(&fanout_b, fcfg);
   FaultInjector injector_b(fplan);
   {
     auto [inners, chains] = chaos_chains(injector_b);
@@ -711,7 +757,8 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
 
   // --- Invariant: without chaos the committed market IS the recorded one. ---
   MarketBoard board_c(full.window(0, visible));
-  feed::FeedPipeline pipe_c(&board_c, fcfg);
+  BoardFanout fanout_c({&board_c});
+  feed::FeedPipeline pipe_c(&fanout_c, fcfg);
   feed::ReplayTickSource clean(&full, {}, visible, len - visible);
   pipe_c.ingest(clean);
   pipe_c.flush();
@@ -731,11 +778,7 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
 
   // --- Invariant: plans at feed-published epochs are cache-coherent. ---
   const ExecTimeEstimator estimator;
-  ServiceConfig scfg;
-  scfg.cache.shards = 2;
-  scfg.cache.capacity = 8;
-  scfg.opt = tiny_optimizer_config();
-  PlanService service(&catalog, &estimator, &board_a, scfg);
+  PlanService service(&catalog, &estimator, &board_a, tiny_service_config());
   const OnDemandSelector selector(&catalog, &estimator);
   PlanRequest request;
   request.app = paper_profile("BT");
@@ -753,8 +796,6 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
                         "fingerprint-identical to a fresh solve");
   }
 
-  Digest digest;
-  digest.mix(out.kind);
   digest.mix(pipe_a.commit_digest());
   digest.mix(stats_a.ticks_ingested);
   digest.mix(stats_a.committed_steps);
@@ -776,11 +817,6 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
     for (const double v : e.mtbf_steps) digest.mix(v);
   }
   if (response.plan != nullptr) digest.mix(plan_fingerprint(*response.plan));
-
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -804,12 +840,7 @@ ScenarioOutcome run_feed_scenario(std::uint64_t seed) {
 //     single-level one (exact search over a superset), and the empty policy
 //     list keeps the degenerate fingerprint byte-identical.
 
-ScenarioOutcome run_multilevel_scenario(std::uint64_t seed) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = "multilevel";
-  Violations violations;
-
+void run_multilevel(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0x3117E7E1ULL);
   const int ranks = 2 + static_cast<int>(rng.uniform_index(4));
   const int total_iters = 6 + static_cast<int>(rng.uniform_index(14));
@@ -902,27 +933,7 @@ ScenarioOutcome run_multilevel_scenario(std::uint64_t seed) {
     }
   };
 
-  const int max_attempts = static_cast<int>(plan.max_faults) + 4;
-  bool completed = false;
-  int attempts = 0;
-  for (; attempts < max_attempts && !completed; ++attempts) {
-    if (attempts >= static_cast<int>(plan.max_faults) + 1) injector.quiesce();
-    const mpi::RunResult result =
-        attempts == 0 ? mpi::Runtime::run_with_plan(ranks, rank_fn, plan)
-                      : mpi::Runtime::run(ranks, rank_fn);
-    if (violations.any()) break;
-    completed = result.completed;
-    for (const std::string& err : result.errors) {
-      if (!InjectedFault::describes(err)) {
-        violations.record("non-injected error escaped: " + err);
-        break;
-      }
-    }
-    if (violations.any()) break;
-  }
-  if (!violations.any() && !completed)
-    violations.record("run did not complete within the fault budget (" +
-                      std::to_string(max_attempts) + " attempts)");
+  const int attempts = run_with_retries(ranks, rank_fn, plan, injector, violations);
 
   // Post-mortem, chaos disabled. The newest committed version carries the
   // final iteration and is cache-recoverable by construction, so the restore
@@ -930,19 +941,9 @@ ScenarioOutcome run_multilevel_scenario(std::uint64_t seed) {
   MultiLevelCheckpointer verify(&remote, "fuzz-ml", mcfg, nullptr);
   if (!violations.any()) {
     const std::uint64_t gets_before = remote.get_count();
-    const mpi::RunResult result = mpi::Runtime::run(ranks, [&](mpi::Comm& comm) {
-      const auto blob = verify.load_latest(comm);
-      if (!blob) {
-        violations.record("no committed snapshot after a completed run");
-        return;
-      }
-      const auto want = expected_state(seed, comm.rank(), total_iters, doubles);
-      if (*blob != want)
-        violations.record("final committed snapshot of rank " + std::to_string(comm.rank()) +
-                          " is not the final state");
-    });
-    if (!result.completed && !violations.any())
-      violations.record("chaos-free verification world failed");
+    verify_final_state(
+        ranks, [&](mpi::Comm& comm) { return verify.load_latest(comm); }, seed, total_iters,
+        doubles, violations);
     if (remote.get_count() != gets_before)
       violations.record("cache-level restore performed " +
                         std::to_string(remote.get_count() - gets_before) +
@@ -1013,8 +1014,7 @@ ScenarioOutcome run_multilevel_scenario(std::uint64_t seed) {
     const ExecTimeEstimator estimator;
     const Market market = generate_market(catalog, random_market_profile(catalog, rng),
                                           1.0 + rng.uniform(0.0, 1.0), 0.25, rng());
-    const char* names[] = {"BT", "SP", "LU", "FT", "IS"};
-    const AppProfile app = paper_profile(names[rng.uniform_index(5)]);
+    const AppProfile app = random_paper_app(rng);
     const double deadline_h = OnDemandSelector(&catalog, &estimator).baseline(app).t_h *
                               (1.2 + rng.uniform(0.0, 3.0));
 
@@ -1039,8 +1039,6 @@ ScenarioOutcome run_multilevel_scenario(std::uint64_t seed) {
 
   const FlushStats fs = ml.flush_stats();
   const RecoveryStats rs = verify.recovery_stats();
-  Digest digest;
-  digest.mix(out.kind);
   digest.mix(static_cast<std::uint64_t>(ranks));
   digest.mix(static_cast<std::uint64_t>(total_iters));
   digest.mix(static_cast<std::uint64_t>(ckpt_every));
@@ -1069,10 +1067,6 @@ ScenarioOutcome run_multilevel_scenario(std::uint64_t seed) {
   digest.mix(plan_fingerprint(plan_multi));
   for (int r = 0; r < ranks; ++r)
     digest.mix_bytes(expected_state(seed, r, total_iters, doubles));
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1161,14 +1155,7 @@ bool specs_identical(const platform::EffectiveSpec& a, const platform::Effective
              std::bit_cast<std::uint64_t>(b.uplink_latency_us);
 }
 
-ScenarioOutcome run_platform_scenario(std::uint64_t seed) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = "platform";
-  Violations violations;
-  Digest digest;
-  digest.mix(out.kind);
-
+void run_platform(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0x9E37A7F4C2B1ULL);
   const Catalog catalog = paper_catalog();
   const platform::Platform plat = random_platform(catalog, rng);
@@ -1223,8 +1210,7 @@ ScenarioOutcome run_platform_scenario(std::uint64_t seed) {
 
   // Flat anchor: the flat platform reproduces the catalog-only estimator
   // 0 ULP on every (app, type, zone) profile component.
-  const char* names[] = {"BT", "SP", "LU", "FT", "IS"};
-  const AppProfile app = paper_profile(names[rng.uniform_index(5)]);
+  const AppProfile app = random_paper_app(rng);
   const platform::Platform flat = platform::Platform::flat(catalog);
   const ExecTimeEstimator legacy;
   const ExecTimeEstimator flat_est(&flat);
@@ -1277,62 +1263,27 @@ ScenarioOutcome run_platform_scenario(std::uint64_t seed) {
       violations.record("thread count changed the platform plan fingerprint");
     digest.mix(fp);
   }
-
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
 // Scenario 8: the sharded serving tier vs its single-shard oracle.
 
-ScenarioOutcome run_sharded_scenario(std::uint64_t seed) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = "sharded";
-  Violations violations;
-
+void run_sharded(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0x54A2DED5EEDULL);
   const Catalog catalog = paper_catalog();
   const ExecTimeEstimator estimator;
   const Market market =
       generate_market(catalog, paper_market_profile(catalog), 1.5, 0.25, rng());
 
-  // A seeded tier shape from the acceptance set {1, 2, 4, 8}, with a seeded
-  // ring salt — the equivalence contract must hold for EVERY one.
-  const std::size_t shard_choices[] = {1, 2, 4, 8};
-  const std::size_t shards = shard_choices[rng.uniform_index(4)];
-  ShardedConfig config;
-  config.shards = shards;
-  config.vnodes = 16;
-  config.salt = rng();
-  config.service.cache.shards = 2;
-  // Ample tier budget: with a 3-request pool the per-shard ceil split can
-  // never evict a fitting key, so hit/solve classification stays comparable.
-  config.service.cache.capacity = 32;
-  config.service.max_concurrent_solves = 2;
-  config.service.max_queued_solves = 16;  // roomy: this scenario never sheds
-  config.service.latency_window = 32;
-  config.service.opt = tiny_optimizer_config();
-
+  const ShardedConfig config = roomy_sharded_config(rng);
   ShardedConfig oracle_config = config;
   oracle_config.shards = 1;
   ShardedPlanService tier(&catalog, &estimator, market, config);
   ShardedPlanService oracle(&catalog, &estimator, market, oracle_config);
 
-  const OnDemandSelector selector(&catalog, &estimator);
-  std::vector<PlanRequest> pool;
-  for (const char* name : {"BT", "SP", "FT"}) {
-    PlanRequest r;
-    r.app = paper_profile(name);
-    r.deadline_h = selector.baseline(r.app).t_h * (1.2 + rng.uniform(0.0, 3.0));
-    pool.push_back(std::move(r));
-  }
+  const std::vector<PlanRequest> pool = request_pool({"BT", "SP", "FT"}, rng);
 
-  Digest digest;
-  digest.mix(out.kind);
-  digest.mix(shards);
+  digest.mix(config.shards);
   bool wiped = false;
   const std::size_t n_requests = 6 + rng.uniform_index(7);
   for (std::size_t i = 0; i < n_requests; ++i) {
@@ -1356,20 +1307,9 @@ ScenarioOutcome run_sharded_scenario(std::uint64_t seed) {
             ? tier.serve_on(rng.uniform_index(tier.shard_count()), request)
             : tier.serve(request);
     const PlanResponse want = oracle.serve(request);
-    digest.mix(std::string(outcome_label(got.outcome)));
-    digest.mix(got.epoch);
-    if (got.epoch != want.epoch)
-      violations.record("tier and oracle answered at different epochs");
-    if (got.plan == nullptr || want.plan == nullptr) {
-      violations.record("roomy-queue scenario produced a shed");
-      continue;
-    }
     // The headline invariant: bit-identical to the single-shard oracle.
-    if (plan_fingerprint(*got.plan) != plan_fingerprint(*want.plan)) {
-      violations.record("tier plan is not fingerprint-identical to the 1-shard oracle");
-      continue;
-    }
-    digest.mix(plan_fingerprint(*got.plan));
+    check_lockstep("tier", got, want.epoch, want.plan.get(), /*sheds_allowed=*/false, digest,
+                   violations);
   }
 
   // Conservation: per-shard counters sum to the aggregate; the outcome
@@ -1377,9 +1317,7 @@ ScenarioOutcome run_sharded_scenario(std::uint64_t seed) {
   const ShardedStats stats = tier.stats();
   if (stats.total.requests != n_requests)
     violations.record("tier request counter lost a request");
-  if (stats.total.hits + stats.total.solves + stats.total.dedup_joins + stats.total.sheds !=
-      stats.total.requests)
-    violations.record("tier outcome classes do not partition the requests");
+  check_tally("tier", stats.total, violations);
   std::uint64_t sum_requests = 0;
   for (const ServiceStats& shard : stats.per_shard) sum_requests += shard.requests;
   if (sum_requests != stats.total.requests)
@@ -1394,11 +1332,6 @@ ScenarioOutcome run_sharded_scenario(std::uint64_t seed) {
   digest.mix(stats.total.solves);
   digest.mix(stats.duplicate_solves);
   digest.mix(stats.forwarded);
-
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1420,42 +1353,27 @@ ScenarioOutcome run_sharded_scenario(std::uint64_t seed) {
 // The digest mixes fingerprints, epochs, outcomes and the warm accounting —
 // never prune counters, which are schedule-dependent.
 
-ScenarioOutcome run_warmstart_scenario(std::uint64_t seed) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = "warmstart";
-  Violations violations;
-
+void run_warmstart(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0x3A12B0075EEDULL);
   const Catalog catalog = paper_catalog();
   const ExecTimeEstimator estimator;
   MarketBoard board(generate_market(catalog, paper_market_profile(catalog), 1.5, 0.25, rng()));
 
-  ServiceConfig config;
-  config.cache.shards = 2;
-  config.cache.capacity = 8;
-  config.latency_window = 32;
-  config.opt = tiny_optimizer_config();
+  const ServiceConfig config = tiny_service_config();
   ServiceConfig config8 = config;
   config8.opt.threads = 8;
   PlanService warm1(&catalog, &estimator, &board, config);
   PlanService warm8(&catalog, &estimator, &board, config8);
 
-  const OnDemandSelector selector(&catalog, &estimator);
-  std::vector<PlanRequest> pool;
-  for (const char* name : {"BT", "SP"}) {
-    PlanRequest r;
-    r.app = paper_profile(name);
-    r.deadline_h = selector.baseline(r.app).t_h * (1.2 + rng.uniform(0.0, 3.0));
+  const std::vector<PlanRequest> pool = request_pool({"BT", "SP"}, rng, [&](PlanRequest& r) {
     if (rng.bernoulli(0.4)) {
-      // Constrained scopes route through the service's own candidate loop —
-      // the warm path must be invisible there too.
+      // Constrained scopes go through the optimizer's type filter — the
+      // warm path must be invisible there too.
       const auto& types = catalog.types();
       r.allowed_types = {types[rng.uniform_index(types.size())].name,
                          types[rng.uniform_index(types.size())].name};
     }
-    pool.push_back(std::move(r));
-  }
+  });
 
   struct ScopeState {
     std::string key;
@@ -1471,8 +1389,6 @@ ScenarioOutcome run_warmstart_scenario(std::uint64_t seed) {
     return scopes.back();
   };
 
-  Digest digest;
-  digest.mix(out.kind);
   std::uint64_t expected_replans = 0;
   const std::size_t n_rounds = 3 + rng.uniform_index(2);
   for (std::size_t round = 0; round < n_rounds; ++round) {
@@ -1494,21 +1410,14 @@ ScenarioOutcome run_warmstart_scenario(std::uint64_t seed) {
       const MarketSnapshot snap = board.snapshot();
       const PlanResponse r1 = warm1.serve(request);
       const PlanResponse r8 = warm8.serve(request);
-      digest.mix(std::string(outcome_label(r1.outcome)));
-      digest.mix(r1.epoch);
+      const Plan cold = warm1.solve(canonicalized(request), *snap.market);
+      if (!check_lockstep("warm service (threads=1)", r1, snap.epoch, &cold,
+                          /*sheds_allowed=*/false, digest, violations))
+        continue;
       if (r1.outcome != r8.outcome)
         violations.record("thread-count twins took different serve outcomes");
-      if (r1.plan == nullptr || r8.plan == nullptr) {
-        violations.record("warm service shed an uncontended request");
-        continue;
-      }
-      const Plan fresh = warm1.solve(canonicalized(request), *snap.market);
-      const std::string fp = plan_fingerprint(*r1.plan);
-      if (fp != plan_fingerprint(fresh))
-        violations.record("warm plan (threads=1) is not fingerprint-identical to a cold solve");
-      if (fp != plan_fingerprint(*r8.plan))
+      if (r8.plan == nullptr || plan_fingerprint(*r8.plan) != plan_fingerprint(*r1.plan))
         violations.record("warm plan (threads=8) diverged from the threads=1 plan");
-      digest.mix(fp);
       if (r1.outcome != PlanOutcome::kSolved) continue;
 
       ScopeState& st = scope_state(canonical_key(canonicalized(request)));
@@ -1538,8 +1447,7 @@ ScenarioOutcome run_warmstart_scenario(std::uint64_t seed) {
   }
 
   const ServiceStats stats = warm1.stats();
-  if (stats.requests != stats.hits + stats.solves + stats.dedup_joins + stats.sheds)
-    violations.record("warm service stats do not tally");
+  check_tally("warm service", stats, violations);
   if (stats.replan_count != expected_replans)
     violations.record("replan_count does not match the tracked re-solves");
   digest.mix(stats.solves);
@@ -1547,11 +1455,6 @@ ScenarioOutcome run_warmstart_scenario(std::uint64_t seed) {
   digest.mix(stats.replan_table_hits);
   digest.mix(stats.replan_table_misses);
   digest.mix(stats.warm_seeds);
-
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1575,15 +1478,8 @@ ScenarioOutcome run_warmstart_scenario(std::uint64_t seed) {
 // schedule-dependent, so pass C checks invariants only; the digest mixes
 // exclusively the deterministic observables of passes A and B.
 
-ScenarioOutcome run_wire_scenario(std::uint64_t seed) {
-  ScenarioOutcome out;
-  out.seed = seed;
-  out.kind = "wire";
-  Violations violations;
-
+void run_wire(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0x317E5EED5ULL);
-  Digest digest;
-  digest.mix(out.kind);
 
   // --- Pass A: codec round trips and corruption classes -------------------
 
@@ -1823,28 +1719,11 @@ ScenarioOutcome run_wire_scenario(std::uint64_t seed) {
   const Market market =
       generate_market(catalog, paper_market_profile(catalog), 1.5, 0.25, rng());
 
-  const std::size_t shard_choices[] = {1, 2, 4, 8};
-  ShardedConfig config;
-  config.shards = shard_choices[rng.uniform_index(4)];
-  config.vnodes = 16;
-  config.salt = rng();
-  config.service.cache.shards = 2;
-  config.service.cache.capacity = 32;
-  config.service.max_concurrent_solves = 2;
-  config.service.max_queued_solves = 16;
-  config.service.latency_window = 32;
-  config.service.opt = tiny_optimizer_config();
+  const ShardedConfig config = roomy_sharded_config(rng);
   ShardedConfig oracle_config = config;
   oracle_config.shards = 1;
 
-  const OnDemandSelector selector(&catalog, &estimator);
-  std::vector<PlanRequest> pool;
-  for (const char* name : {"BT", "SP", "FT"}) {
-    PlanRequest r;
-    r.app = paper_profile(name);
-    r.deadline_h = selector.baseline(r.app).t_h * (1.2 + rng.uniform(0.0, 3.0));
-    pool.push_back(std::move(r));
-  }
+  const std::vector<PlanRequest> pool = request_pool({"BT", "SP", "FT"}, rng);
 
   {
     ShardedPlanService tier(&catalog, &estimator, market, config);
@@ -1867,19 +1746,8 @@ ScenarioOutcome run_wire_scenario(std::uint64_t seed) {
       try {
         const PlanResponse got = client.plan(request);
         const PlanResponse want = oracle.serve(request);
-        digest.mix(std::string(outcome_label(got.outcome)));
-        digest.mix(got.epoch);
-        if (got.epoch != want.epoch)
-          violations.record("wire tier and oracle answered at different epochs");
-        if (got.plan == nullptr || want.plan == nullptr) {
-          violations.record("roomy no-chaos wire scenario produced a shed");
-          continue;
-        }
-        if (plan_fingerprint(*got.plan) != plan_fingerprint(*want.plan)) {
-          violations.record("wire-served plan is not fingerprint-identical to the oracle");
-          continue;
-        }
-        digest.mix(plan_fingerprint(*got.plan));
+        check_lockstep("wire tier", got, want.epoch, want.plan.get(), /*sheds_allowed=*/false,
+                       digest, violations);
       } catch (const std::exception& e) {
         violations.record(std::string("no-chaos wire request failed: ") + e.what());
       }
@@ -1962,45 +1830,57 @@ ScenarioOutcome run_wire_scenario(std::uint64_t seed) {
         violations.record("chaos-surviving plan diverged from the in-process oracle");
     }
   }
-
-  out.digest = digest.value();
-  out.failed = violations.any();
-  out.detail = violations.first();
-  return out;
 }
+
+// ---------------------------------------------------------------------------
+// The driver: one {name, runner} row per kind, selected by seed modulo the
+// table size. The driver owns the outcome boilerplate and mixes the kind name
+// first into the fresh digest every runner extends.
+
+struct Kind {
+  const char* name;
+  void (*run)(std::uint64_t seed, Digest& digest, Violations& violations);
+};
+
+constexpr Kind kKinds[] = {
+    {"checkpoint",
+     [](std::uint64_t seed, Digest& digest, Violations& violations) {
+       run_checkpoint(seed, /*incremental=*/false, digest, violations);
+     }},
+    {"incremental",
+     [](std::uint64_t seed, Digest& digest, Violations& violations) {
+       run_checkpoint(seed, /*incremental=*/true, digest, violations);
+     }},
+    {"replay", run_replay},
+    {"service", run_service},
+    {"plan", run_plan},
+    {"feed", run_feed},
+    {"multilevel", run_multilevel},
+    {"platform", run_platform},
+    {"sharded", run_sharded},
+    {"warmstart", run_warmstart},
+    {"wire", run_wire},
+};
+
+const Kind& kind_of(std::uint64_t seed) { return kKinds[seed % std::size(kKinds)]; }
 
 }  // namespace
 
-const char* scenario_kind_name(std::uint64_t seed) {
-  switch (seed % 11) {
-    case 0: return "checkpoint";
-    case 1: return "incremental";
-    case 2: return "replay";
-    case 3: return "service";
-    case 4: return "plan";
-    case 5: return "feed";
-    case 6: return "multilevel";
-    case 7: return "platform";
-    case 8: return "sharded";
-    case 9: return "warmstart";
-    default: return "wire";
-  }
-}
+const char* scenario_kind_name(std::uint64_t seed) { return kind_of(seed).name; }
 
 ScenarioOutcome run_scenario(std::uint64_t seed) {
-  switch (seed % 11) {
-    case 0: return run_checkpoint_scenario(seed, /*incremental=*/false);
-    case 1: return run_checkpoint_scenario(seed, /*incremental=*/true);
-    case 2: return run_replay_scenario(seed);
-    case 3: return run_service_scenario(seed);
-    case 4: return run_plan_scenario(seed);
-    case 5: return run_feed_scenario(seed);
-    case 6: return run_multilevel_scenario(seed);
-    case 7: return run_platform_scenario(seed);
-    case 8: return run_sharded_scenario(seed);
-    case 9: return run_warmstart_scenario(seed);
-    default: return run_wire_scenario(seed);
-  }
+  const Kind& kind = kind_of(seed);
+  ScenarioOutcome out;
+  out.seed = seed;
+  out.kind = kind.name;
+  Digest digest;
+  digest.mix(out.kind);
+  Violations violations;
+  kind.run(seed, digest, violations);
+  out.digest = digest.value();
+  out.detail = violations.first();
+  out.failed = !out.detail.empty();
+  return out;
 }
 
 }  // namespace sompi::fi

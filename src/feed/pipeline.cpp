@@ -9,19 +9,8 @@
 
 namespace sompi::feed {
 
-FeedPipeline::FeedPipeline(MarketBoard* board, FeedConfig config)
-    : FeedPipeline(nullptr,
-                   std::make_unique<BoardFanout>(std::vector<MarketBoard*>{board}),
-                   config) {}
-
 FeedPipeline::FeedPipeline(BoardFanout* fanout, FeedConfig config)
-    : FeedPipeline(fanout, nullptr, config) {}
-
-FeedPipeline::FeedPipeline(BoardFanout* fanout, std::unique_ptr<BoardFanout> owned,
-                           FeedConfig config)
-    : owned_fanout_(std::move(owned)),
-      fanout_(fanout != nullptr ? fanout : owned_fanout_.get()),
-      config_(config) {
+    : fanout_(fanout), config_(config) {
   SOMPI_REQUIRE(fanout_ != nullptr);
   SOMPI_REQUIRE(config_.window_steps > 0);
   SOMPI_REQUIRE(config_.publish_every > 0);

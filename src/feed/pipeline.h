@@ -116,17 +116,13 @@ struct FeedEstimates {
 
 class FeedPipeline {
  public:
-  /// `board` is borrowed and must outlive the pipeline. The board's current
-  /// market primes the timeline: its length is the first feed step and its
-  /// trailing `window_steps` prime the estimation windows.
-  FeedPipeline(MarketBoard* board, FeedConfig config);
-
-  /// Replicated mode: one pipeline feeding every shard of a sharded serving
-  /// tier. `fanout` is borrowed and must outlive the pipeline; each epoch
-  /// publication goes through the fan-out's versioned barrier, so all
-  /// replicas see the identical epoch sequence this pipeline commits. The
-  /// primary replica primes the timeline exactly as the single-board ctor's
-  /// board does.
+  /// One pipeline feeds every replica behind `fanout` (borrowed; must
+  /// outlive the pipeline) — a single board is a one-replica fan-out,
+  /// `BoardFanout fanout({&board})`. Each epoch publication goes through the
+  /// fan-out's versioned barrier, so all replicas see the identical epoch
+  /// sequence this pipeline commits. The primary replica's current market
+  /// primes the timeline: its length is the first feed step and its trailing
+  /// `window_steps` prime the estimation windows.
   FeedPipeline(BoardFanout* fanout, FeedConfig config);
 
   ~FeedPipeline();
@@ -189,11 +185,6 @@ class FeedPipeline {
     std::uint64_t accum_real = 0;         ///< real (non-gap) values in accum
   };
 
-  /// Delegation target of both public ctors: publish through `fanout`,
-  /// which is `owned` when the single-board ctor wrapped its board in a
-  /// one-replica fan-out.
-  FeedPipeline(BoardFanout* fanout, std::unique_ptr<BoardFanout> owned, FeedConfig config);
-
   void apply_tick_locked(const Tick& tick);
   void resolve_group_locked(GroupState& g);
   void commit_ready_locked();
@@ -201,9 +192,6 @@ class FeedPipeline {
   void estimate_locked(std::uint64_t epoch);
   void mix(std::uint64_t value);
 
-  /// Kept alive only by the single-board ctor (a one-replica fan-out
-  /// wrapping the caller's board); null in replicated mode.
-  std::unique_ptr<BoardFanout> owned_fanout_;
   BoardFanout* fanout_;
   FeedConfig config_;
   std::size_t zones_ = 0;

@@ -135,10 +135,11 @@ void PlanServerLoop::admit_plan_requests(
   std::size_t admitted = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!draining_) {
-      const std::size_t used = std::min(config_.max_in_flight, in_flight_.size());
-      admitted = std::min(arrivals->size(), config_.max_in_flight - used);
-    }
+    // No draining gate: after shutdown() shuts the reads, a reader only
+    // drains frames that were buffered before it, and those are owed a real
+    // answer (the drain-on-shutdown law).
+    const std::size_t used = std::min(config_.max_in_flight, in_flight_.size());
+    admitted = std::min(arrivals->size(), config_.max_in_flight - used);
     if (admitted > 0) {
       std::vector<PlanRequest> requests;
       requests.reserve(admitted);
@@ -153,8 +154,7 @@ void PlanServerLoop::admit_plan_requests(
         in_flight_.emplace(tickets[i], std::make_pair(connection, (*arrivals)[i].first));
     }
   }
-  // Whatever exceeded the budget (or arrived while draining) is shed
-  // explicitly at the wire door.
+  // Whatever exceeded the budget is shed explicitly at the wire door.
   for (std::size_t i = admitted; i < arrivals->size(); ++i) {
     wire_sheds_.fetch_add(1, std::memory_order_relaxed);
     PlanResponse shed;
@@ -292,9 +292,8 @@ void PlanServerLoop::pump_loop() {
 void PlanServerLoop::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!accepting_ && draining_) return;  // second call: already shut down
+    if (!accepting_) return;  // second call: already shut down
     accepting_ = false;
-    draining_ = true;
   }
   // 1. Stop intake: readers drain their buffered requests, then exit.
   std::vector<Connection*> connections;

@@ -21,9 +21,10 @@
 // counter stays 0; a spray client pays one forward per misrouted request.
 //
 // Shutdown obeys the drain-on-shutdown completeness law, tested as such:
-// every request accepted into the batch before shutdown() gets exactly one
-// response frame written before its connection closes. (Reads are shut first,
-// the batch drains, the pump flushes, and only then do connections close.)
+// every plan request whose frame was buffered before shutdown() is admitted
+// (within the in-flight budget) and gets exactly one response frame written
+// before its connection closes. (Reads are shut first and drained, the batch
+// drains, the pump flushes, and only then do connections close.)
 #pragma once
 
 #include <cstdint>
@@ -120,7 +121,6 @@ class PlanServerLoop {
   /// ticket → (connection, client request id) for in-flight plan requests.
   std::unordered_map<std::uint64_t, std::pair<Connection*, std::uint64_t>> in_flight_;
   bool accepting_ = true;
-  bool draining_ = false;
 
   // Wire counters (tier counters live in the tier).
   std::atomic<std::uint64_t> connections_accepted_{0};

@@ -13,34 +13,33 @@ double ExecTimeEstimator::inter_instance_fraction(int cores, int n) {
   return static_cast<double>(n - cores) / static_cast<double>(n - 1);
 }
 
-platform::EffectiveSpec ExecTimeEstimator::type_spec(const InstanceType& type) {
-  platform::EffectiveSpec s;
-  s.cores = type.cores;
-  s.gips_per_core = type.gips_per_core;
-  s.net_gbps = type.net_gbps;
-  s.net_latency_us = type.net_latency_us;
-  s.io_mbps = type.io_mbps;
-  s.uplink_gbps = type.net_gbps;
-  s.uplink_latency_us = 0.0;  // the paper's S3 path bills bandwidth only
-  return s;
+namespace {
+
+/// The default estimator's platform: no hosts, links or zones, so
+/// Platform::effective falls back to the InstanceType capability columns for
+/// every (type, zone) — the paper's flat-constant model.
+const platform::Platform& empty_platform() {
+  static const platform::Platform empty({}, {}, {});
+  return empty;
 }
+
+}  // namespace
+
+ExecTimeEstimator::ExecTimeEstimator(const platform::Platform* platform)
+    : platform_(platform != nullptr ? platform : &empty_platform()) {}
 
 platform::EffectiveSpec ExecTimeEstimator::spec_for(const AppProfile& app,
                                                     const InstanceType& type,
                                                     std::string_view zone_name) const {
-  if (platform_ == nullptr) return type_spec(type);
   SOMPI_REQUIRE_MSG(app.processes >= 1, "profile needs a process count");
   // Each instance of the group is one flow on the zone's shared links.
   const int instances = (app.processes + type.cores - 1) / type.cores;
-  platform::EffectiveSpec s = platform_->effective(type, zone_name, instances);
-  // Flat platforms carry zero extra uplink latency, so this spec (and every
-  // estimate below) stays bit-identical to type_spec().
-  return s;
+  return platform_->effective(type, zone_name, instances);
 }
 
-TimeBreakdown ExecTimeEstimator::estimate_spec(const AppProfile& app,
-                                               const platform::EffectiveSpec& spec) const {
-  SOMPI_REQUIRE_MSG(app.processes >= 1, "profile needs a process count");
+TimeBreakdown ExecTimeEstimator::estimate(const AppProfile& app, const InstanceType& type,
+                                          std::string_view zone_name) const {
+  const platform::EffectiveSpec spec = spec_for(app, type, zone_name);
   const int n = app.processes;
   const int cores_used = std::min(spec.cores, n);
 
@@ -69,9 +68,10 @@ TimeBreakdown ExecTimeEstimator::estimate_spec(const AppProfile& app,
   return b;
 }
 
-CheckpointCosts ExecTimeEstimator::checkpoint_costs_spec(
-    const AppProfile& app, const platform::EffectiveSpec& spec) const {
-  SOMPI_REQUIRE(app.processes >= 1);
+CheckpointCosts ExecTimeEstimator::checkpoint_costs(const AppProfile& app,
+                                                    const InstanceType& type,
+                                                    std::string_view zone_name) const {
+  const platform::EffectiveSpec spec = spec_for(app, type, zone_name);
   const int instances = (app.processes + spec.cores - 1) / spec.cores;
   // State is uploaded to object storage through every NIC in parallel; the
   // zone uplink (fair-shared across the group's instances) can clamp the
@@ -86,34 +86,9 @@ CheckpointCosts ExecTimeEstimator::checkpoint_costs_spec(
   return c;
 }
 
-TimeBreakdown ExecTimeEstimator::estimate(const AppProfile& app,
-                                          const InstanceType& type) const {
-  return estimate_spec(app, type_spec(type));
-}
-
-double ExecTimeEstimator::hours(const AppProfile& app, const InstanceType& type) const {
-  return estimate(app, type).total_h();
-}
-
-CheckpointCosts ExecTimeEstimator::checkpoint_costs(const AppProfile& app,
-                                                    const InstanceType& type) const {
-  return checkpoint_costs_spec(app, type_spec(type));
-}
-
-TimeBreakdown ExecTimeEstimator::estimate(const AppProfile& app, const InstanceType& type,
-                                          std::string_view zone_name) const {
-  return estimate_spec(app, spec_for(app, type, zone_name));
-}
-
 double ExecTimeEstimator::hours(const AppProfile& app, const InstanceType& type,
                                 std::string_view zone_name) const {
   return estimate(app, type, zone_name).total_h();
-}
-
-CheckpointCosts ExecTimeEstimator::checkpoint_costs(const AppProfile& app,
-                                                    const InstanceType& type,
-                                                    std::string_view zone_name) const {
-  return checkpoint_costs_spec(app, spec_for(app, type, zone_name));
 }
 
 }  // namespace sompi

@@ -8,14 +8,15 @@
 // I/O from the aggregate disk bandwidth of all instances (more instances =
 // more I/O parallelism — the effect that favours the m1 family for BTIO).
 //
-// Two sources feed the arithmetic:
-//   - the legacy catalog view: InstanceType capability columns, used by the
-//     zone-less overloads (and by the zone overloads when no platform is
-//     attached) — exactly the paper's flat-constant model;
-//   - a platform::Platform: the zone-qualified overloads fold the zone's
-//     fabric/uplink links and compute derating into an EffectiveSpec first
-//     (DESIGN.md §12). Platform::flat() reproduces the catalog bit-exactly,
-//     so attaching the flat platform changes no estimate by even one ULP.
+// Every estimate reads its capability numbers through a platform::Platform
+// (DESIGN.md §12): Platform::effective folds the zone's fabric/uplink links
+// and compute derating into an EffectiveSpec first. A default-constructed
+// estimator borrows an empty platform, whose fallback for every type and
+// zone is the InstanceType capability columns — exactly the paper's
+// flat-constant model — and Platform::flat() reproduces those columns
+// bit-exactly too, so attaching the flat platform changes no estimate by
+// even one ULP. An empty zone name means "no zone": the host rates alone,
+// with no link or derating folded in — the rule the on-demand tier uses.
 #pragma once
 
 #include <string_view>
@@ -50,13 +51,15 @@ class ExecTimeEstimator {
   /// Restart (relaunch + rebuild communicators) fixed cost, hours.
   static constexpr double kRecoveryFixedH = 0.01;
 
-  /// Catalog-only estimator (the paper's flat-constant model).
-  ExecTimeEstimator() = default;
-  /// Platform-aware estimator: the zone-qualified overloads derive their
-  /// numbers from `platform` (borrowed; must outlive the estimator). nullptr
-  /// behaves exactly like the default constructor.
-  explicit ExecTimeEstimator(const platform::Platform* platform) : platform_(platform) {}
+  /// Catalog-only estimator (the paper's flat-constant model): borrows an
+  /// empty platform, which falls back to the catalog columns everywhere.
+  ExecTimeEstimator() : ExecTimeEstimator(nullptr) {}
+  /// Platform-aware estimator: every estimate derives its numbers from
+  /// `platform` (borrowed; must outlive the estimator). nullptr behaves
+  /// exactly like the default constructor.
+  explicit ExecTimeEstimator(const platform::Platform* platform);
 
+  /// The platform estimates read; never null.
   const platform::Platform* platform() const { return platform_; }
 
   /// Fraction of a rank's traffic that crosses the network when `cores`
@@ -64,40 +67,29 @@ class ExecTimeEstimator {
   static double inter_instance_fraction(int cores, int n);
 
   /// Estimates the productive execution time of `app` on instances of
-  /// `type` (one rank per core), from the flat catalog columns.
-  TimeBreakdown estimate(const AppProfile& app, const InstanceType& type) const;
+  /// `type` (one rank per core) in `zone_name`: the platform folds that
+  /// zone's links and derating in, the group's instance count being the flow
+  /// count on shared links. The empty zone means "no zone: host rates only".
+  TimeBreakdown estimate(const AppProfile& app, const InstanceType& type,
+                         std::string_view zone_name = {}) const;
 
   /// Convenience: total hours only.
-  double hours(const AppProfile& app, const InstanceType& type) const;
+  double hours(const AppProfile& app, const InstanceType& type,
+               std::string_view zone_name = {}) const;
 
   /// Checkpoint overhead O and recovery overhead R: the full application
   /// state is pushed to (pulled from) object storage through the NICs.
-  CheckpointCosts checkpoint_costs(const AppProfile& app, const InstanceType& type) const;
-
-  /// Zone-qualified variants: the attached platform folds `zone_name`'s
-  /// links and derating in (the group's instance count is the flow count on
-  /// shared links). Without a platform they equal the flat overloads.
-  TimeBreakdown estimate(const AppProfile& app, const InstanceType& type,
-                         std::string_view zone_name) const;
-  double hours(const AppProfile& app, const InstanceType& type,
-               std::string_view zone_name) const;
   CheckpointCosts checkpoint_costs(const AppProfile& app, const InstanceType& type,
-                                   std::string_view zone_name) const;
+                                   std::string_view zone_name = {}) const;
 
  private:
-  /// The one arithmetic path: every overload builds an EffectiveSpec and
-  /// lands here, so catalog and platform estimates cannot drift.
-  TimeBreakdown estimate_spec(const AppProfile& app,
-                              const platform::EffectiveSpec& spec) const;
-  CheckpointCosts checkpoint_costs_spec(const AppProfile& app,
-                                        const platform::EffectiveSpec& spec) const;
-  /// Spec the zone overloads use: platform-derived, or the flat type view.
+  /// The one source of capability numbers: the platform's effective spec for
+  /// one instance of the group, so catalog and platform estimates share every
+  /// line of arithmetic and cannot drift.
   platform::EffectiveSpec spec_for(const AppProfile& app, const InstanceType& type,
                                    std::string_view zone_name) const;
-  /// The catalog capability columns copied verbatim (uplink = NIC).
-  static platform::EffectiveSpec type_spec(const InstanceType& type);
 
-  const platform::Platform* platform_ = nullptr;
+  const platform::Platform* platform_;
 };
 
 }  // namespace sompi

@@ -1,6 +1,5 @@
 #include "service/plan_service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -22,13 +21,12 @@ const char* outcome_label(PlanOutcome outcome) {
 PlanService::PlanService(const Catalog* catalog, const ExecTimeEstimator* estimator,
                          MarketBoard* board, ServiceConfig config)
     : catalog_(catalog),
-      estimator_(estimator),
       board_(board),
       config_(std::move(config)),
       optimizer_(catalog, estimator, config_.opt),
       cache_(config_.cache),
       table_store_(config_.table_store) {
-  SOMPI_REQUIRE(catalog_ != nullptr && estimator_ != nullptr && board_ != nullptr);
+  SOMPI_REQUIRE(board_ != nullptr);  // the optimizer checks catalog and estimator
   SOMPI_REQUIRE(config_.max_concurrent_solves >= 1);
   SOMPI_REQUIRE(config_.latency_window >= 1);
   latency_ring_.reserve(config_.latency_window);
@@ -273,58 +271,8 @@ Plan PlanService::solve(const PlanRequest& canon, const Market& market) const {
 
 Plan PlanService::solve_with(const PlanRequest& canon, const Market& market,
                              ReplanContext* ctx) const {
-  if (canon.allowed_types.empty() && canon.allowed_zones.empty())
-    return optimizer_.optimize(canon.app, market, canon.deadline_h, ctx);
-
-  const auto allowed = [](const std::vector<std::string>& names, const std::string& name) {
-    return names.empty() || std::binary_search(names.begin(), names.end(), name);
-  };
-
-  // The on-demand recovery tier obeys the type constraint too (zones are a
-  // spot-market concept — OnDemandChoice is type-only). Same semantics as
-  // OnDemandSelector::select, restricted to the allowed types: cheapest
-  // full-run cost within Deadline × (1 − slack), else the fastest allowed
-  // tier marked infeasible. Selected before the candidate setups because
-  // the warm setup lookup hashes it.
-  const OnDemandSelector selector(catalog_, estimator_);
-  const double budget_h = canon.deadline_h * (1.0 - config_.opt.slack);
-  OnDemandChoice best;
-  OnDemandChoice fastest;
-  double best_cost = std::numeric_limits<double>::infinity();
-  double fastest_t = std::numeric_limits<double>::infinity();
-  for (std::size_t d = 0; d < catalog_->types().size(); ++d) {
-    if (!allowed(canon.allowed_types, catalog_->type(d).name)) continue;
-    OnDemandChoice c = selector.describe(d, canon.app);
-    if (c.t_h < fastest_t) {
-      fastest_t = c.t_h;
-      fastest = c;
-    }
-    if (c.t_h > budget_h) continue;
-    c.feasible = true;
-    if (c.full_cost_usd() < best_cost) {
-      best_cost = c.full_cost_usd();
-      best = c;
-    }
-  }
-  if (!best.feasible) best = fastest;  // describe() leaves feasible = false
-
-  // SetupBuilder::build_candidates filtered to the allowed groups, with each
-  // build routed through the warm store: same specs, same catalog order,
-  // same deadline cutoff as the cold path (filtering before building is
-  // what lets a constrained scope skip disallowed groups' Monte-Carlo).
-  std::vector<GroupSetup> candidates;
-  for (const CircleGroupSpec& spec : catalog_->all_groups()) {
-    if (!allowed(canon.allowed_types, catalog_->type(spec.type_index).name) ||
-        !allowed(canon.allowed_zones, catalog_->zone(spec.zone_index).name))
-      continue;
-    const double t_h = estimator_->hours(canon.app, catalog_->type(spec.type_index),
-                                         catalog_->zone(spec.zone_index).name);
-    if (t_h > canon.deadline_h) continue;
-    candidates.push_back(optimizer_.setup_for(canon.app, spec, market, best,
-                                              canon.deadline_h, ctx));
-  }
-
-  return optimizer_.optimize_over(canon.app, std::move(candidates), best, canon.deadline_h, ctx);
+  return optimizer_.optimize(canon.app, market, canon.deadline_h, ctx, canon.allowed_types,
+                             canon.allowed_zones);
 }
 
 ServiceStats PlanService::stats() const {

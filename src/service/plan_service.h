@@ -228,7 +228,6 @@ class PlanService {
   void retire_flight(const std::string& flight_key);
 
   const Catalog* catalog_;
-  const ExecTimeEstimator* estimator_;
   MarketBoard* board_;
   ServiceConfig config_;
   SompiOptimizer optimizer_;

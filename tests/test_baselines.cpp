@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "platform/examples.h"
 #include "profile/paper_profiles.h"
 #include "sim/replay.h"
 
@@ -33,6 +34,36 @@ TEST_F(BaselineTest, OnDemandOnlyPlanHasNoGroups) {
   EXPECT_FALSE(plan.uses_spot());
   EXPECT_NEAR(plan.expected.cost_usd, plan.od.full_cost_usd(), 1e-9);
   EXPECT_TRUE(plan.od.feasible);
+}
+
+TEST_F(BaselineTest, SpotBaselinesFitTheDeadlineInTheChosenGroupsZone) {
+  // us-east-1c of the heterogeneous platform is slower than the catalog
+  // columns; us-east-1a/1b reproduce them. A flat market where 1c is the
+  // cheapest zone: at the fastest on-demand runtime only the fastest type's
+  // 1a/1b groups fit, so a choice filtered by the zone-less estimate would
+  // land in 1c and miss the deadline.
+  const platform::Platform hetero = platform::example_hetero_platform();
+  const ExecTimeEstimator est(&hetero);
+  const BaselineFactory factory(&catalog_, &est, fast_setup());
+  const std::size_t slow_zone = catalog_.zone_index("us-east-1c");
+  std::vector<SpotTrace> traces;
+  for (std::size_t t = 0; t < catalog_.types().size(); ++t)
+    for (std::size_t z = 0; z < catalog_.zones().size(); ++z)
+      traces.emplace_back(0.25, std::vector<double>(96, z == slow_zone ? 0.01 : 0.05));
+  const Market flat_prices(&catalog_, std::move(traces));
+
+  for (const char* name : {"BT", "SP", "LU", "FT"}) {
+    const AppProfile app = paper_profile(name);
+    const double deadline = OnDemandSelector(&catalog_, &est).baseline(app).t_h;
+    for (const Plan& plan : {factory.spot_inf(app, flat_prices, deadline),
+                             factory.spot_avg(app, flat_prices, deadline)}) {
+      ASSERT_EQ(plan.groups.size(), 1u) << name;
+      const CircleGroupSpec& spec = plan.groups[0].spec;
+      const double t_h = est.hours(app, catalog_.type(spec.type_index),
+                                   catalog_.zone(spec.zone_index).name);
+      EXPECT_LE(t_h, deadline) << name << " chose " << plan.groups[0].name;
+    }
+  }
 }
 
 TEST_F(BaselineTest, MaratheReplicatesCc2AcrossZones) {

@@ -250,6 +250,7 @@ struct TinyWorld {
   Catalog catalog{{InstanceType{.name = "t1", .ondemand_usd_h = 1.0}},
                   {Zone{"z1"}}};
   MarketBoard board{Market(&catalog, {SpotTrace(1.0, {1.0, 2.0})})};
+  BoardFanout fanout{{&board}};
 
   Tick tick(std::uint64_t step, double price) const {
     Tick t;
@@ -272,7 +273,7 @@ struct TinyWorld {
 
 TEST(FeedPipeline, GapFillsAfterTheLateHorizon) {
   TinyWorld w;
-  FeedPipeline pipe(&w.board, w.config());
+  FeedPipeline pipe(&w.fanout, w.config());
   pipe.offer(w.tick(2, 3.0));  // next step after the primed board
   pipe.offer(w.tick(4, 5.0));  // skips step 3
   EXPECT_EQ(pipe.frontier_step(), 3u);  // step 3 still within the horizon
@@ -294,7 +295,7 @@ TEST(FeedPipeline, GapFillsAfterTheLateHorizon) {
 
 TEST(FeedPipeline, DropsStragglersAndDuplicates) {
   TinyWorld w;
-  FeedPipeline pipe(&w.board, w.config());
+  FeedPipeline pipe(&w.fanout, w.config());
   pipe.offer(w.tick(2, 3.0));
   pipe.offer(w.tick(3, 4.0));
   pipe.offer(w.tick(2, 9.0));   // step 2 already resolved → late
@@ -337,7 +338,8 @@ TEST(FeedPipeline, PublishesEpochBatchesAndReEstimates) {
   cfg.publish_every = 8;
   cfg.estimation.samples = 64;
   cfg.estimation.horizon_steps = 16;
-  FeedPipeline pipe(&board, cfg);
+  BoardFanout fanout({&board});
+  FeedPipeline pipe(&fanout, cfg);
   ReplayTickSource source(&full, {}, visible, len - visible);
   pipe.ingest(source);
   pipe.flush();
@@ -396,14 +398,16 @@ TEST(FeedStressPipeline, MultiProducerRunIsBitIdenticalToSync) {
   cfg.estimation.horizon_steps = 16;
 
   MarketBoard board_sync(full.window(0, visible));
-  FeedPipeline sync(&board_sync, cfg);
+  BoardFanout fanout_sync({&board_sync});
+  FeedPipeline sync(&fanout_sync, cfg);
   ReplayTickSource source(&full, {}, visible, len - visible);
   sync.ingest(source);
   sync.flush();
 
   for (const std::size_t producers : {1u, 8u}) {
     MarketBoard board(full.window(0, visible));
-    FeedPipeline pipe(&board, cfg);
+    BoardFanout fanout({&board});
+    FeedPipeline pipe(&fanout, cfg);
     pipe.start();
     const std::vector<CircleGroupSpec> all = catalog.all_groups();
     std::vector<std::thread> threads;
@@ -446,7 +450,8 @@ TEST(FeedStressPipeline, ChaosDecoratedShardsStayDeterministic) {
   std::uint64_t first_digest = 0;
   for (const std::size_t producers : {1u, 4u}) {
     MarketBoard board(full.window(0, visible));
-    FeedPipeline pipe(&board, cfg);
+    BoardFanout fanout({&board});
+    FeedPipeline pipe(&fanout, cfg);
     fi::FaultInjector injector(plan);
     pipe.start();
     std::vector<std::thread> threads;
@@ -511,7 +516,8 @@ TEST(FeedService, EpochPublicationInvalidatesThePlanCache) {
   FeedConfig fcfg;
   fcfg.publish_every = 8;
   fcfg.estimate = false;
-  FeedPipeline pipe(&board, fcfg);
+  BoardFanout fanout({&board});
+  FeedPipeline pipe(&fanout, fcfg);
   ReplayTickSource source(&full, {}, visible, len - visible);
   pipe.ingest(source);
   pipe.flush();
@@ -563,7 +569,8 @@ TEST(FeedService, FeedDrivenAdaptiveMatchesTraceReplayBitwise) {
   FeedConfig fcfg;
   fcfg.publish_every = 1;
   fcfg.estimate = false;
-  FeedPipeline pipe(&board, fcfg);
+  BoardFanout fanout({&board});
+  FeedPipeline pipe(&fanout, fcfg);
   ReplayTickSource source(&full, {}, visible, len - visible);
   AdaptiveConfig feed_cfg = acfg;
   feed_cfg.window_hook = [&](int, double now_h) {

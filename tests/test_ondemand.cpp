@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "platform/platform.h"
 #include "profile/paper_profiles.h"
 
 namespace sompi {
@@ -62,6 +66,49 @@ TEST_F(OnDemandTest, CostIsRateTimesRuntime) {
   EXPECT_EQ(d.instances, 32);
   EXPECT_NEAR(d.rate_usd_h, 0.210 * 32, 1e-12);
   EXPECT_NEAR(d.full_cost_usd(), d.rate_usd_h * d.t_h, 1e-12);
+}
+
+TEST_F(OnDemandTest, ConstrainedSelectFallsBackToTheFastestAllowedType) {
+  const AppProfile bt = paper_profile("BT");
+  const std::vector<std::string> allowed = {"m1.small", "c3.xlarge"};
+  const OnDemandChoice small = selector_.describe(catalog_.type_index("m1.small"), bt);
+  const OnDemandChoice c3 = selector_.describe(catalog_.type_index("c3.xlarge"), bt);
+  const OnDemandChoice& fastest = small.t_h < c3.t_h ? small : c3;
+
+  // No type beats the unconstrained baseline, so at that deadline with
+  // positive slack no allowed type fits.
+  const OnDemandChoice tight = selector_.select(bt, selector_.baseline(bt).t_h, 0.2, allowed);
+  EXPECT_FALSE(tight.feasible);
+  EXPECT_EQ(tight.type_index, fastest.type_index);
+  EXPECT_EQ(tight.t_h, fastest.t_h);
+
+  // A roomy deadline picks a feasible tier, still inside the allowed set.
+  const OnDemandChoice loose = selector_.select(bt, fastest.t_h * 10.0, 0.0, allowed);
+  EXPECT_TRUE(loose.feasible);
+  EXPECT_TRUE(loose.type_index == small.type_index || loose.type_index == c3.type_index);
+}
+
+TEST(OnDemandPlatform, DescribeReadsThePlatformHostRates) {
+  const Catalog catalog = paper_catalog();
+  const std::size_t d = catalog.type_index("c3.xlarge");
+  InstanceType faster = catalog.type(d);
+  faster.gips_per_core *= 1.5;
+  // A platform modeling one host, faster than its catalog row, and no zones.
+  const platform::Platform plat({platform::Host{faster.name, faster.gips_per_core,
+                                                faster.net_gbps, faster.net_latency_us,
+                                                faster.io_mbps}},
+                                {}, {});
+  const ExecTimeEstimator catalog_est;
+  const ExecTimeEstimator est(&plat);
+  const OnDemandSelector selector(&catalog, &est);
+  const AppProfile bt = paper_profile("BT");
+
+  // On-demand has no zone: the runtime is the platform host's, exactly.
+  EXPECT_EQ(selector.describe(d, bt).t_h, catalog_est.hours(bt, faster));
+  EXPECT_LT(selector.describe(d, bt).t_h, catalog_est.hours(bt, catalog.type(d)));
+  // A type the platform does not model keeps its catalog columns.
+  const std::size_t other = catalog.type_index("m1.small");
+  EXPECT_EQ(selector.describe(other, bt).t_h, catalog_est.hours(bt, catalog.type(other)));
 }
 
 TEST_F(OnDemandTest, RejectsBadArguments) {

@@ -128,16 +128,15 @@ TEST(PlatformFlat, SetupBuilderProfilesAreZeroUlpFromLegacy) {
   const AppProfile app = paper_profile("SP");
 
   const SetupConfig config;
-  const auto legacy_setups =
-      SetupBuilder(&catalog, &legacy).build_candidates(app, market, config, 1e9);
-  const auto platform_setups =
-      SetupBuilder(&catalog, &platform_est).build_candidates(app, market, config, 1e9);
-  ASSERT_EQ(legacy_setups.size(), platform_setups.size());
-  for (std::size_t i = 0; i < legacy_setups.size(); ++i) {
-    EXPECT_EQ(legacy_setups[i].t_steps, platform_setups[i].t_steps);
-    EXPECT_EQ(bits(legacy_setups[i].o_steps), bits(platform_setups[i].o_steps));
-    EXPECT_EQ(bits(legacy_setups[i].r_steps), bits(platform_setups[i].r_steps));
-    EXPECT_EQ(legacy_setups[i].instances, platform_setups[i].instances);
+  const SetupBuilder legacy_builder(&catalog, &legacy);
+  const SetupBuilder platform_builder(&catalog, &platform_est);
+  for (const CircleGroupSpec& spec : catalog.all_groups()) {
+    const GroupSetup want = legacy_builder.build(app, spec, market, config);
+    const GroupSetup got = platform_builder.build(app, spec, market, config);
+    EXPECT_EQ(want.t_steps, got.t_steps);
+    EXPECT_EQ(bits(want.o_steps), bits(got.o_steps));
+    EXPECT_EQ(bits(want.r_steps), bits(got.r_steps));
+    EXPECT_EQ(want.instances, got.instances);
   }
 }
 

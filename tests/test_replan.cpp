@@ -374,7 +374,8 @@ TEST(FeedDeltaConservation, ChangedAndWithheldColumnsPartitionEveryBatch) {
   cfg.publish_every = 2;
   cfg.late_horizon = 3;
   cfg.estimate = false;
-  feed::FeedPipeline pipe(&board, cfg);
+  BoardFanout fanout({&board});
+  feed::FeedPipeline pipe(&fanout, cfg);
 
   const auto tick = [](std::uint64_t step, std::size_t zone, double price) {
     feed::Tick t;
