@@ -3,11 +3,11 @@
 // One solve derives, per candidate group, a stack of artifacts that depend
 // only on (that group's price history, the optimizer config, the app, the
 // deadline, the on-demand tier): the GroupSetup with its Monte-Carlo
-// FailureModel — the dominant cold-solve cost — plus the φ-tied checkpoint
-// intervals, the guard tables and the incremental engine's GroupCostTable
-// block. All of it is a pure function of those inputs, so when an epoch bump
-// moves only SOME groups' histories, the clean groups' artifacts can be
-// reused bit-identically instead of rebuilt.
+// FailureModel — a minority of a cold solve, which the search dominates —
+// plus the φ-tied checkpoint intervals, the guard tables and the incremental
+// engine's GroupCostTable block. All of it is a pure function of those
+// inputs, so when an epoch bump moves only SOME groups' histories, the clean
+// groups' artifacts can be reused bit-identically instead of rebuilt.
 //
 // The store keys artifacts two ways:
 //   * the *scope* — the canonical request key, which pins app, deadline and

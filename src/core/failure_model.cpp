@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace sompi {
 
@@ -29,53 +28,44 @@ FailureModel::FailureModel(const SpotTrace& history, std::vector<double> bids,
   std::vector<std::size_t> failures(bids_.size() * width, 0);
   std::vector<std::size_t> never(bids_.size(), 0);  // alive through the horizon
 
-  // Start points come from one sequential stream, independent of the thread
-  // count, so the fitted curves are identical to the serial estimator's.
+  // Start points come from one sequential stream; the counts are integer
+  // sums, so visiting the starts in sorted order changes nothing.
   Rng rng(config.seed);
-  const std::size_t n = history.steps();
+  const std::vector<double>& price = history.prices();
+  const std::size_t n = price.size();
   std::vector<std::size_t> starts(config.samples);
-  for (std::size_t s = 0; s < config.samples; ++s) starts[s] = rng.uniform_index(n);
+  for (std::size_t& s : starts) s = rng.uniform_index(n);
+  std::sort(starts.begin(), starts.end());
 
-  // The horizon scans dominate; fan them out over fixed-size sample chunks.
-  // Each chunk owns private count arrays, merged serially in chunk order —
-  // integer sums, so any grouping gives the same totals anyway.
-  struct Counts {
-    std::vector<std::size_t> failures;
-    std::vector<std::size_t> never;
-  };
-  constexpr std::size_t kGrain = 256;
-  const std::size_t chunks = (config.samples + kGrain - 1) / kGrain;
-  std::vector<Counts> parts(chunks);
-  parallel_for(chunks, config.threads, [&](std::size_t c) {
-    Counts& part = parts[c];
-    part.failures.assign(bids_.size() * width, 0);
-    part.never.assign(bids_.size(), 0);
-    const std::size_t lo = c * kGrain;
-    const std::size_t hi = std::min<std::size_t>(config.samples, lo + kGrain);
-    for (std::size_t s = lo; s < hi; ++s) {
-      const std::size_t start = starts[s];
-      // One running-max pass kills bids in ascending order: once the running
-      // max exceeds bids_[next], that bid's first passage is the current step.
-      std::size_t next = 0;  // lowest still-alive bid index
-      double run_max = 0.0;
-      for (std::size_t t = 0; t <= horizon_ && next < bids_.size(); ++t) {
-        std::size_t idx = start + t;
-        if (idx >= n) {
-          if (!config.wrap) break;
-          idx %= n;
-        }
-        run_max = std::max(run_max, history.price(idx));
-        while (next < bids_.size() && bids_[next] < run_max) {
-          part.failures[next * width + t] += 1;
-          ++next;
-        }
-      }
-      for (std::size_t b = next; b < bids_.size(); ++b) ++part.never[b];
+  // Record chains (DESIGN.md §5.2), distinct starts from highest to lowest:
+  // s scans up to the start above, whose records within s's horizon and above
+  // s's running max are s's remaining ones. A chain ends at its first record
+  // above the top bid, where every bid is dead. pos is unwrapped (t = pos - s).
+  struct Record { std::size_t pos; double price; };
+  std::vector<Record> chain, above;  // this start's records; the start above's
+  std::size_t above_start = SIZE_MAX;
+  for (std::size_t hi = starts.size(), lo; hi > 0; hi = lo) {
+    const std::size_t s = starts[hi - 1];
+    for (lo = hi - 1; lo > 0 && starts[lo - 1] == s;) --lo;
+    const std::size_t copies = hi - lo;  // samples drawn at s: starts[lo, hi)
+    const std::size_t last =
+        config.wrap ? s + std::min(horizon_, n - 1) : std::min(s + horizon_, n - 1);
+    chain.clear();
+    double run_max = 0.0;
+    std::size_t pos = s;
+    for (; pos <= last && pos < above_start && run_max <= bids_.back(); ++pos) {
+      const double p = price[pos < n ? pos : pos - n];
+      if (p > run_max) chain.push_back({pos, run_max = p});
     }
-  });
-  for (const Counts& part : parts) {
-    for (std::size_t i = 0; i < failures.size(); ++i) failures[i] += part.failures[i];
-    for (std::size_t b = 0; b < never.size(); ++b) never[b] += part.never[b];
+    for (std::size_t r = 0; pos == above_start && r < above.size() && above[r].pos <= last; ++r)
+      if (above[r].price > run_max) chain.push_back({above[r].pos, run_max = above[r].price});
+    std::size_t next = 0;  // lowest still-alive bid index
+    for (const Record& r : chain)
+      for (; next < bids_.size() && bids_[next] < r.price; ++next)
+        failures[next * width + (r.pos - s)] += copies;
+    for (std::size_t b = next; b < bids_.size(); ++b) never[b] += copies;
+    std::swap(chain, above);
+    above_start = s;
   }
 
   // Convert counts to survival curves: survival(t) = P[fp >= t].

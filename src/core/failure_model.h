@@ -5,9 +5,9 @@
 // For a bid P, the group's first-passage time is the first step at which the
 // spot price exceeds P. Following the paper, we estimate its distribution in
 // a histogram-based way: start from G random points in the recent history,
-// record when the price first exceeds P, and normalize the counts. One pass
-// of the running maximum per sampled start point yields the first-passage
-// time for EVERY candidate bid simultaneously.
+// record when the price first exceeds P, and normalize the counts. Record
+// chains (the steps where a start's running max rises) give EVERY bid's first
+// passage at once and scan overlapping horizons once (DESIGN.md §5.2).
 #pragma once
 
 #include <cstddef>
@@ -28,12 +28,6 @@ struct FailureEstimationConfig {
   std::uint64_t seed = 0x50C1A1;
   /// Wrap around the history window when a sampled run hits its end.
   bool wrap = true;
-  /// Worker threads for the first-passage scans: 0 = hardware concurrency,
-  /// 1 = serial. Start points come from one sequential stream regardless,
-  /// and per-chunk failure counts are merged in chunk order, so the fitted
-  /// curves are bit-identical at any thread count (and to the pre-parallel
-  /// estimator).
-  unsigned threads = 1;
 };
 
 class FailureModel {

@@ -101,6 +101,7 @@ Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history, doub
                               ReplanContext* ctx,
                               const std::vector<std::string>& allowed_types,
                               const std::vector<std::string>& allowed_zones) const {
+  const auto t_begin = std::chrono::steady_clock::now();
   SOMPI_REQUIRE(deadline_h > 0.0);
   const auto allowed = [](const std::vector<std::string>& names, const std::string& name) {
     return names.empty() || std::find(names.begin(), names.end(), name) != names.end();
@@ -114,6 +115,7 @@ Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history, doub
   // runtime fits the deadline, in catalog order, each built through the warm
   // store. Filtering before building is what lets a constrained scope skip
   // disallowed groups' Monte-Carlo.
+  const auto t_setup = std::chrono::steady_clock::now();
   std::vector<GroupSetup> candidates;
   for (const CircleGroupSpec& spec : catalog_->all_groups()) {
     const InstanceType& type = catalog_->type(spec.type_index);
@@ -122,8 +124,13 @@ Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history, doub
     if (estimator_->hours(app, type, zone) > deadline_h) continue;  // cannot finish in time
     candidates.push_back(setup_for(app, spec, history, od, deadline_h, ctx));
   }
+  const auto t_search = std::chrono::steady_clock::now();
 
-  return optimize_over(app, std::move(candidates), od, deadline_h, ctx);
+  Plan plan = optimize_over(app, std::move(candidates), od, deadline_h, ctx);
+  plan.setup_seconds = std::chrono::duration<double>(t_search - t_setup).count();
+  plan.optimize_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_begin).count();
+  return plan;
 }
 
 GroupSetup SompiOptimizer::setup_for(const AppProfile& app, const CircleGroupSpec& spec,
@@ -140,7 +147,7 @@ GroupSetup SompiOptimizer::setup_for(const AppProfile& app, const CircleGroupSpe
 
   // Store a setup-only artifact immediately: even if this group is pruned
   // from the search below max_candidates, the next epoch skips its
-  // Monte-Carlo failure estimation — the dominant cold-solve cost.
+  // Monte-Carlo failure estimation, the bulk of per-group setup.
   auto art = std::make_shared<GroupArtifact>(version, builder.build(app, spec, history,
                                                                    config_.setup));
   GroupSetup setup = art->setup;

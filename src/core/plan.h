@@ -83,12 +83,15 @@ struct Plan {
   bool spot_feasible = false;
 
   // Optimizer accounting (the paper's "optimization overhead" metric).
-  // model_evaluations is the logical count of the exhaustive scan — it is
-  // invariant under engine choice, pruning, and thread count, and is part of
-  // the plan fingerprint. stats holds what the engine actually did.
+  // model_evaluations is the logical count of the exhaustive scan: invariant
+  // under engine, pruning and thread count, and fingerprinted. stats holds
+  // what the engine did. optimize_seconds is the whole optimize() call's wall
+  // time, setup_seconds its candidate-setup share (0 from optimize_over); the
+  // two timers are neither fingerprinted nor sent on the wire.
   std::size_t model_evaluations = 0;
   PlanStats stats;
   double optimize_seconds = 0.0;
+  double setup_seconds = 0.0;
 
   bool uses_spot() const { return !groups.empty(); }
 };

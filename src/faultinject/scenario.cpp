@@ -1862,21 +1862,23 @@ constexpr Kind kKinds[] = {
     {"wire", run_wire},
 };
 
-const Kind& kind_of(std::uint64_t seed) { return kKinds[seed % std::size(kKinds)]; }
-
 }  // namespace
 
-const char* scenario_kind_name(std::uint64_t seed) { return kind_of(seed).name; }
-
 ScenarioOutcome run_scenario(std::uint64_t seed) {
-  const Kind& kind = kind_of(seed);
+  return *run_scenario(kKinds[seed % std::size(kKinds)].name, seed);
+}
+
+std::optional<ScenarioOutcome> run_scenario(std::string_view kind, std::uint64_t seed) {
+  const Kind* row = std::find_if(std::begin(kKinds), std::end(kKinds),
+                                 [&](const Kind& k) { return kind == k.name; });
+  if (row == std::end(kKinds)) return std::nullopt;
   ScenarioOutcome out;
   out.seed = seed;
-  out.kind = kind.name;
+  out.kind = row->name;
   Digest digest;
   digest.mix(out.kind);
   Violations violations;
-  kind.run(seed, digest, violations);
+  row->run(seed, digest, violations);
   out.digest = digest.value();
   out.detail = violations.first();
   out.failed = !out.detail.empty();

@@ -2,7 +2,7 @@
 // subsystem under an injected failure schedule, plus the invariants that
 // must hold for ANY schedule.
 //
-// The eleven scenario kinds (selected by seed % 11) and their invariants:
+// The eleven scenario kinds (by seed % 11, or by name) and their invariants:
 //
 //   checkpoint / incremental — an iterative mini-MPI app checkpoints under
 //     storage faults, torn uploads, protocol crashes and a tick-kill.
@@ -100,7 +100,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace sompi::fi {
 
@@ -114,10 +116,12 @@ struct ScenarioOutcome {
   std::uint64_t digest = 0;
 };
 
-const char* scenario_kind_name(std::uint64_t seed);
-
 /// Runs the scenario selected by `seed`. Deterministic: same seed → same
 /// outcome, digest included, at any thread count.
 ScenarioOutcome run_scenario(std::uint64_t seed);
+
+/// Runs the named kind with `seed` (a repro that survives added kinds): for
+/// the seed's own kind, run_scenario(seed) exactly. nullopt for no such kind.
+std::optional<ScenarioOutcome> run_scenario(std::string_view kind, std::uint64_t seed);
 
 }  // namespace sompi::fi

@@ -207,8 +207,8 @@ bool decode_plan_request(std::string_view payload, PlanRequest* out);
 /// full fingerprint surface of the Plan: every field plan_fingerprint()
 /// reads travels bit-exactly, so fingerprinting the decoded plan yields the
 /// byte-identical string an in-process caller would compute. Work accounting
-/// (PlanStats) and wall clock (optimize_seconds) stay local to the server,
-/// exactly as they are excluded from the fingerprint.
+/// (PlanStats) and wall clock (optimize_seconds, setup_seconds) stay local
+/// to the server, exactly as they are excluded from the fingerprint.
 std::string encode_plan_response(const PlanResponse& response);
 bool decode_plan_response(std::string_view payload, PlanResponse* out);
 

@@ -95,7 +95,7 @@ std::string plan_fingerprint(const Plan& plan) {
   put_double(os, "eratio", plan.expected.e_min_ratio);
   os << "feasible=" << plan.spot_feasible << '|';
   // model_evaluations is deterministic (same inputs ⇒ same count), so it
-  // belongs in the fingerprint; optimize_seconds is wall time and does not.
+  // belongs in the fingerprint; the wall-clock timers do not.
   os << "evals=" << plan.model_evaluations;
   return os.str();
 }

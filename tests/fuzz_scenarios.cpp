@@ -8,15 +8,20 @@
 // contract (same seed → byte-identical outcome at any thread count) on
 // every invocation.
 //
-//   fuzz_scenarios [--seeds N] [--seed-start S] [--threads T] [--seed X]
+//   fuzz_scenarios [--seeds N] [--seed-start S] [--threads T]
+//   fuzz_scenarios [--kind K] --seed X
 //
-// --seed X runs exactly one seed, verbosely — the repro mode.
+// --seed X runs exactly one seed, verbosely. With --kind K it runs kind K
+// with that seed instead of the kind the seed selects (seed % kinds); that
+// is the repro mode, and it keeps its meaning when kinds are added. For the
+// seed's own kind both forms print the same line.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,8 +32,9 @@ namespace {
 
 [[noreturn]] void usage_error(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--seeds N] [--seed-start S] [--threads T] [--seed X]\n",
-               argv0);
+               "usage: %s [--seeds N] [--seed-start S] [--threads T]\n"
+               "       %s [--kind K] --seed X\n",
+               argv0, argv0);
   std::exit(2);
 }
 
@@ -43,7 +49,7 @@ void print_failure(const sompi::fi::ScenarioOutcome& outcome) {
   std::printf("FAIL seed=%llu kind=%s: %s\n",
               static_cast<unsigned long long>(outcome.seed), outcome.kind.c_str(),
               outcome.detail.c_str());
-  std::printf("  repro: fuzz_scenarios --seed %llu\n",
+  std::printf("  repro: fuzz_scenarios --kind %s --seed %llu\n", outcome.kind.c_str(),
               static_cast<unsigned long long>(outcome.seed));
 }
 
@@ -55,6 +61,7 @@ int main(int argc, char** argv) {
   unsigned threads = 0;  // 0 = hardware concurrency
   bool single = false;
   std::uint64_t single_seed = 0;
+  const char* kind = nullptr;  // --kind: run this kind instead of the seed's
 
   for (int i = 1; i < argc; ++i) {
     const auto arg_value = [&]() -> const char* {
@@ -70,13 +77,23 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       single = true;
       single_seed = parse_u64(argv[0], arg_value());
+    } else if (std::strcmp(argv[i], "--kind") == 0) {
+      kind = arg_value();
     } else {
       usage_error(argv[0]);
     }
   }
 
+  if (kind != nullptr && !single) usage_error(argv[0]);
   if (single) {
-    const sompi::fi::ScenarioOutcome outcome = sompi::fi::run_scenario(single_seed);
+    const std::optional<sompi::fi::ScenarioOutcome> ran =
+        kind != nullptr ? sompi::fi::run_scenario(kind, single_seed)
+                        : sompi::fi::run_scenario(single_seed);
+    if (!ran) {
+      std::fprintf(stderr, "unknown fuzz kind '%s'\n", kind);
+      usage_error(argv[0]);
+    }
+    const sompi::fi::ScenarioOutcome& outcome = *ran;
     std::printf("seed=%llu kind=%s digest=%016llx %s\n",
                 static_cast<unsigned long long>(outcome.seed), outcome.kind.c_str(),
                 static_cast<unsigned long long>(outcome.digest),
@@ -121,7 +138,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(serial.seed), serial.kind.c_str(),
                   static_cast<unsigned long long>(outcomes[i].digest),
                   static_cast<unsigned long long>(serial.digest));
-      std::printf("  repro: fuzz_scenarios --seed %llu\n",
+      std::printf("  repro: fuzz_scenarios --kind %s --seed %llu\n", serial.kind.c_str(),
                   static_cast<unsigned long long>(serial.seed));
     }
   }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "trace/generator.h"
 
 namespace sompi {
@@ -141,6 +144,174 @@ TEST(FailureModel, RejectsBadInputs) {
   EXPECT_THROW(FailureModel(trace, {}, config()), PreconditionError);
   EXPECT_THROW(FailureModel(trace, {0.2, 0.1}, config()), PreconditionError);  // unsorted
   EXPECT_THROW(FailureModel(trace, {0.0}, config()), PreconditionError);       // zero bid
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the estimator as one running-max pass per sampled start
+// point, in draw order. The record-chain estimator in src/ must reproduce its
+// survival curves, expected prices and MTBFs bit for bit.
+
+struct ReferenceModel {
+  std::size_t horizon = 0;
+  std::vector<double> survival;  // [b * (horizon + 1) + t] = P[fp >= t]
+  std::vector<double> expected_price;
+
+  double surv(std::size_t b, std::size_t t) const { return survival[b * (horizon + 1) + t]; }
+
+  double mtbf(std::size_t b) const {
+    const double p_never = surv(b, horizon);
+    if (p_never >= 1.0 - 1e-12) return static_cast<double>(horizon);
+    double e = 0.0;
+    for (std::size_t t = 0; t < horizon; ++t)
+      e += std::max(0.0, surv(b, t) - surv(b, t + 1)) * static_cast<double>(t);
+    e += p_never * static_cast<double>(horizon);
+    return e;
+  }
+};
+
+ReferenceModel reference_model(const SpotTrace& history, const std::vector<double>& bids_,
+                               const FailureEstimationConfig& config) {
+  ReferenceModel ref;
+  const std::size_t horizon_ = ref.horizon = config.horizon_steps;
+  for (double b : bids_) ref.expected_price.push_back(history.mean_below(b));
+
+  const std::size_t width = horizon_ + 1;
+  std::vector<std::size_t> failures(bids_.size() * width, 0);
+  std::vector<std::size_t> never(bids_.size(), 0);
+  Rng rng(config.seed);
+  const std::size_t n = history.steps();
+  std::vector<std::size_t> starts(config.samples);
+  for (std::size_t s = 0; s < config.samples; ++s) starts[s] = rng.uniform_index(n);
+  for (std::size_t s = 0; s < config.samples; ++s) {
+    const std::size_t start = starts[s];
+    // One running-max pass kills bids in ascending order: once the running
+    // max exceeds bids_[next], that bid's first passage is the current step.
+    std::size_t next = 0;  // lowest still-alive bid index
+    double run_max = 0.0;
+    for (std::size_t t = 0; t <= horizon_ && next < bids_.size(); ++t) {
+      std::size_t idx = start + t;
+      if (idx >= n) {
+        if (!config.wrap) break;
+        idx %= n;
+      }
+      run_max = std::max(run_max, history.price(idx));
+      while (next < bids_.size() && bids_[next] < run_max) {
+        failures[next * width + t] += 1;
+        ++next;
+      }
+    }
+    for (std::size_t b = next; b < bids_.size(); ++b) ++never[b];
+  }
+
+  ref.survival.assign(bids_.size() * width, 0.0);
+  const auto g = static_cast<double>(config.samples);
+  for (std::size_t b = 0; b < bids_.size(); ++b) {
+    double alive = g;
+    for (std::size_t t = 0; t < width; ++t) {
+      ref.survival[b * width + t] = alive / g;
+      alive -= static_cast<double>(failures[b * width + t]);
+    }
+    EXPECT_EQ(alive, static_cast<double>(never[b]));
+  }
+  return ref;
+}
+
+// Returns the number of mismatching values (0 = bit-identical).
+std::size_t expect_matches_reference(const SpotTrace& trace, const std::vector<double>& bids,
+                                     const FailureEstimationConfig& cfg) {
+  const FailureModel fm(trace, bids, cfg);
+  const ReferenceModel ref = reference_model(trace, bids, cfg);
+  std::size_t mismatches = 0;
+  for (std::size_t b = 0; b < bids.size(); ++b) {
+    mismatches += fm.expected_price(b) != ref.expected_price[b];
+    mismatches += fm.mtbf(b) != ref.mtbf(b);
+    for (std::size_t t = 0; t <= cfg.horizon_steps; ++t)
+      mismatches += fm.survival(b, t) != ref.surv(b, t);
+  }
+  EXPECT_EQ(mismatches, 0u) << "n=" << trace.steps() << " bids=" << bids.size()
+                            << " G=" << cfg.samples << " H=" << cfg.horizon_steps
+                            << " wrap=" << cfg.wrap << " seed=" << cfg.seed;
+  return mismatches;
+}
+
+// A random trace over `levels` distinct prices (ties when levels is small;
+// 0.0 is one of the levels, the running max's starting value).
+std::vector<double> tied_prices(std::size_t n, std::size_t levels, Rng& rng) {
+  std::vector<double> level(levels);
+  for (std::size_t k = 0; k < levels; ++k) level[k] = 0.01 * static_cast<double>(k);
+  std::vector<double> prices(n);
+  for (double& p : prices) p = level[rng.uniform_index(levels)];
+  return prices;
+}
+
+// Ascending positive bids: some equal to a price, some duplicated, some
+// between or above every price.
+std::vector<double> random_bids(const std::vector<double>& prices, Rng& rng) {
+  std::vector<double> bids;
+  const std::size_t count = 1 + rng.uniform_index(8);
+  for (std::size_t i = 0; i < count; ++i) {
+    double b = rng.bernoulli(0.5) ? prices[rng.uniform_index(prices.size())]
+                                  : rng.uniform(0.0, 0.06);
+    if (b <= 0.0) b = 0.005;
+    bids.push_back(b);
+    if (rng.bernoulli(0.2)) bids.push_back(b);  // duplicate bid
+  }
+  std::sort(bids.begin(), bids.end());
+  return bids;
+}
+
+TEST(FailureModelOracle, RandomSweepMatchesPerSampleScanBitForBit) {
+  Rng rng(0x0AC1E);
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::size_t n = rng.bernoulli(0.1) ? 1 : 1 + rng.uniform_index(120);
+    std::vector<double> prices;
+    if (rng.bernoulli(0.5)) {
+      prices = tied_prices(n, 1 + rng.uniform_index(4), rng);
+    } else {
+      prices.resize(n);
+      for (double& p : prices) p = rng.uniform(0.0, 0.05);
+    }
+    const SpotTrace trace(0.25, prices);
+    FailureEstimationConfig cfg;
+    // Dense (G >> n) and sparse draws; H from 1 to past 2n.
+    cfg.samples = 1 + rng.uniform_index(rng.bernoulli(0.5) ? 600 : 20);
+    cfg.horizon_steps = 1 + rng.uniform_index(2 * n + 8);
+    cfg.wrap = rng.bernoulli(0.5);
+    cfg.seed = rng();
+    // One reported configuration is enough to debug; stop at the first.
+    if (expect_matches_reference(trace, random_bids(prices, rng), cfg) > 0) break;
+  }
+}
+
+TEST(FailureModelOracle, PaperScaleAndSparseTracesMatchPerSampleScan) {
+  Rng rng(0x5EED);
+  // The campaign setting: a two-day lookback, 7 log-grid bids, G=2000, H=400.
+  const SpotTrace lookback =
+      generate_trace(regime_params_for(VolatilityClass::kSpiky, 0.05), 192, 0.25, rng);
+  FailureEstimationConfig cfg;
+  cfg.samples = 2000;
+  cfg.horizon_steps = 400;
+  for (const bool wrap : {true, false}) {
+    cfg.wrap = wrap;
+    expect_matches_reference(lookback, logarithmic_bid_grid(lookback.max_price(), 7), cfg);
+  }
+  // Sparse: G·H far below n, so the sampled horizons rarely overlap.
+  const SpotTrace long_trace =
+      generate_trace(regime_params_for(VolatilityClass::kModerate, 0.05), 40000, 0.25, rng);
+  cfg.samples = 200;
+  cfg.horizon_steps = 60;
+  for (const bool wrap : {true, false}) {
+    cfg.wrap = wrap;
+    expect_matches_reference(long_trace, logarithmic_bid_grid(long_trace.max_price(), 6), cfg);
+  }
+  // Dense: G >> n with a horizon past n.
+  const SpotTrace short_trace(0.25, tied_prices(7, 3, rng));
+  cfg.samples = 5000;
+  cfg.horizon_steps = 20;
+  for (const bool wrap : {true, false}) {
+    cfg.wrap = wrap;
+    expect_matches_reference(short_trace, {0.005, 0.01, 0.01, 0.02, 0.5}, cfg);
+  }
 }
 
 }  // namespace

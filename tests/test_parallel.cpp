@@ -1,9 +1,9 @@
 // Determinism-first tests for the parallel execution engine: pool-level unit
 // tests for src/common/thread_pool.h, plus bit-for-bit equality of optimizer
-// plans, Monte Carlo summaries, and failure-model estimates across
-// threads ∈ {1, 2, 8}. Bit-reproducibility is the whole value proposition
-// (common/rng.h): a parallel sweep that drifts with the schedule is useless
-// as an experiment substrate.
+// plans and Monte Carlo summaries across threads ∈ {1, 2, 8}.
+// Bit-reproducibility is the whole value proposition (common/rng.h): a
+// parallel sweep that drifts with the schedule is useless as an experiment
+// substrate.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/failure_model.h"
 #include "core/optimizer.h"
 #include "profile/paper_profiles.h"
 #include "sim/monte_carlo.h"
@@ -159,7 +158,7 @@ TEST(ParallelHelpers, ReduceNonCommutativeCombineKeepsChunkOrder) {
 
 // ---------------------------------------------------------------------------
 // Determinism layer: same seed ⇒ same bits at any thread count, across the
-// three parallelized hot paths.
+// two parallelized hot paths.
 
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
@@ -168,7 +167,6 @@ class ParallelDeterminismTest : public ::testing::Test {
     c.max_candidates = 5;
     c.setup.log_levels = 5;
     c.setup.failure.samples = 800;
-    c.setup.failure.threads = threads;
     c.ratio_bins = 64;
     c.threads = threads;
     return c;
@@ -277,32 +275,6 @@ TEST_F(ParallelDeterminismTest, MonteCarloAdaptiveIsBitIdenticalAcrossThreadCoun
   const MonteCarloStats s1 = stats_with(1);
   expect_identical(s1, stats_with(2));
   expect_identical(s1, stats_with(8));
-}
-
-TEST(ParallelFailureModel, EstimatesAreBitIdenticalAcrossThreadCounts) {
-  const RegimeParams params = regime_params_for(VolatilityClass::kModerate, 0.05);
-  Rng rng(2024);
-  const SpotTrace trace = generate_trace(params, 40000, 0.25, rng);
-  const std::vector<double> bids = logarithmic_bid_grid(trace.max_price(), 6);
-
-  const auto model_with = [&](unsigned threads) {
-    FailureEstimationConfig cfg;
-    cfg.samples = 3000;
-    cfg.horizon_steps = 200;
-    cfg.threads = threads;
-    return FailureModel(trace, bids, cfg);
-  };
-  const FailureModel m1 = model_with(1);
-  for (const unsigned threads : {2u, 8u}) {
-    const FailureModel mt = model_with(threads);
-    for (std::size_t b = 0; b < bids.size(); ++b) {
-      EXPECT_EQ(m1.expected_price(b), mt.expected_price(b));
-      EXPECT_EQ(m1.mtbf(b), mt.mtbf(b));
-      for (std::size_t t = 0; t <= m1.horizon(); ++t)
-        EXPECT_EQ(m1.survival(b, t), mt.survival(b, t))
-            << "b=" << b << " t=" << t << " threads=" << threads;
-    }
-  }
 }
 
 }  // namespace
