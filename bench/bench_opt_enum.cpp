@@ -12,9 +12,10 @@
 //   bench_opt_enum [--json <path>] [--check <baseline.json>]
 //
 // --check gates the *work counters* (evaluations per optimize call) against
-// a committed baseline instead of wall time: counts are deterministic at
-// threads=1, so the gate is exact on any runner, while a wall-clock gate on
-// shared CI hardware is noise. Regressing a fast-path count above baseline
+// a committed baseline instead of wall time: counts are deterministic (each
+// solve is one serial pass), so the gate is exact on any runner, while a
+// wall-clock gate on shared CI hardware is noise. Regressing a fast-path
+// count above baseline
 // (+5% headroom for intentional model changes) fails the run.
 #include <bit>
 #include <chrono>
@@ -59,7 +60,6 @@ OptimizerConfig engine_config(const Case& c, SearchEngine engine) {
   cfg.setup.log_levels = c.log_levels;
   cfg.setup.failure.samples = 800;
   cfg.ratio_bins = 64;
-  cfg.threads = 1;  // deterministic work counters (see --check)
   cfg.engine = engine;
   return cfg;
 }

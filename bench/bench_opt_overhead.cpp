@@ -3,12 +3,9 @@
 // the on-demand choice, tying F = φ(P) and searching bids logarithmically
 // shrinks it to ~2000. We time the actual optimizer under: logarithmic vs
 // uniform bid grids, with and without smaller-subset enumeration, and report
-// model-evaluation counts alongside. BM_ThreadSweep additionally records the
-// serial-vs-parallel speedup of the Level-2 enumeration (the plan itself is
-// bit-identical at every thread count — see DESIGN.md "Parallel execution").
+// model-evaluation counts alongside.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -77,45 +74,6 @@ void BM_KappaSweep(benchmark::State& state) {
   run_once(state, cfg);
 }
 
-// Serial-vs-parallel sweep over the threads knob. Uses a slightly larger
-// search space (more candidates, more bid levels) so the enumeration, not
-// candidate construction, dominates. Registration order guarantees the
-// threads=1 run executes first; its mean wall time seeds the speedup
-// counter of the parallel runs.
-double g_serial_opt_seconds = 0.0;
-
-void BM_ThreadSweep(benchmark::State& state) {
-  OptimizerConfig cfg = base_config();
-  cfg.max_candidates = 10;
-  cfg.setup.log_levels = 8;
-  const auto threads = static_cast<unsigned>(state.range(0));
-  cfg.threads = threads;
-
-  const AppProfile bt = paper_profile("BT");
-  const double deadline = env().deadline(bt, /*loose=*/true);
-  const SompiOptimizer opt(&env().catalog(), &env().estimator(), cfg);
-  std::size_t evals = 0;
-  double cost = 0.0;
-  double seconds = 0.0;
-  std::size_t iters = 0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const Plan plan = opt.optimize(bt, env().market(), deadline);
-    seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    ++iters;
-    evals = plan.model_evaluations;
-    cost = plan.expected.cost_usd;
-    benchmark::DoNotOptimize(plan);
-  }
-  const double mean_seconds = seconds / static_cast<double>(iters);
-  if (threads == 1) g_serial_opt_seconds = mean_seconds;
-  state.counters["model_evals"] = static_cast<double>(evals);
-  state.counters["plan_cost_usd"] = cost;
-  state.counters["threads"] = static_cast<double>(threads);
-  if (g_serial_opt_seconds > 0.0)
-    state.counters["speedup_vs_serial"] = g_serial_opt_seconds / mean_seconds;
-}
-
 }  // namespace
 
 BENCHMARK(BM_LogarithmicSearch)->Unit(benchmark::kMillisecond);
@@ -123,7 +81,6 @@ BENCHMARK(BM_UniformGrid16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_UniformGrid32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExactSubsetSizeOnly)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KappaSweep)->DenseRange(1, 5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ThreadSweep)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 namespace {
 

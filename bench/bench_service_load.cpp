@@ -28,6 +28,10 @@
 // (wall clock is never gated tighter than that — shared runners are noisy).
 // --check additionally compares the deterministic counters against a
 // committed baseline (bench/BENCH_sharded_service.json), exact-equality.
+//
+// In both modes every record's p50/p99 is a nearest-rank percentile of
+// per-request latencies; a record that timed requests but reports
+// p50 <= 0 or p50 > p99 fails the run.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -39,6 +43,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -83,6 +88,19 @@ Args parse_args(int argc, char** argv) {
 
 void gate(const char* what, bool ok) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
+}
+
+// Every record that timed something must report a positive p50 no larger
+// than its p99; a zero or inverted pair means a latency was never recorded.
+bool latencies_recorded(const std::vector<bench::JsonResult>& results) {
+  bool ok = true;
+  for (const bench::JsonResult& r : results) {
+    if (r.iters == 0 || (r.p50_ms > 0.0 && r.p50_ms <= r.p99_ms)) continue;
+    std::fprintf(stderr, "FAIL: %s reports p50 %.6f ms, p99 %.6f ms over %zu iters\n",
+                 r.name.c_str(), r.p50_ms, r.p99_ms, r.iters);
+    ok = false;
+  }
+  return ok;
 }
 
 // Flat-JSON field extractor, same idiom as bench_feed_throughput's --check:
@@ -150,12 +168,15 @@ int run_sharded(const Args& args) {
   // --- Phase 1: sequential single-shard oracle ----------------------------
   std::map<std::string, std::string> oracle_fp;  // canonical key → fingerprint
   double oracle_wall_s = 0.0;
+  std::vector<double> oracle_lat;
   {
     ShardedPlanService oracle(&catalog, &est, market, tier_config(1));
     const auto t0 = Clock::now();
     for (int i = 0; i < kUnique; ++i) {
       const PlanRequest r = request_for(i);
+      const auto t_req = Clock::now();
       const PlanResponse response = oracle.serve(r);
+      oracle_lat.push_back(seconds_since(t_req));
       if (response.plan == nullptr) {
         std::fprintf(stderr, "FAIL: oracle shed a request\n");
         return 1;
@@ -172,19 +193,24 @@ int run_sharded(const Args& args) {
 
   // One concurrent closed-loop pass over the workload: T threads drain a
   // shared index, each request sprayed round-robin across the tier's shards.
+  // Returns the wall time and every request's latency.
   std::atomic<std::uint64_t> fp_mismatches{0};
   const auto run_pass = [&](ShardedPlanService& tier) {
+    const unsigned n_threads = std::max(1u, args.threads);
     std::atomic<int> next{0};
+    std::vector<std::vector<double>> lat(n_threads);
     const auto t0 = Clock::now();
     std::vector<std::thread> threads;
-    for (unsigned t = 0; t < std::max(1u, args.threads); ++t) {
-      threads.emplace_back([&] {
+    for (unsigned t = 0; t < n_threads; ++t) {
+      threads.emplace_back([&, t] {
         for (;;) {
           const int i = next.fetch_add(1);
           if (i >= kUnique) return;
           const PlanRequest r = request_for(i);
+          const auto t_req = Clock::now();
           const PlanResponse response =
               tier.serve_on(static_cast<std::size_t>(i) % tier.shard_count(), r);
+          lat[t].push_back(seconds_since(t_req));
           if (response.plan == nullptr ||
               plan_fingerprint(*response.plan) != oracle_fp[canonical_key(canonicalized(r))])
             fp_mismatches.fetch_add(1);
@@ -192,16 +218,19 @@ int run_sharded(const Args& args) {
       });
     }
     for (auto& th : threads) th.join();
-    return seconds_since(t0);
+    const double wall_s = seconds_since(t0);
+    std::vector<double> all;
+    for (const auto& v : lat) all.insert(all.end(), v.begin(), v.end());
+    return std::make_pair(wall_s, std::move(all));
   };
 
   // --- Phase 2: concurrent, 1 shard vs N shards ---------------------------
   ShardedPlanService one(&catalog, &est, market, tier_config(1));
-  const double wall_1 = run_pass(one);
+  const double wall_1 = run_pass(one).first;
   const double rps_1 = kUnique / wall_1;
 
   ShardedPlanService tier(&catalog, &est, market, tier_config(shards));
-  const double wall_n = run_pass(tier);
+  const auto [wall_n, scale_lat] = run_pass(tier);
   const double rps_n = kUnique / wall_n;
   std::printf("scale:    1 shard %.0f plans/s  |  %zu shards %.0f plans/s  (%.2fx)\n", rps_1,
               shards, rps_n, rps_n / rps_1);
@@ -289,10 +318,14 @@ int run_sharded(const Args& args) {
 
   std::vector<bench::JsonResult> results;
   results.push_back({"sharded_oracle", static_cast<std::size_t>(kUnique),
-                     oracle_wall_s / kUnique * 1e3, 0.0, 0.0,
+                     oracle_wall_s / kUnique * 1e3,
+                     bench::percentile_nearest_rank(oracle_lat, 0.50) * 1e3,
+                     bench::percentile_nearest_rank(oracle_lat, 0.99) * 1e3,
                      {{"unique_requests", kUnique}}});
   results.push_back({"sharded_scale", static_cast<std::size_t>(kUnique),
-                     wall_n / kUnique * 1e3, 0.0, 0.0,
+                     wall_n / kUnique * 1e3,
+                     bench::percentile_nearest_rank(scale_lat, 0.50) * 1e3,
+                     bench::percentile_nearest_rank(scale_lat, 0.99) * 1e3,
                      {{"shards", static_cast<double>(shards)},
                       {"requests", static_cast<double>(stats.total.requests)},
                       {"unique_solves", static_cast<double>(stats.total.solves - burst_solves)},
@@ -302,6 +335,7 @@ int run_sharded(const Args& args) {
                       {"churn_divergence", static_cast<double>(churn_divergence)},
                       {"rps_1shard", rps_1},
                       {"rps_nshard", rps_n}}});
+  ok = latencies_recorded(results) && ok;
 
   if (!args.check_path.empty()) {
     std::ifstream in(args.check_path);
@@ -462,15 +496,13 @@ int main(int argc, char** argv) {
   gate("hit rate >= 90% under the repeated-request mix", hit_rate >= 0.90);
   gate("exactly one solve per identical burst", burst_solves == 1);
 
-  if (!args.json_path.empty()) {
-    std::vector<bench::JsonResult> results;
-    results.push_back({"uncached_solve", solve_lat.size(), solve_mean_s * 1e3,
-                       bench::percentile_nearest_rank(solve_lat, 0.50) * 1e3,
-                       bench::percentile_nearest_rank(solve_lat, 0.99) * 1e3, {}});
-    results.push_back({"warm_serve", ops, warm_mean_ms, p50_ms, p99_ms, {}});
-    bench::write_json(args.json_path, results);
-  }
-
-  const bool ok = speedup >= 50.0 && hit_rate >= 0.90 && burst_solves == 1;
+  std::vector<bench::JsonResult> results;
+  results.push_back({"uncached_solve", solve_lat.size(), solve_mean_s * 1e3,
+                     bench::percentile_nearest_rank(solve_lat, 0.50) * 1e3,
+                     bench::percentile_nearest_rank(solve_lat, 0.99) * 1e3, {}});
+  results.push_back({"warm_serve", ops, warm_mean_ms, p50_ms, p99_ms, {}});
+  const bool ok = latencies_recorded(results) && speedup >= 50.0 && hit_rate >= 0.90 &&
+                  burst_solves == 1;
+  if (!args.json_path.empty()) bench::write_json(args.json_path, results);
   return ok ? 0 : 1;
 }

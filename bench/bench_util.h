@@ -61,7 +61,7 @@ struct JsonResult {
   double p99_ms = 0.0;
   /// Optional work counters (evaluations, pruned tuples, ...), emitted as
   /// extra numeric fields of the record. Unlike the timing fields these are
-  /// deterministic at threads=1, which is what makes them gateable in CI
+  /// deterministic, which is what makes them gateable in CI
   /// (a wall-clock gate on a shared runner is noise; a work-count gate is
   /// exact).
   std::vector<std::pair<std::string, double>> counters;

@@ -1,13 +1,10 @@
-// Work-stealing thread pool with deterministic parallel_for / parallel_reduce
-// helpers.
+// Work-stealing thread pool with a deterministic parallel_for helper.
 //
 // Determinism contract (see DESIGN.md "Parallel execution"): every parallel
 // construct in sompi is written so the RESULT is a pure function of its
-// inputs, never of the schedule. parallel_for hands out disjoint indices;
-// parallel_reduce splits the range into chunks whose boundaries depend only
-// on (n, grain) — not on the thread count — maps each chunk independently,
-// and folds the per-chunk results serially in chunk order. Same inputs ⇒
-// same bits at threads = 1, 2, or 64.
+// inputs, never of the schedule. parallel_for hands out disjoint indices,
+// and each body writes only its own slot. Same inputs ⇒ same bits at
+// threads = 1, 2, or 64.
 //
 // The `threads` convention used across the codebase:
 //   0 → hardware concurrency, 1 → serial inline (the pool is never touched),
@@ -19,10 +16,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
-
-#include "common/error.h"
 
 namespace sompi {
 
@@ -58,7 +52,7 @@ class ThreadPool {
   void for_each_index(std::size_t n, unsigned max_participants,
                       const std::function<void(std::size_t)>& body);
 
-  /// Process-wide pool used by the parallel_for / parallel_reduce helpers.
+  /// Process-wide pool used by the parallel_for helper.
   /// Sized so that determinism tests exercise real interleaving even on
   /// single-core machines (oversubscription is harmless for correctness).
   static ThreadPool& shared();
@@ -84,31 +78,5 @@ class ThreadPool {
 /// lowest-claimed index wins.
 void parallel_for(std::size_t n, unsigned threads,
                   const std::function<void(std::size_t)>& body);
-
-/// Deterministic map-reduce over [0, n): splits the range into
-/// ceil(n / grain) chunks (chunking depends only on n and grain, never on
-/// the thread count), evaluates acc = combine(acc, map(i)) serially inside
-/// each chunk, and folds the per-chunk accumulators serially in chunk
-/// order. combine(T, T) must accept both a mapped value and a folded
-/// accumulator; it need not be commutative, and floating-point
-/// non-associativity is harmless because the grouping is fixed.
-template <typename T, typename MapFn, typename CombineFn>
-T parallel_reduce(std::size_t n, unsigned threads, T init, MapFn map, CombineFn combine,
-                  std::size_t grain = 1) {
-  SOMPI_REQUIRE(grain >= 1);
-  if (n == 0) return init;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  std::vector<T> partial(chunks, init);
-  parallel_for(chunks, threads, [&](std::size_t c) {
-    T acc = init;
-    const std::size_t lo = c * grain;
-    const std::size_t hi = std::min(n, lo + grain);
-    for (std::size_t i = lo; i < hi; ++i) acc = combine(std::move(acc), map(i));
-    partial[c] = std::move(acc);
-  });
-  T total = std::move(init);
-  for (T& p : partial) total = combine(std::move(total), std::move(p));
-  return total;
-}
 
 }  // namespace sompi

@@ -1,7 +1,6 @@
 #include "core/optimizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -14,7 +13,6 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/schedule.h"
 
 namespace sompi {
@@ -237,10 +235,10 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
   phi_cfg.ratio_bins = config_.ratio_bins;
   const CheckpointPlanner phi(phi_cfg);
   std::vector<std::vector<int>> f_of(candidates.size());
-  parallel_for(candidates.size(), config_.threads, [&](std::size_t i) {
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (warm && derived_ok(i)) {
       f_of[i] = arts[i]->f_of;
-      return;
+      continue;
     }
     const std::size_t bids = candidates[i].failure.bid_count();
     f_of[i].resize(n_pol * bids);
@@ -248,7 +246,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
       const CkptPolicy& pol = policies[c / bids];
       f_of[i][c] = phi.choose(candidates[i], c % bids, od, pol.o_scale, pol.r_scale);
     }
-  });
+  }
 
   const CostModel::Config model_cfg{.step_hours = config_.setup.step_hours,
                                     .ratio_bins = config_.ratio_bins};
@@ -280,15 +278,15 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
   // policy), indexed g·n_pol + p.
   std::vector<int> f_guard_max(candidates.size() * n_pol, 0);
   if (config_.worst_case_guard) {
-    parallel_for(candidates.size() * n_pol, config_.threads, [&](std::size_t idx) {
+    for (std::size_t idx = 0; idx < f_guard_max.size(); ++idx) {
       if (warm && derived_ok(idx / n_pol)) {
         f_guard_max[idx] = arts[idx / n_pol]->f_guard_max[idx % n_pol];
-        return;
+        continue;
       }
       const GroupSetup& g = candidates[idx / n_pol];
       const CkptPolicy& pol = policies[idx % n_pol];
       if (group_worst_h(g, 1, pol.o_scale, pol.r_scale) > deadline_h)
-        return;  // even F = 1 unsafe
+        continue;  // even F = 1 unsafe
       int lo = 1, hi = g.t_steps;
       while (lo < hi) {
         const int mid = lo + (hi - lo + 1) / 2;
@@ -299,35 +297,25 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
         }
       }
       f_guard_max[idx] = lo;
-    });
+    }
   }
 
   const std::size_t k_max =
       std::min<std::size_t>(config_.max_groups, candidates.size());
   const std::size_t k_min = config_.enumerate_smaller_subsets ? 1 : k_max;
 
-  // Materialize the k-of-K subsets in enumeration order so they can be
-  // searched independently. The per-subset bid-tuple scan below is the
-  // serial algorithm verbatim; the cross-subset winner is reduced with a
-  // total order (cost, then enumeration rank), so the chosen plan does not
-  // depend on how the subsets were scheduled across threads.
-  std::vector<std::vector<std::size_t>> subsets;
-  for (std::size_t k = k_min; k <= k_max; ++k)
-    for_each_combination(candidates.size(), k,
-                         [&](const std::vector<std::size_t>& s) { subsets.push_back(s); });
-
+  // The cheapest acceptable configuration found within one subset.
   struct SubsetBest {
     double cost = std::numeric_limits<double>::infinity();
-    std::size_t order = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> subset;
     std::vector<GroupDecision> decisions;
     Expectation expectation;
-    /// Logical evaluation count of the exhaustive scan — invariant under
-    /// engine/pruning/threads, feeds Plan::model_evaluations (fingerprint).
-    std::size_t evaluations = 0;
-    /// What the engine actually did (Plan::stats; fingerprint-excluded).
-    PlanStats stats;
   };
+  /// Logical evaluation count of the exhaustive scan — invariant under
+  /// engine and pruning, feeds Plan::model_evaluations (fingerprint).
+  std::size_t evaluations = 0;
+  /// What the engine actually did (Plan::stats; fingerprint-excluded).
+  PlanStats stats;
 
   // Per-(group, composite-choice) guard tables, hoisted out of the tuple
   // loop: the reference scan recomputes group_worst_h (an O(wall) scan) per
@@ -339,12 +327,12 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
   std::vector<unsigned char> fits(choice_off.back(), 1);
   std::vector<unsigned char> surv_ok(choice_off.back(), 1);
   if (config_.worst_case_guard) {
-    parallel_for(candidates.size(), config_.threads, [&](std::size_t g) {
+    for (std::size_t g = 0; g < candidates.size(); ++g) {
       if (warm && derived_ok(g)) {
         std::copy(arts[g]->fits.begin(), arts[g]->fits.end(), fits.begin() + choice_off[g]);
         std::copy(arts[g]->surv_ok.begin(), arts[g]->surv_ok.end(),
                   surv_ok.begin() + choice_off[g]);
-        return;
+        continue;
       }
       const GroupSetup& grp = candidates[g];
       const std::size_t bids = grp.failure.bid_count();
@@ -358,8 +346,30 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
         surv_ok[choice_off[g] + c] =
             !(grp.failure.survival_at(c % bids, sched.wall_duration()) < 0.5);
       }
-    });
+    }
   }
+
+  // The guard filter, table-driven (the same predicates the reference scan
+  // computes per tuple) for the tuple `digits` over candidate `members`:
+  // `branch` when some digit's worst case misses the deadline, `reject`
+  // when, in addition, genuine replication cannot stand in — so the tuple
+  // is not evaluated at all.
+  struct Guard {
+    bool branch = false;
+    bool reject = false;
+  };
+  const auto guard = [&](const std::vector<std::size_t>& members,
+                         const std::vector<std::size_t>& digits) {
+    Guard gd;
+    if (!config_.worst_case_guard) return gd;
+    for (std::size_t i = 0; i < members.size() && !gd.branch; ++i)
+      gd.branch = !fits[choice_off[members[i]] + digits[i]];
+    if (!gd.branch) return gd;
+    gd.reject = members.size() < 2;
+    for (std::size_t i = 0; i < members.size() && !gd.reject; ++i)
+      gd.reject = !surv_ok[choice_off[members[i]] + digits[i]];
+    return gd;
+  };
 
   // Exhaustive-scan evaluation count for one subset, in closed form. The
   // reference engine evaluates (a) every all-fit tuple, (b) for k >= 2,
@@ -397,12 +407,10 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     return n;
   };
 
-  const auto eval_subset_reference = [&](std::size_t task) {
-    const std::vector<std::size_t>& subset = subsets[task];
+  const auto eval_subset_reference = [&](const std::vector<std::size_t>& subset) {
     const std::size_t k = subset.size();
     SubsetBest best;
-    best.order = task;
-    best.stats.subsets_searched = 1;
+    ++stats.subsets_searched;
 
     std::vector<const GroupSetup*> view;
     std::vector<std::size_t> radices;
@@ -437,8 +445,8 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
             if (g.failure.survival_at(d[i].bid_index, sched.wall_duration()) < 0.5) return;
           }
           const Expectation e = model.evaluate(d);
-          ++best.evaluations;
-          ++best.stats.evaluations;
+          ++evaluations;
+          ++stats.evaluations;
           const double p_all_fail = 1.0 - e.p_complete_on_spot;
           if (p_all_fail > config_.miss_tolerance) return;
           if (e.time_h <= deadline_h && e.cost_usd < best.cost) {
@@ -451,8 +459,8 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
         }
       }
       const Expectation e = model.evaluate(d);
-      ++best.evaluations;
-      ++best.stats.evaluations;
+      ++evaluations;
+      ++stats.evaluations;
       if (e.time_h <= deadline_h && e.cost_usd < best.cost) {
         best.cost = e.cost_usd;
         best.subset = subset;
@@ -462,7 +470,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     };
 
     for_each_tuple(radices, [&](const std::vector<std::size_t>& digits) {
-      ++best.stats.tuples_visited;
+      ++stats.tuples_visited;
       for (std::size_t i = 0; i < k; ++i)
         decisions[i] = decode(subset[i], digits[i], f_of);
       consider(decisions);
@@ -489,24 +497,17 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
   // fold state and cut subtrees whose admissible cost bound exceeds the
   // cross-subset incumbent. Plans are bit-identical to the reference scan.
   std::optional<CostTables> tables;
-  std::size_t tables_reused = 0;
-  std::size_t tables_built = 0;
   if (config_.engine == SearchEngine::kIncremental && !candidates.empty()) {
     // Per-group table blocks: a warm artifact's block is adopted as-is (it
     // is a pure function of inputs the version + config hash pin), the rest
-    // are built exactly as on the cold path. Reuse is decided up front so
-    // the counters stay exact and the parallel build races nothing.
-    std::vector<unsigned char> reuse(candidates.size(), 0);
-    for (std::size_t g = 0; g < candidates.size(); ++g) {
-      reuse[g] = warm && derived_ok(g) && arts[g]->table != nullptr &&
-                 arts[g]->table->choice_count() == choice_count(g);
-      reuse[g] ? ++tables_reused : ++tables_built;
-    }
+    // are built exactly as on the cold path.
     std::vector<std::shared_ptr<const GroupCostTable>> blocks(candidates.size());
-    parallel_for(candidates.size(), config_.threads, [&](std::size_t g) {
-      if (reuse[g]) {
+    for (std::size_t g = 0; g < candidates.size(); ++g) {
+      if (warm && derived_ok(g) && arts[g]->table != nullptr &&
+          arts[g]->table->choice_count() == choice_count(g)) {
         blocks[g] = arts[g]->table;
-        return;
+        ++stats.tables_reused;
+        continue;
       }
       const std::size_t bids = candidates[g].failure.bid_count();
       std::vector<ChoiceSpec> choices(choice_count(g));
@@ -516,7 +517,8 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
                                 policies[p].r_scale, p};
       }
       blocks[g] = std::make_shared<const GroupCostTable>(candidates[g], od, model_cfg, choices);
-    });
+      ++stats.tables_built;
+    }
     tables.emplace(candidates, od, model_cfg, std::move(blocks));
   }
 
@@ -542,17 +544,10 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     }
   }
 
-  // Best accepted cost seen by any subset so far. Any accepted candidate's
-  // cost upper-bounds the final plan cost, so pruning strictly above it is
-  // safe no matter how threads interleave; only the prune *counters* are
-  // schedule-dependent (hence Plan::stats is fingerprint-excluded).
-  std::atomic<double> incumbent{std::numeric_limits<double>::infinity()};
-  const auto offer_incumbent = [&incumbent](double cost) {
-    double cur = incumbent.load(std::memory_order_relaxed);
-    while (cost < cur &&
-           !incumbent.compare_exchange_weak(cur, cost, std::memory_order_relaxed)) {
-    }
-  };
+  // Lowest accepted cost seen so far, in any subset. Any accepted
+  // candidate's cost upper-bounds the final plan cost, so pruning strictly
+  // above it is safe.
+  double incumbent = std::numeric_limits<double>::infinity();
 
   // Incumbent seeding: re-cost the previous epoch's winning plan under the
   // CURRENT tables and, if it is still an acceptable tuple of the current
@@ -563,7 +558,6 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
   // cut and equal-cost ties resolve through the untouched acceptance logic.
   // Any mapping failure (group no longer a candidate, bid fell off the grid,
   // guard-clamped interval, policy set changed) just skips the seed.
-  std::size_t warm_seeds = 0;
   if (warm && ctx->incumbent != nullptr && ctx->incumbent->uses_spot() &&
       config_.prune && tables.has_value()) {
     const Plan& prev = *ctx->incumbent;
@@ -621,47 +615,25 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
         members[i] = mapped[i].first;
         digits[i] = mapped[i].second;
       }
-      // The engine's guard predicates, verbatim: the seed must be a tuple
-      // the search would ACCEPT, not merely evaluate.
-      bool guard_branch = false;
-      bool guard_reject = false;
-      if (config_.worst_case_guard) {
-        for (std::size_t i = 0; i < k; ++i)
-          if (!fits[choice_off[members[i]] + digits[i]]) {
-            guard_branch = true;
-            break;
-          }
-        if (guard_branch) {
-          if (k < 2) {
-            guard_reject = true;
-          } else {
-            for (std::size_t i = 0; i < k; ++i)
-              if (!surv_ok[choice_off[members[i]] + digits[i]]) {
-                guard_reject = true;
-                break;
-              }
-          }
-        }
-      }
-      if (!guard_reject) {
+      // The seed must be a tuple the search would ACCEPT, not merely
+      // evaluate.
+      const Guard gd = guard(members, digits);
+      if (!gd.reject) {
         SubsetEvaluator seed_ev(*tables, members);
         const Expectation& e = seed_ev.evaluate(digits);
-        const bool miss =
-            guard_branch && 1.0 - e.p_complete_on_spot > config_.miss_tolerance;
+        const bool miss = gd.branch && 1.0 - e.p_complete_on_spot > config_.miss_tolerance;
         if (!miss && e.time_h <= deadline_h) {
-          offer_incumbent(e.cost_usd);
-          warm_seeds = 1;
+          incumbent = e.cost_usd;
+          stats.warm_seeds = 1;
         }
       }
     }
   }
 
-  const auto eval_subset_fast = [&](std::size_t task) {
-    const std::vector<std::size_t>& subset = subsets[task];
+  const auto eval_subset_fast = [&](const std::vector<std::size_t>& subset) {
     const std::size_t k = subset.size();
     SubsetBest best;
-    best.order = task;
-    best.evaluations = logical_evaluations(subset);
+    evaluations += logical_evaluations(subset);
 
     std::vector<std::size_t> radices;
     radices.reserve(k);
@@ -696,16 +668,13 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     const bool prune = config_.prune && k >= 2;
 
     SubsetEvaluator ev(*tables, subset);
-    if (prune) {
-      const double inc = incumbent.load(std::memory_order_relaxed);
-      if (inc < std::numeric_limits<double>::infinity() &&
-          ev.subset_cost_bound() > inc) {
-        best.stats.subsets_pruned = 1;
-        best.stats.tuples_pruned = total_tuples;
-        return best;
-      }
+    if (prune && incumbent < std::numeric_limits<double>::infinity() &&
+        ev.subset_cost_bound() > incumbent) {
+      ++stats.subsets_pruned;
+      stats.tuples_pruned += total_tuples;
+      return best;
     }
-    best.stats.subsets_searched = 1;
+    ++stats.subsets_searched;
 
     std::optional<CostModel> clamp_model;  // lazy; k == 1 second shots only
     std::vector<GroupDecision> decisions(k);
@@ -718,7 +687,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
         best.subset = subset;
         best.decisions = d;
         best.expectation = e;
-        offer_incumbent(e.cost_usd);
+        incumbent = std::min(incumbent, e.cost_usd);
       }
     };
 
@@ -727,60 +696,32 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     while (!odo.done()) {
       const std::vector<std::size_t>& bids = odo.digits();
       ev.note_change(changed);
-      if (prune) {
-        const double inc =
-            std::min(best.cost, incumbent.load(std::memory_order_relaxed));
-        if (inc < std::numeric_limits<double>::infinity()) {
-          // After advance/skip the digits below `changed` are zero, so the
-          // current tuple is the first of the subtree rooted at its prefix
-          // [0, changed] — one cut abandons the whole subtree.
-          if (changed + 1 < k && ev.cost_lower_bound(bids, changed) > inc) {
-            ++best.stats.subtrees_pruned;
-            best.stats.tuples_pruned +=
-                static_cast<std::size_t>(odo.subtree_size(changed));
-            changed = odo.skip_from(changed);
-            continue;
-          }
-          if (ev.cost_lower_bound(bids, k - 1) > inc) {
-            ++best.stats.tuples_pruned;
-            changed = odo.advance();
-            continue;
-          }
+      if (prune && incumbent < std::numeric_limits<double>::infinity()) {
+        // After advance/skip the digits below `changed` are zero, so the
+        // current tuple is the first of the subtree rooted at its prefix
+        // [0, changed] — one cut abandons the whole subtree.
+        if (changed + 1 < k && ev.cost_lower_bound(bids, changed) > incumbent) {
+          ++stats.subtrees_pruned;
+          stats.tuples_pruned += static_cast<std::size_t>(odo.subtree_size(changed));
+          changed = odo.skip_from(changed);
+          continue;
+        }
+        if (ev.cost_lower_bound(bids, k - 1) > incumbent) {
+          ++stats.tuples_pruned;
+          changed = odo.advance();
+          continue;
         }
       }
-      ++best.stats.tuples_visited;
+      ++stats.tuples_visited;
 
       for (std::size_t i = 0; i < k; ++i)
         decisions[i] = decode(subset[i], bids[i], f_of);
 
-      // Guard filter, table-driven (same predicates the reference scan
-      // computes per tuple): a tuple whose worst case misses the deadline is
-      // evaluated only when genuine replication can stand in.
-      bool guard_branch = false;  // some digit's worst case misses
-      bool guard_reject = false;  // ... and replication cannot stand in
-      if (config_.worst_case_guard) {
-        for (std::size_t i = 0; i < k; ++i)
-          if (!fits[choice_off[subset[i]] + bids[i]]) {
-            guard_branch = true;
-            break;
-          }
-        if (guard_branch) {
-          if (k < 2) {
-            guard_reject = true;
-          } else {
-            for (std::size_t i = 0; i < k; ++i)
-              if (!surv_ok[choice_off[subset[i]] + bids[i]]) {
-                guard_reject = true;
-                break;
-              }
-          }
-        }
-      }
-      if (!guard_reject) {
+      const Guard gd = guard(subset, bids);
+      if (!gd.reject) {
         const Expectation& e = ev.evaluate(bids);
-        ++best.stats.evaluations;
-        const bool miss =
-            guard_branch && 1.0 - e.p_complete_on_spot > config_.miss_tolerance;
+        ++stats.evaluations;
+        const bool miss = gd.branch && 1.0 - e.p_complete_on_spot > config_.miss_tolerance;
         if (!miss) accept(e, decisions, colex_rank(bids));
       }
 
@@ -796,7 +737,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
           std::vector<GroupDecision> clamped = decisions;
           clamped[0].f_steps = clamp;
           const Expectation e = clamp_model->evaluate(clamped);
-          ++best.stats.evaluations;
+          ++stats.evaluations;
           // worst(clamp) fits the deadline by the binary-search invariant,
           // so the reference takes the plain acceptance branch here too.
           accept(e, clamped, colex_rank(bids));
@@ -808,50 +749,34 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     return best;
   };
 
-  const auto eval_subset = [&](std::size_t task) {
-    return config_.engine == SearchEngine::kIncremental ? eval_subset_fast(task)
-                                                        : eval_subset_reference(task);
-  };
-
-  // Strict-improvement acceptance inside a subset plus the (cost, order)
-  // tie-break across subsets reproduce the serial scan's winner exactly.
-  const SubsetBest best = parallel_reduce(
-      subsets.size(), config_.threads, SubsetBest{}, eval_subset,
-      [](SubsetBest a, SubsetBest b) {
-        const bool b_wins = b.cost < a.cost || (b.cost == a.cost && b.order < a.order);
-        PlanStats stats = a.stats;
-        stats += b.stats;
-        SubsetBest& winner = b_wins ? b : a;
-        winner.evaluations = a.evaluations + b.evaluations;
-        winner.stats = stats;
-        return std::move(winner);
-      });
-
-  const double best_cost = best.cost;
-  const std::vector<std::size_t>& best_subset = best.subset;
-  const std::vector<GroupDecision>& best_decisions = best.decisions;
-  const Expectation& best_expectation = best.expectation;
-  const std::size_t evaluations = best.evaluations;
+  // One in-order walk over the k-of-K subsets. Each engine keeps the
+  // exhaustive scan's winner within a subset; strict improvement across
+  // subsets keeps the earliest subset on a cost tie, as the scan does.
+  SubsetBest best;
+  for (std::size_t k = k_min; k <= k_max; ++k)
+    for_each_combination(candidates.size(), k, [&](const std::vector<std::size_t>& subset) {
+      SubsetBest sb = config_.engine == SearchEngine::kIncremental
+                          ? eval_subset_fast(subset)
+                          : eval_subset_reference(subset);
+      if (sb.cost < best.cost) best = std::move(sb);
+    });
 
   plan.model_evaluations = evaluations;
-  plan.stats = best.stats;
-  plan.stats.tables_reused = tables_reused;
-  plan.stats.tables_built = tables_built;
-  plan.stats.warm_seeds = warm_seeds;
-  plan.spot_feasible = best_cost < std::numeric_limits<double>::infinity();
+  plan.stats = stats;
+  plan.spot_feasible = best.cost < std::numeric_limits<double>::infinity();
 
   // Fall back to on-demand when no spot configuration fits the deadline or
   // when running on demand is outright cheaper than the best hybrid.
-  if (!plan.spot_feasible || best_cost >= od.full_cost_usd()) {
+  if (!plan.spot_feasible || best.cost >= od.full_cost_usd()) {
     plan.groups.clear();
     plan.expected = Expectation{};
     plan.expected.cost_usd = plan.expected.od_cost_usd = od.full_cost_usd();
     plan.expected.time_h = plan.expected.od_time_h = od.t_h;
     plan.expected.e_min_ratio = 1.0;
   } else {
-    for (std::size_t i = 0; i < best_subset.size(); ++i) {
-      const GroupSetup& g = candidates[best_subset[i]];
-      const GroupDecision& d = best_decisions[i];
+    for (std::size_t i = 0; i < best.subset.size(); ++i) {
+      const GroupSetup& g = candidates[best.subset[i]];
+      const GroupDecision& d = best.decisions[i];
       plan.groups.push_back(GroupPlan{
           .spec = g.spec,
           .name = catalog_->group_name(g.spec),
@@ -864,7 +789,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
           .ckpt_policy = policies[d.policy_index].name,
       });
     }
-    plan.expected = best_expectation;
+    plan.expected = best.expectation;
   }
 
   plan.optimize_seconds =

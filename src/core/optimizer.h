@@ -62,11 +62,6 @@ struct OptimizerConfig {
   bool worst_case_guard = true;
   /// Acceptable all-replicas-fail probability under alternative (b).
   double miss_tolerance = 0.05;
-  /// Worker threads for the Level-2 subset × bid-tuple enumeration:
-  /// 0 = hardware concurrency, 1 = serial. The chosen plan is bit-identical
-  /// at any setting — per-subset searches are independent and the reduction
-  /// breaks cost ties by enumeration order, exactly like the serial scan.
-  unsigned threads = 1;
   /// Level-2 engine. Both settings return bit-identical plans (enforced by
   /// the golden-plan tests and tests/test_cost_model_fast.cpp).
   SearchEngine engine = SearchEngine::kIncremental;
@@ -110,8 +105,8 @@ struct ReplanContext {
 
 /// Hash of every optimizer/app/od/deadline input that can change a cached
 /// per-group artifact's CONTENT. Deliberately excludes knobs that are
-/// bit-neutral for artifacts — threads, engine, prune (determinism
-/// contract), max_groups / max_candidates / enumerate_smaller_subsets
+/// bit-neutral for artifacts — engine, prune (determinism contract),
+/// max_groups / max_candidates / enumerate_smaller_subsets
 /// (select which artifacts are used, not what they hold) and miss_tolerance
 /// (evaluation-time acceptance only) — so artifacts survive across solver
 /// variants that share the same problem. False mismatches only cost a

@@ -32,10 +32,10 @@ struct GroupPlan {
 /// Search-work accounting for one optimize() call. Unlike
 /// Plan::model_evaluations (the *logical* evaluation count of the exhaustive
 /// scan, which is deterministic and part of the plan fingerprint), these
-/// count the work the engine *actually* performed: with branch-and-bound
-/// enabled the prune counters depend on how fast the cross-thread incumbent
-/// tightened, so they are reproducible only at threads = 1 and are
-/// deliberately excluded from the plan fingerprint.
+/// count the work the engine *actually* performed. They are exact and
+/// reproducible (the search is one serial pass), but they vary with the
+/// engine, with pruning and with a warm-start incumbent seed while the plan
+/// does not, so they are deliberately excluded from the plan fingerprint.
 struct PlanStats {
   std::size_t evaluations = 0;       ///< cost-model evaluations performed
   std::size_t tuples_visited = 0;    ///< bid tuples reached by the odometer

@@ -607,20 +607,10 @@ void run_plan(std::uint64_t seed, Digest& digest, Violations& violations) {
   const double deadline_h =
       OnDemandSelector(&catalog, &estimator).baseline(app).t_h * (1.2 + rng.uniform(0.0, 3.0));
 
-  OptimizerConfig config = tiny_optimizer_config();
-  config.threads = 1;
-  const SompiOptimizer serial(&catalog, &estimator, config);
-  config.threads = 2;
-  const SompiOptimizer pooled(&catalog, &estimator, config);
-
-  const Plan p1 = serial.optimize(app, market, deadline_h);
-  const Plan p2 = serial.optimize(app, market, deadline_h);
-  const Plan p3 = pooled.optimize(app, market, deadline_h);
-  const std::string fp = plan_fingerprint(p1);
-  if (fp != plan_fingerprint(p2))
+  const SompiOptimizer optimizer(&catalog, &estimator, tiny_optimizer_config());
+  const std::string fp = plan_fingerprint(optimizer.optimize(app, market, deadline_h));
+  if (fp != plan_fingerprint(optimizer.optimize(app, market, deadline_h)))
     violations.record("same-seed re-solve changed the plan fingerprint");
-  if (fp != plan_fingerprint(p3))
-    violations.record("thread count changed the plan fingerprint");
   digest.mix(fp);
 }
 
@@ -1244,23 +1234,17 @@ void run_platform(std::uint64_t seed, Digest& digest, Violations& violations) {
   }
 
   // The optimizer over the random platform is a pure function: repeated
-  // solves and thread counts produce bit-identical plan fingerprints.
+  // solves produce bit-identical plan fingerprints.
   {
     const ExecTimeEstimator estimator(&plat);
     const double deadline_h =
         OnDemandSelector(&catalog, &legacy).baseline(app).t_h * (2.0 + rng.uniform(0.0, 3.0));
     const Market market =
         generate_market(catalog, random_market_profile(catalog, rng), 1.0, 0.25, rng());
-    OptimizerConfig config = tiny_optimizer_config();
-    config.threads = 1;
-    const SompiOptimizer serial(&catalog, &estimator, config);
-    config.threads = 2;
-    const SompiOptimizer pooled(&catalog, &estimator, config);
-    const std::string fp = plan_fingerprint(serial.optimize(app, market, deadline_h));
-    if (fp != plan_fingerprint(serial.optimize(app, market, deadline_h)))
+    const SompiOptimizer optimizer(&catalog, &estimator, tiny_optimizer_config());
+    const std::string fp = plan_fingerprint(optimizer.optimize(app, market, deadline_h));
+    if (fp != plan_fingerprint(optimizer.optimize(app, market, deadline_h)))
       violations.record("same-platform re-solve changed the plan fingerprint");
-    if (fp != plan_fingerprint(pooled.optimize(app, market, deadline_h)))
-      violations.record("thread count changed the platform plan fingerprint");
     digest.mix(fp);
   }
 }
@@ -1339,19 +1323,16 @@ void run_sharded(std::uint64_t seed, Digest& digest, Violations& violations) {
 //
 // One board under a random epoch-delta stream — dirty-group sets of random
 // size, including empty forced bumps that move the epoch but no history —
-// served by two warm services (optimizer threads 1 and 8) and checked
-// against the cold solve() oracle in lockstep. Invariants:
+// served by a warm service and checked against the cold solve() oracle in
+// lockstep. Invariants:
 //   * every served plan is fingerprint-identical to a cold solve of its
-//     snapshot, at both thread counts (warm starts must be invisible);
+//     snapshot (warm starts must be invisible);
 //   * the first solve of a scope reuses nothing; a re-plan's table span
 //     (reused + built) never changes (the candidate-set size is pinned by
 //     the deadline filter); a CLEAN bump (no group history moved since the
 //     scope's last solve) rebuilds zero tables;
-//   * warm accounting (tables_reused / tables_built / warm_seeds) is
-//     identical across thread counts — it is decided before the search;
 //   * replan_count equals the independently tracked re-solve count.
-// The digest mixes fingerprints, epochs, outcomes and the warm accounting —
-// never prune counters, which are schedule-dependent.
+// The digest mixes fingerprints, epochs, outcomes and the warm accounting.
 
 void run_warmstart(std::uint64_t seed, Digest& digest, Violations& violations) {
   Rng rng(seed ^ 0x3A12B0075EEDULL);
@@ -1359,11 +1340,7 @@ void run_warmstart(std::uint64_t seed, Digest& digest, Violations& violations) {
   const ExecTimeEstimator estimator;
   MarketBoard board(generate_market(catalog, paper_market_profile(catalog), 1.5, 0.25, rng()));
 
-  const ServiceConfig config = tiny_service_config();
-  ServiceConfig config8 = config;
-  config8.opt.threads = 8;
-  PlanService warm1(&catalog, &estimator, &board, config);
-  PlanService warm8(&catalog, &estimator, &board, config8);
+  PlanService warm(&catalog, &estimator, &board, tiny_service_config());
 
   const std::vector<PlanRequest> pool = request_pool({"BT", "SP"}, rng, [&](PlanRequest& r) {
     if (rng.bernoulli(0.4)) {
@@ -1408,45 +1385,36 @@ void run_warmstart(std::uint64_t seed, Digest& digest, Violations& violations) {
     }
     for (const PlanRequest& request : pool) {
       const MarketSnapshot snap = board.snapshot();
-      const PlanResponse r1 = warm1.serve(request);
-      const PlanResponse r8 = warm8.serve(request);
-      const Plan cold = warm1.solve(canonicalized(request), *snap.market);
-      if (!check_lockstep("warm service (threads=1)", r1, snap.epoch, &cold,
+      const PlanResponse r = warm.serve(request);
+      const Plan cold = warm.solve(canonicalized(request), *snap.market);
+      if (!check_lockstep("warm service", r, snap.epoch, &cold,
                           /*sheds_allowed=*/false, digest, violations))
         continue;
-      if (r1.outcome != r8.outcome)
-        violations.record("thread-count twins took different serve outcomes");
-      if (r8.plan == nullptr || plan_fingerprint(*r8.plan) != plan_fingerprint(*r1.plan))
-        violations.record("warm plan (threads=8) diverged from the threads=1 plan");
-      if (r1.outcome != PlanOutcome::kSolved) continue;
+      if (r.outcome != PlanOutcome::kSolved) continue;
 
       ScopeState& st = scope_state(canonical_key(canonicalized(request)));
-      const PlanStats& ws1 = r1.plan->stats;
-      if (ws1.tables_reused != r8.plan->stats.tables_reused ||
-          ws1.tables_built != r8.plan->stats.tables_built ||
-          ws1.warm_seeds != r8.plan->stats.warm_seeds)
-        violations.record("warm accounting diverged across thread counts");
-      const std::size_t span = ws1.tables_reused + ws1.tables_built;
+      const PlanStats& ws = r.plan->stats;
+      const std::size_t span = ws.tables_reused + ws.tables_built;
       if (!st.solved) {
         st.span = span;
-        if (ws1.tables_reused != 0)
+        if (ws.tables_reused != 0)
           violations.record("first solve of a scope reused tables from nowhere");
       } else {
         ++expected_replans;
         if (span != st.span)
           violations.record("re-plan table span changed though the candidate set is pinned");
-        if (!st.dirty && ws1.tables_built != 0)
+        if (!st.dirty && ws.tables_built != 0)
           violations.record("clean epoch bump rebuilt a cost table");
       }
       st.solved = true;
       st.dirty = false;
-      digest.mix(ws1.tables_reused);
-      digest.mix(ws1.tables_built);
-      digest.mix(ws1.warm_seeds);
+      digest.mix(ws.tables_reused);
+      digest.mix(ws.tables_built);
+      digest.mix(ws.warm_seeds);
     }
   }
 
-  const ServiceStats stats = warm1.stats();
+  const ServiceStats stats = warm.stats();
   check_tally("warm service", stats, violations);
   if (stats.replan_count != expected_replans)
     violations.record("replan_count does not match the tracked re-solves");

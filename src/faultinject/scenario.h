@@ -26,7 +26,7 @@
 //     plan; the stats counters tally.
 //
 //   plan — the optimizer is a pure function: same inputs → bit-identical
-//     plan fingerprints across repeated solves and thread counts.
+//     plan fingerprints across repeated solves.
 //
 //   feed — a market-feed pipeline replays a trace tail into a MarketBoard
 //     under injected tick chaos (drops, duplicates, reordering).
@@ -58,7 +58,7 @@
 //     Platform::flat reproduces the catalog estimator 0 ULP; fair sharing
 //     never gains bandwidth from extra flows; allreduce is exactly two
 //     bcasts; plans over the platform are bit-identical across repeated
-//     solves and thread counts.
+//     solves.
 //
 //   sharded — a seeded {1, 2, 4, 8}-shard serving tier (consistent-hash
 //     router, fan-out-replicated boards, cross-shard dedup) runs a request
@@ -85,14 +85,13 @@
 //     completes exactly once — verified plan, explicit shed, or error.
 //
 //   warmstart — one MarketBoard under a random epoch-delta stream (random
-//     dirty-group sets plus empty forced bumps) is served by two warm
-//     services at optimizer threads 1 and 8, in lockstep with the cold
-//     solve() oracle. Invariants: every warm plan is fingerprint-identical
-//     to a cold solve of its snapshot at both thread counts; a scope's
-//     first solve reuses zero tables, a re-plan's table span never changes,
-//     and a clean bump (no history moved since the scope's last solve)
-//     rebuilds zero tables; warm accounting is thread-count invariant;
-//     replan_count matches an independently tracked re-solve census.
+//     dirty-group sets plus empty forced bumps) is served by a warm
+//     service in lockstep with the cold solve() oracle. Invariants: every
+//     warm plan is fingerprint-identical to a cold solve of its snapshot;
+//     a scope's first solve reuses zero tables, a re-plan's table span
+//     never changes, and a clean bump (no history moved since the scope's
+//     last solve) rebuilds zero tables; replan_count matches an
+//     independently tracked re-solve census.
 //
 // Every observable a scenario digests is deterministic at any thread count,
 // so `run_scenario(seed).digest` is byte-comparable across machines and

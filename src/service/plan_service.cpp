@@ -212,17 +212,10 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
     // groups rebuild), and the previous plan as the incumbent seed. A
     // *re-plan* is a solve whose scope already produced a plan — exactly
     // the work an epoch bump used to do from scratch.
-    ReplanContext ctx;
-    bool replan = false;
-    if (config_.warm_replan) {
-      ctx.store = &table_store_;
-      ctx.scope = key;
-      ctx.versions = snap.versions;
-      ctx.incumbent = table_store_.last_plan(key);
-      replan = ctx.incumbent != nullptr;
-    }
+    ReplanContext ctx{&table_store_, key, snap.versions, table_store_.last_plan(key)};
+    const bool replan = ctx.incumbent != nullptr;
     const auto t0 = std::chrono::steady_clock::now();
-    Plan plan = solve_with(canon, *snap.market, config_.warm_replan ? &ctx : nullptr);
+    Plan plan = solve_with(canon, *snap.market, &ctx);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     result = std::make_shared<const Plan>(std::move(plan));
@@ -230,7 +223,7 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
     // identical request finds either the flight or the cached plan, so one
     // (request, epoch) burst can never trigger a second solve.
     cache_.insert(key, snap.epoch, result);
-    if (config_.warm_replan) table_store_.note_plan(key, result);
+    table_store_.note_plan(key, result);
     record_solve(seconds, *result, replan);
     solves_.fetch_add(1, std::memory_order_relaxed);
   } catch (...) {

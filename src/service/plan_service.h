@@ -92,9 +92,9 @@ struct ServiceStats {
   /// least one group (ckpt_policy != "s3") — how often the multi-level
   /// hierarchy actually beat the flat S3 path.
   std::uint64_t multilevel_plans = 0;
-  // Warm-start re-planning (ServiceConfig::warm_replan; DESIGN.md §14). A
-  // *re-plan* is a solve of a scope that already produced a plan — the case
-  // an epoch bump used to turn into a full cold solve.
+  // Warm-start re-planning (DESIGN.md §14). A *re-plan* is a solve of a
+  // scope that already produced a plan — the case an epoch bump used to
+  // turn into a full cold solve.
   std::uint64_t replan_count = 0;
   /// Re-plans whose previous plan seeded the branch-and-bound incumbent.
   std::uint64_t warm_seeds = 0;
@@ -123,18 +123,15 @@ struct ServiceConfig {
   std::size_t max_queued_solves = 16;
   /// Trailing solve latencies kept for the p50/p99 snapshot.
   std::size_t latency_window = 512;
-  /// Shared by every solve. threads=1 (the default) is the right setting for
-  /// a loaded service: parallelism comes from concurrent requests, not from
-  /// fanning one solve across the pool.
+  /// Shared by every solve. Each solve runs on its caller's thread:
+  /// parallelism comes from concurrent requests, not from fanning one solve
+  /// across a pool.
   OptimizerConfig opt;
-  /// Warm-start re-planning (DESIGN.md §14): epoch bumps trigger an
-  /// incremental re-plan — per-group cost tables are reused from the scope's
+  /// Byte cap etc. of the warm-start artifact store. Every solve re-plans
+  /// warm (DESIGN.md §14): per-group cost tables are reused from the scope's
   /// previous solve unless that group's history version moved, and the
-  /// previous plan seeds the branch-and-bound incumbent — instead of a
-  /// cache-drop-and-cold-solve. Plans stay bit-identical to solve() (the
-  /// cold oracle); the knob trades table_store memory for re-plan latency.
-  bool warm_replan = true;
-  /// Byte cap etc. of the warm-start artifact store.
+  /// previous plan seeds the branch-and-bound incumbent. Plans stay
+  /// bit-identical to solve() (the cold oracle).
   CostTableStore::Config table_store;
   /// Test seam: runs on the owning thread right before each optimizer run
   /// with the flight's (canonical key, epoch). Lets tests hold a flight open
@@ -197,7 +194,7 @@ class PlanService {
   /// store). Public so tests and benches can compare against it.
   Plan solve(const PlanRequest& canonical_request, const Market& market) const;
 
-  /// Counters of the warm-start artifact store (zeroes with warm_replan off).
+  /// Counters of the warm-start artifact store.
   CostTableStore::Stats table_store_stats() const { return table_store_.stats(); }
 
   const ServiceConfig& config() const { return config_; }

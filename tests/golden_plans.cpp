@@ -90,12 +90,10 @@ OptimizerConfig golden_config() {
   config.setup.log_levels = 3;
   config.setup.failure.samples = 800;
   config.ratio_bins = 64;
-  config.threads = 1;
   return config;
 }
 
-std::string render_case_with(const GoldenCase& c, const ExecTimeEstimator& estimator,
-                             unsigned threads) {
+std::string render_case_with(const GoldenCase& c, const ExecTimeEstimator& estimator) {
   const Catalog catalog = paper_catalog();
   Rng rng(c.seed);
   const MarketProfile profile =
@@ -107,7 +105,6 @@ std::string render_case_with(const GoldenCase& c, const ExecTimeEstimator& estim
       OnDemandSelector(&catalog, &estimator).baseline(app).t_h * c.deadline_factor;
 
   OptimizerConfig config = golden_config();
-  config.threads = threads;
   if (c.multilevel)
     config.ckpt_policies = {CkptPolicy::single_s3(), CkptPolicy::cache_s3(),
                             CkptPolicy::cache_xor_s3()};
@@ -122,7 +119,7 @@ std::string render_case_with(const GoldenCase& c, const ExecTimeEstimator& estim
 }
 
 std::string render_case(const GoldenCase& c) {
-  return render_case_with(c, ExecTimeEstimator(), 1);
+  return render_case_with(c, ExecTimeEstimator());
 }
 
 std::string golden_path(const std::string& dir, const GoldenCase& c) {
@@ -160,23 +157,18 @@ void print_diff(const std::string& name, const std::string& want, const std::str
 
 /// Flat-anchor invariant (DESIGN.md §12): re-solving every golden case with
 /// the flat-platform estimator must reproduce the catalog-only render byte
-/// for byte, at one and at eight worker threads. Returns failures.
+/// for byte. Returns failures.
 int verify_flat_anchor(const GoldenCase& c, const std::string& want) {
   const Catalog catalog = paper_catalog();
   const platform::Platform flat = platform::Platform::flat(catalog);
-  const ExecTimeEstimator estimator(&flat);
-  int failures = 0;
-  for (const unsigned threads : {1u, 8u}) {
-    const std::string got = render_case_with(c, estimator, threads);
-    if (got != want) {
-      std::printf("FAIL %s: flat-platform re-solve drifted (%u threads)\n", c.name, threads);
-      print_diff(c.name, want, got);
-      ++failures;
-    } else {
-      std::printf("ok %s (flat platform, %u threads)\n", c.name, threads);
-    }
+  const std::string got = render_case_with(c, ExecTimeEstimator(&flat));
+  if (got != want) {
+    std::printf("FAIL %s: flat-platform re-solve drifted\n", c.name);
+    print_diff(c.name, want, got);
+    return 1;
   }
-  return failures;
+  std::printf("ok %s (flat platform)\n", c.name);
+  return 0;
 }
 
 [[noreturn]] void usage_error(const char* argv0) {

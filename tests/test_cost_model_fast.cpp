@@ -2,7 +2,7 @@
 // fast path"): the incremental evaluator must match the retained naive
 // evaluator to 0 ULP on every Expectation field, the admissible bounds must
 // never exceed a real cost, and branch-and-bound search must return plans
-// fingerprint-identical to exhaustive enumeration at any thread count.
+// fingerprint-identical to exhaustive enumeration.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -213,7 +213,7 @@ TEST(SubsetEvaluatorOracle, BoundsAreAdmissible) {
   }
 }
 
-// --- End-to-end plan identity across engines, pruning, and threads. ---
+// --- End-to-end plan identity across engines and pruning. ---
 
 class EnginePlanIdentity : public ::testing::Test {
  protected:
@@ -239,7 +239,7 @@ class EnginePlanIdentity : public ::testing::Test {
                                    /*step_hours=*/0.25, /*seed=*/123);
 };
 
-TEST_F(EnginePlanIdentity, PrunedIncrementalMatchesReferenceAtAnyThreadCount) {
+TEST_F(EnginePlanIdentity, PrunedIncrementalMatchesReference) {
   const struct {
     const char* app;
     double factor;
@@ -253,19 +253,15 @@ TEST_F(EnginePlanIdentity, PrunedIncrementalMatchesReferenceAtAnyThreadCount) {
     const std::string want = plan_fingerprint(reference);
 
     for (bool prune : {false, true}) {
-      for (unsigned threads : {1u, 8u}) {
-        OptimizerConfig cfg = base_config();
-        cfg.engine = SearchEngine::kIncremental;
-        cfg.prune = prune;
-        cfg.threads = threads;
-        const Plan fast = run(cfg, app, c.factor);
-        EXPECT_EQ(plan_fingerprint(fast), want)
-            << c.app << " prune=" << prune << " threads=" << threads;
-        // The fingerprint covers model_evaluations; assert it explicitly
-        // anyway so a failure names the field.
-        EXPECT_EQ(fast.model_evaluations, reference.model_evaluations)
-            << c.app << " prune=" << prune << " threads=" << threads;
-      }
+      OptimizerConfig cfg = base_config();
+      cfg.engine = SearchEngine::kIncremental;
+      cfg.prune = prune;
+      const Plan fast = run(cfg, app, c.factor);
+      EXPECT_EQ(plan_fingerprint(fast), want) << c.app << " prune=" << prune;
+      // The fingerprint covers model_evaluations; assert it explicitly
+      // anyway so a failure names the field.
+      EXPECT_EQ(fast.model_evaluations, reference.model_evaluations)
+          << c.app << " prune=" << prune;
     }
   }
 }

@@ -4,8 +4,7 @@
 //   * Differential oracle — the degenerate configuration (no cache level,
 //     empty policy list) must be bit-identical to the pre-multilevel stack:
 //     same storage keys, same S3-sim request counters, 0-ULP-identical
-//     billing, and byte-identical optimizer plan fingerprints at one and at
-//     eight worker threads.
+//     billing, and byte-identical optimizer plan fingerprints.
 //   * Redundancy properties — for every group size and every single-rank
 //     loss (and every partner-recoverable pair loss) the decode returns the
 //     exact original bytes; a torn or corrupted shard is never
@@ -111,7 +110,7 @@ TEST(MultiLevelDegenerate, DelegatesBitIdenticallyToFlatCheckpointer) {
   EXPECT_EQ(ml.compression_cost_usd(BillingModel::kProportional, 1.0), 0.0);
 }
 
-TEST(MultiLevelDegenerate, EmptyPolicyListPlansBitIdenticalAcrossThreads) {
+TEST(MultiLevelDegenerate, EmptyPolicyListPlansBitIdenticalToExplicitS3) {
   const Catalog catalog = paper_catalog();
   const ExecTimeEstimator estimator;
   Rng rng(20260806);
@@ -128,21 +127,15 @@ TEST(MultiLevelDegenerate, EmptyPolicyListPlansBitIdenticalAcrossThreads) {
   base.setup.failure.samples = 400;
   base.ratio_bins = 32;
 
-  std::vector<std::string> fingerprints;
-  for (const unsigned threads : {1u, 8u}) {
-    for (const bool explicit_s3 : {false, true}) {
-      OptimizerConfig config = base;
-      config.threads = threads;
-      if (explicit_s3) config.ckpt_policies = {CkptPolicy::single_s3()};
-      const SompiOptimizer optimizer(&catalog, &estimator, config);
-      fingerprints.push_back(plan_fingerprint(optimizer.optimize(app, market, deadline_h)));
-    }
-  }
-  // Empty policy list == explicit {s3}, at 1 thread and at 8 — one
-  // byte-identical fingerprint for all four runs.
-  for (std::size_t i = 1; i < fingerprints.size(); ++i)
-    EXPECT_EQ(fingerprints[0], fingerprints[i]) << "variant " << i;
-  EXPECT_EQ(fingerprints[0].find("ckpt="), std::string::npos)
+  OptimizerConfig explicit_s3 = base;
+  explicit_s3.ckpt_policies = {CkptPolicy::single_s3()};
+  const std::string empty_fp = plan_fingerprint(
+      SompiOptimizer(&catalog, &estimator, base).optimize(app, market, deadline_h));
+  // Empty policy list == explicit {s3}: one byte-identical fingerprint.
+  EXPECT_EQ(plan_fingerprint(SompiOptimizer(&catalog, &estimator, explicit_s3)
+                                 .optimize(app, market, deadline_h)),
+            empty_fp);
+  EXPECT_EQ(empty_fp.find("ckpt="), std::string::npos)
       << "degenerate plans must not mention a checkpoint policy";
 }
 

@@ -1,6 +1,6 @@
 // Determinism-first tests for the parallel execution engine: pool-level unit
-// tests for src/common/thread_pool.h, plus bit-for-bit equality of optimizer
-// plans and Monte Carlo summaries across threads ∈ {1, 2, 8}.
+// tests for src/common/thread_pool.h, plus bit-for-bit equality of Monte
+// Carlo summaries across threads ∈ {1, 2, 8}.
 // Bit-reproducibility is the whole value proposition (common/rng.h): a
 // parallel sweep that drifts with the schedule is useless as an experiment
 // substrate.
@@ -125,67 +125,19 @@ TEST(ParallelHelpers, ParallelForSerialWhenThreadsIsOne) {
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ParallelHelpers, ReduceIsBitIdenticalAcrossThreadCounts) {
-  // Floating-point sums depend on grouping; parallel_reduce fixes the
-  // grouping by (n, grain), so any thread count gives the same bits.
-  const auto sum_with = [](unsigned threads) {
-    return parallel_reduce(
-        10000, threads, 0.0, [](std::size_t i) { return 1.0 / static_cast<double>(i + 1); },
-        [](double a, double b) { return a + b; }, /*grain=*/64);
-  };
-  const double serial = sum_with(1);
-  EXPECT_EQ(serial, sum_with(2));
-  EXPECT_EQ(serial, sum_with(8));
-  EXPECT_NEAR(serial, 9.7876060, 1e-5);  // harmonic(10000) sanity
-}
-
-TEST(ParallelHelpers, ReduceEmptyAndSingleRanges) {
-  const auto map = [](std::size_t i) { return static_cast<int>(i) + 1; };
-  const auto add = [](int a, int b) { return a + b; };
-  EXPECT_EQ(parallel_reduce(0, 8, 100, map, add), 100);
-  EXPECT_EQ(parallel_reduce(1, 8, 0, map, add), 1);
-}
-
-TEST(ParallelHelpers, ReduceNonCommutativeCombineKeepsChunkOrder) {
-  // Concatenation is associative but not commutative: order must be exact.
-  const auto concat = [](std::string a, std::string b) { return a + b; };
-  const auto digit = [](std::size_t i) { return std::string(1, char('0' + i % 10)); };
-  const std::string serial =
-      parallel_reduce(26, 1, std::string(), digit, concat, /*grain=*/4);
-  EXPECT_EQ(serial, "01234567890123456789012345");
-  EXPECT_EQ(parallel_reduce(26, 8, std::string(), digit, concat, /*grain=*/4), serial);
-}
-
 // ---------------------------------------------------------------------------
-// Determinism layer: same seed ⇒ same bits at any thread count, across the
-// two parallelized hot paths.
+// Determinism layer: same seed ⇒ same bits at any thread count through the
+// Monte-Carlo harness, the parallelized hot path.
 
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
-  static OptimizerConfig fast_config(unsigned threads) {
+  static OptimizerConfig fast_config() {
     OptimizerConfig c;
     c.max_candidates = 5;
     c.setup.log_levels = 5;
     c.setup.failure.samples = 800;
     c.ratio_bins = 64;
-    c.threads = threads;
     return c;
-  }
-
-  static void expect_identical(const Plan& a, const Plan& b) {
-    EXPECT_EQ(a.spot_feasible, b.spot_feasible);
-    EXPECT_EQ(a.model_evaluations, b.model_evaluations);
-    EXPECT_EQ(a.expected.cost_usd, b.expected.cost_usd);
-    EXPECT_EQ(a.expected.time_h, b.expected.time_h);
-    ASSERT_EQ(a.groups.size(), b.groups.size());
-    for (std::size_t g = 0; g < a.groups.size(); ++g) {
-      EXPECT_EQ(a.groups[g].name, b.groups[g].name);
-      EXPECT_EQ(a.groups[g].instances, b.groups[g].instances);
-      EXPECT_EQ(a.groups[g].bid_usd, b.groups[g].bid_usd);
-      EXPECT_EQ(a.groups[g].f_steps, b.groups[g].f_steps);
-      EXPECT_EQ(a.groups[g].t_steps, b.groups[g].t_steps);
-    }
-    EXPECT_EQ(a.od.t_h, b.od.t_h);
   }
 
   static void expect_identical(const Summary& a, const Summary& b) {
@@ -214,19 +166,8 @@ class ParallelDeterminismTest : public ::testing::Test {
   double deadline_ = OnDemandSelector(&catalog_, &est_).baseline(bt_).t_h * 1.5;
 };
 
-TEST_F(ParallelDeterminismTest, OptimizerPlanIsBitIdenticalAcrossThreadCounts) {
-  const SompiOptimizer serial(&catalog_, &est_, fast_config(1));
-  const Plan p1 = serial.optimize(bt_, market_, deadline_);
-  ASSERT_TRUE(p1.spot_feasible);
-  for (const unsigned threads : {2u, 8u}) {
-    const SompiOptimizer parallel(&catalog_, &est_, fast_config(threads));
-    const Plan pt = parallel.optimize(bt_, market_, deadline_);
-    expect_identical(p1, pt);
-  }
-}
-
 TEST_F(ParallelDeterminismTest, MonteCarloRunPlanIsBitIdenticalAcrossThreadCounts) {
-  const SompiOptimizer opt(&catalog_, &est_, fast_config(1));
+  const SompiOptimizer opt(&catalog_, &est_, fast_config());
   const Plan plan = opt.optimize(bt_, market_, deadline_);
 
   const auto stats_with = [&](unsigned threads) {
@@ -245,7 +186,7 @@ TEST_F(ParallelDeterminismTest, MonteCarloRunPlanIsBitIdenticalAcrossThreadCount
 TEST_F(ParallelDeterminismTest, MonteCarloPlannedIsBitIdenticalAcrossThreadCounts) {
   // Re-plans per start point: exercises a thread-safe planner (the optimizer
   // is const and self-contained per call) under the parallel harness.
-  const SompiOptimizer opt(&catalog_, &est_, fast_config(1));
+  const SompiOptimizer opt(&catalog_, &est_, fast_config());
   const auto stats_with = [&](unsigned threads) {
     MonteCarloConfig mc;
     mc.runs = 6;
@@ -262,7 +203,7 @@ TEST_F(ParallelDeterminismTest, MonteCarloPlannedIsBitIdenticalAcrossThreadCount
 
 TEST_F(ParallelDeterminismTest, MonteCarloAdaptiveIsBitIdenticalAcrossThreadCounts) {
   AdaptiveConfig cfg;
-  cfg.opt = fast_config(1);
+  cfg.opt = fast_config();
   cfg.window_h = 20.0;
   const AdaptiveEngine engine(&catalog_, &est_, cfg);
   const auto stats_with = [&](unsigned threads) {

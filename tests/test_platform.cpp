@@ -2,11 +2,10 @@
 //
 //   * Flat anchor — Platform::flat(catalog) must reproduce the catalog
 //     constants BIT-exactly: effective() fields, every estimator output,
-//     every SetupBuilder profile, and full optimizer plan fingerprints at
-//     one and at eight threads are 0 ULP from the legacy catalog-only path.
+//     every SetupBuilder profile, and full optimizer plan fingerprints are
+//     0 ULP from the legacy catalog-only path.
 //   * Heterogeneity — the committed example platform (slow-network zone,
-//     shared uplinks) must change the plan fingerprint, and the changed
-//     plan must itself be bit-identical across thread counts.
+//     shared uplinks) must change the plan fingerprint.
 //   * Model properties — p2p/bcast/allreduce formulas, fair-share
 //     contention, compute derating, disk/uplink checkpoint paths.
 //   * Lenient parser — one unit test per corruption class, mirroring the
@@ -142,19 +141,17 @@ TEST(PlatformFlat, SetupBuilderProfilesAreZeroUlpFromLegacy) {
 
 // --- Full-stack fingerprints: flat identity, hetero divergence ---------------
 
-OptimizerConfig small_config(unsigned threads) {
+OptimizerConfig small_config() {
   OptimizerConfig config;
   config.max_candidates = 4;
   config.max_groups = 2;
   config.setup.log_levels = 3;
   config.setup.failure.samples = 400;
   config.ratio_bins = 32;
-  config.threads = threads;
   return config;
 }
 
-std::string solve_fingerprint(const ExecTimeEstimator& estimator, unsigned threads,
-                              std::uint64_t market_seed) {
+std::string solve_fingerprint(const ExecTimeEstimator& estimator, std::uint64_t market_seed) {
   const Catalog catalog = paper_catalog();
   Rng rng(market_seed);
   const Market market =
@@ -166,31 +163,26 @@ std::string solve_fingerprint(const ExecTimeEstimator& estimator, unsigned threa
   const ExecTimeEstimator legacy;
   const double deadline_h =
       OnDemandSelector(&catalog, &legacy).baseline(app).t_h * 1.5;
-  const SompiOptimizer optimizer(&catalog, &estimator, small_config(threads));
+  const SompiOptimizer optimizer(&catalog, &estimator, small_config());
   return plan_fingerprint(optimizer.optimize(app, market, deadline_h));
 }
 
-TEST(PlatformPlans, FlatPlatformPlanFingerprintsMatchLegacyAtOneAndEightThreads) {
+TEST(PlatformPlans, FlatPlatformPlanFingerprintsMatchLegacy) {
   const Catalog catalog = paper_catalog();
   const Platform flat = Platform::flat(catalog);
   const ExecTimeEstimator legacy;
   const ExecTimeEstimator platform_est(&flat);
   for (const std::uint64_t seed : {97ull, 1729ull}) {
-    const std::string want = solve_fingerprint(legacy, 1, seed);
-    EXPECT_EQ(solve_fingerprint(platform_est, 1, seed), want);
-    EXPECT_EQ(solve_fingerprint(platform_est, 8, seed), want);
+    EXPECT_EQ(solve_fingerprint(platform_est, seed), solve_fingerprint(legacy, seed));
   }
 }
 
-TEST(PlatformPlans, HeteroPlatformDivergesFromFlatAndIsThreadCountInvariant) {
+TEST(PlatformPlans, HeteroPlatformDivergesFromFlat) {
   const Catalog catalog = paper_catalog();
   const Platform hetero = platform::example_hetero_platform();
   const ExecTimeEstimator legacy;
   const ExecTimeEstimator hetero_est(&hetero);
-  const std::string flat_fp = solve_fingerprint(legacy, 1, 97);
-  const std::string hetero_fp = solve_fingerprint(hetero_est, 1, 97);
-  EXPECT_NE(hetero_fp, flat_fp);
-  EXPECT_EQ(solve_fingerprint(hetero_est, 8, 97), hetero_fp);
+  EXPECT_NE(solve_fingerprint(hetero_est, 97), solve_fingerprint(legacy, 97));
 }
 
 TEST(PlatformPlans, SlowZoneProfilesAreStrictlyWorse) {

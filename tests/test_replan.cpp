@@ -72,15 +72,12 @@ TEST_F(ReplanHashTest, DeterministicAndCoversContentKnobs) {
 }
 
 TEST_F(ReplanHashTest, IgnoresSelectionOnlyKnobs) {
-  // Threads, engine, pruning and the candidate/subset bounds change which
-  // work runs, never what any per-group artifact contains — two configs
+  // Engine, pruning and the candidate/subset bounds change which work
+  // runs, never what any per-group artifact contains — two configs
   // differing only there must share a store.
   const OptimizerConfig base = tiny_config();
   const std::uint64_t h = replan_config_hash(base, app_, od_, deadline_h_);
   OptimizerConfig c = base;
-  c.threads = 8;
-  EXPECT_EQ(h, replan_config_hash(c, app_, od_, deadline_h_));
-  c = base;
   c.engine = SearchEngine::kReference;
   EXPECT_EQ(h, replan_config_hash(c, app_, od_, deadline_h_));
   c = base;
@@ -204,27 +201,25 @@ class WarmStartTest : public ::testing::Test {
 };
 
 TEST_F(WarmStartTest, ArtifactsSharedAcrossOptimizerConfigInstances) {
-  // Two solver instances differing only in a selection-only knob (threads)
-  // share one store: the second solve rebuilds nothing and still lands on
-  // the bit-identical plan, with the incumbent seed accepted.
+  // Two solver instances built from equal configs share one store: the
+  // second instance's solve rebuilds nothing and still lands on the
+  // bit-identical plan, with the incumbent seed accepted.
   CostTableStore store;
   const MarketSnapshot snap = board_.snapshot();
-  OptimizerConfig c1 = tiny_config();
-  OptimizerConfig c8 = tiny_config();
-  c8.threads = 8;
+  const OptimizerConfig config = tiny_config();
 
-  const Plan cold = SompiOptimizer(&catalog_, &est_, c1).optimize(app_, *snap.market,
-                                                                  deadline_h_);
+  const Plan cold = SompiOptimizer(&catalog_, &est_, config).optimize(app_, *snap.market,
+                                                                      deadline_h_);
   ReplanContext fill = context(&store, snap);
-  const Plan first = SompiOptimizer(&catalog_, &est_, c1).optimize(app_, *snap.market,
-                                                                   deadline_h_, &fill);
+  const Plan first = SompiOptimizer(&catalog_, &est_, config).optimize(app_, *snap.market,
+                                                                       deadline_h_, &fill);
   EXPECT_EQ(first.stats.tables_reused, 0u);
   EXPECT_GT(first.stats.tables_built, 0u);
   EXPECT_EQ(first.stats.warm_seeds, 0u);  // no incumbent offered
 
   ReplanContext warm = context(&store, snap, std::make_shared<const Plan>(first));
-  const Plan second = SompiOptimizer(&catalog_, &est_, c8).optimize(app_, *snap.market,
-                                                                    deadline_h_, &warm);
+  const Plan second = SompiOptimizer(&catalog_, &est_, config).optimize(app_, *snap.market,
+                                                                        deadline_h_, &warm);
   EXPECT_EQ(second.stats.tables_built, 0u);
   EXPECT_EQ(second.stats.tables_reused, first.stats.tables_built);
   EXPECT_EQ(second.stats.warm_seeds, cold.uses_spot() ? 1u : 0u);
@@ -332,32 +327,6 @@ TEST(PlanServiceReplan, ServeRePlansWarmWithExactCountersAndColdIdentity) {
   EXPECT_EQ(stats.warm_seeds, second.plan->uses_spot() ? 1u : 0u);
   EXPECT_GT(stats.replan_p99_ms, 0.0);
   EXPECT_GE(service.table_store_stats().hits, stats.replan_table_hits);
-}
-
-TEST(PlanServiceReplan, WarmReplanOffFallsBackToColdSolves) {
-  Catalog catalog = paper_catalog();
-  ExecTimeEstimator est;
-  Market market = generate_market(catalog, paper_market_profile(catalog), /*days=*/2.0,
-                                  /*step_hours=*/0.25, /*seed=*/42);
-  MarketBoard board(market);
-  ServiceConfig cfg;
-  cfg.cache = {.shards = 2, .capacity = 8};
-  cfg.opt = tiny_config();
-  cfg.warm_replan = false;
-  PlanService service(&catalog, &est, &board, cfg);
-
-  PlanRequest r;
-  r.app = paper_profile("BT");
-  r.deadline_h = OnDemandSelector(&catalog, &est).baseline(r.app).t_h * 1.5;
-  ASSERT_EQ(service.serve(r).outcome, PlanOutcome::kSolved);
-  board.ingest({});
-  const PlanResponse second = service.serve(r);
-  ASSERT_EQ(second.outcome, PlanOutcome::kSolved);
-  EXPECT_EQ(second.plan->stats.tables_reused, 0u);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.replan_count, 0u);
-  EXPECT_EQ(stats.replan_table_hits, 0u);
-  EXPECT_EQ(service.table_store_stats().entries, 0u);
 }
 
 // ---------------------------------------------------------------------------
