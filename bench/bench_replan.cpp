@@ -8,16 +8,17 @@
 // d ∈ {1, K/2, K} at K = 8 kept candidates. Every epoch is measured twice:
 // a cold solve() (the oracle — always the from-scratch path) and the warm
 // serve() re-plan. Per iteration the warm plan must be fingerprint-identical
-// to the cold one and the table-reuse counters must be EXACT:
-// tables_reused == K − d, tables_built == d.
+// to the cold one and the work counters must be EXACT:
+// tables_reused == K − d, tables_built == d, and the CostTableStore misses
+// (lookups finding no entry or a stale one) == d.
 //
 // Acceptance gates: exactly K candidates kept; exact counters and zero
 // fingerprint divergence on every iteration; and the headline —
 // single-group-delta warm re-plans are ≥ 5× faster than cold solves (p50).
 // --check compares the deterministic counters (kept, delta, tables_*,
-// divergence) against the committed baseline (bench/BENCH_replan.json)
-// exact-equality; wall-clock ratios are printed and gated in-process but
-// never compared across machines.
+// store_*, divergence) against the committed baseline
+// (bench/BENCH_replan.json) exact-equality; wall-clock ratios are printed
+// and gated in-process but never compared across machines.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -124,6 +125,8 @@ int main(int argc, char** argv) {
     std::vector<double> warm_s;
     std::uint64_t counter_errors = 0;
     std::uint64_t divergence = 0;
+    std::uint64_t store_misses = 0;
+    std::uint64_t store_miss_errors = 0;
   };
   std::vector<Series> series;
   for (const std::size_t delta : {std::size_t{1}, kK / 2, kK}) {
@@ -143,9 +146,17 @@ int main(int argc, char** argv) {
       const Plan cold = service.solve(canonicalized(request), *snap.market);
       s.cold_s.push_back(seconds_since(t_cold));
 
+      const CostTableStore::Stats store_before = service.table_store_stats();
       const auto t_warm = Clock::now();
       const PlanResponse warm = service.serve(request);
       s.warm_s.push_back(seconds_since(t_warm));
+      const CostTableStore::Stats store_after = service.table_store_stats();
+      // Lookups that found no usable artifact: absent, or stale because the
+      // group's history version moved. Exactly the d dirty groups.
+      const std::uint64_t store_misses = (store_after.misses - store_before.misses) +
+                                         (store_after.invalidated - store_before.invalidated);
+      s.store_misses += store_misses;
+      if (store_misses != delta) ++s.store_miss_errors;
 
       if (warm.outcome != PlanOutcome::kSolved || warm.plan == nullptr) {
         ++s.divergence;
@@ -165,7 +176,7 @@ int main(int argc, char** argv) {
   };
   double speedup_1 = 0.0;
   std::vector<bench::JsonResult> results;
-  std::uint64_t counter_errors = 0, divergence = 0;
+  std::uint64_t counter_errors = 0, divergence = 0, store_miss_errors = 0;
   for (const Series& s : series) {
     const double cold_ms = p50(s.cold_s) * 1e3;
     const double warm_ms = p50(s.warm_s) * 1e3;
@@ -173,6 +184,7 @@ int main(int argc, char** argv) {
     if (s.delta == 1) speedup_1 = ratio;
     counter_errors += s.counter_errors;
     divergence += s.divergence;
+    store_miss_errors += s.store_miss_errors;
     std::printf("delta %zu:  cold p50 %8.3f ms  |  warm p50 %8.3f ms  |  %5.1fx"
                 "  (reused %zu, rebuilt %zu)\n",
                 s.delta, cold_ms, warm_ms, ratio, kK - s.delta, s.delta);
@@ -188,6 +200,10 @@ int main(int argc, char** argv) {
                         {"tables_built", static_cast<double>(s.delta)},
                         {"counter_errors", static_cast<double>(s.counter_errors)},
                         {"divergence", static_cast<double>(s.divergence)},
+                        {"store_misses_per_replan",
+                         static_cast<double>(s.store_misses) /
+                             static_cast<double>(s.warm_s.size())},
+                        {"store_miss_errors", static_cast<double>(s.store_miss_errors)},
                         {"cold_p50_ms", cold_ms},
                         {"speedup_p50", ratio}}});
   }
@@ -204,11 +220,14 @@ int main(int argc, char** argv) {
   gate("exact table-reuse counters on every iteration (reused = K-d, built = d)",
        counter_errors == 0);
   gate("every warm plan bit-matches the cold solve at its epoch", divergence == 0);
+  gate("exact store work on every iteration (CostTableStore misses per warm re-plan = d)",
+       store_miss_errors == 0);
   std::printf("  [%s] single-group-delta warm re-plan >= 5x faster than cold "
               "(p50 %.1fx)\n",
               speedup_1 >= 5.0 ? "PASS" : "FAIL", speedup_1);
 
-  bool ok = kept_ok && counter_errors == 0 && divergence == 0 && speedup_1 >= 5.0;
+  bool ok = kept_ok && counter_errors == 0 && divergence == 0 && store_miss_errors == 0 &&
+            speedup_1 >= 5.0;
 
   if (!check_path.empty()) {
     std::ifstream in(check_path);

@@ -27,9 +27,12 @@ std::uint64_t BoardFanout::check_agreement(const std::vector<std::uint64_t>& epo
 
 std::uint64_t BoardFanout::ingest(const std::vector<PriceUpdate>& updates) {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Every replica holds the primary's content (the barrier), so the new
+  // traces are built once and the same objects land on every replica.
+  const std::vector<GroupTrace> traces = appended_traces(*primary()->snapshot().market, updates);
   std::vector<std::uint64_t> epochs;
   epochs.reserve(boards_.size());
-  for (MarketBoard* board : boards_) epochs.push_back(board->ingest(updates));
+  for (MarketBoard* board : boards_) epochs.push_back(board->install(traces));
   ++publications_;
   return check_agreement(epochs);
 }

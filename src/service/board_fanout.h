@@ -5,8 +5,10 @@
 // serialized critical section — the *versioned barrier*. Consequences:
 //
 //   * every replica observes exactly the same epoch sequence, in the same
-//     order, with bit-identical market content at every epoch (MarketBoard
-//     ingestion is deterministic in its inputs);
+//     order, with the same market content at every epoch — literally the
+//     same objects: an ingest builds each touched group's new trace once
+//     and installs it on every replica, and a publish hands every replica
+//     the same traces, so N replicas hold one copy of the history;
 //   * publication i completes on all replicas before publication i+1 may
 //     begin, so at any instant two replicas differ by at most the one
 //     publication currently in flight — and at every return from
@@ -37,10 +39,13 @@ class BoardFanout {
   explicit BoardFanout(std::vector<MarketBoard*> replicas);
 
   /// Applies one batch of price updates to every replica as one barriered
-  /// publication; returns the (common) new epoch.
+  /// publication; returns the (common) new epoch. The touched groups' new
+  /// traces are built once (appended_traces against the primary) and shared
+  /// by all replicas; untouched groups keep the previous epoch's objects.
   std::uint64_t ingest(const std::vector<PriceUpdate>& updates);
 
-  /// Replaces the whole market on every replica; returns the new epoch.
+  /// Replaces the whole market on every replica (each replica's copy shares
+  /// `next`'s trace objects); returns the new epoch.
   std::uint64_t publish(Market next);
 
   /// The common epoch (the primary's; equal on every replica between

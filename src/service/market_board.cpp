@@ -43,25 +43,52 @@ std::uint64_t MarketBoard::publish(Market next) {
 }
 
 std::uint64_t MarketBoard::ingest(const std::vector<PriceUpdate>& updates) {
-  // The copy-on-write must happen under the lock: two concurrent ingests
-  // that each copied the same base market would lose one another's updates.
-  // Readers block on the mutex for the duration of the copy — acceptable
-  // because ingest happens once per market step, not once per request.
+  // The traces must be built under the lock: two concurrent ingests that
+  // each appended to the same base traces would lose one another's updates.
+  // Readers block on the mutex for the duration — one copy per touched
+  // group, once per market step, not once per request.
   std::lock_guard<std::mutex> lock(mutex_);
-  Market next = *market_;
+  return install_locked(appended_traces(*market_, updates));
+}
+
+std::uint64_t MarketBoard::install(const std::vector<GroupTrace>& traces) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return install_locked(traces);
+}
+
+std::uint64_t MarketBoard::install_locked(const std::vector<GroupTrace>& traces) {
+  Market next = *market_;  // one pointer per group
   const std::size_t zones = next.catalog().zones().size();
   std::vector<std::uint64_t> vers = *versions_;
-  for (const PriceUpdate& update : updates) {
-    SpotTrace& trace = next.mutable_trace(update.group);
-    SOMPI_REQUIRE_MSG(!trace.empty(), "cannot ingest into an empty trace");
-    trace.append(SpotTrace(trace.step_hours(), update.prices));
-    vers.at(update.group.type_index * zones + update.group.zone_index) = epoch_ + 1;
+  for (const GroupTrace& t : traces) {
+    next.set_trace(t.group, t.trace);
+    vers.at(t.group.type_index * zones + t.group.zone_index) = epoch_ + 1;
   }
   market_ = std::make_shared<const Market>(std::move(next));
   ++epoch_;
-  if (!updates.empty())
+  if (!traces.empty())
     versions_ = std::make_shared<const std::vector<std::uint64_t>>(std::move(vers));
   return epoch_;
+}
+
+std::vector<GroupTrace> appended_traces(const Market& base,
+                                        const std::vector<PriceUpdate>& updates) {
+  const std::size_t zones = base.catalog().zones().size();
+  // The trace under construction per group ordinal; `out` shares each one.
+  std::vector<std::shared_ptr<SpotTrace>> building(base.group_count());
+  std::vector<GroupTrace> out;
+  for (const PriceUpdate& update : updates) {
+    const SpotTrace& old = base.trace(update.group);
+    SOMPI_REQUIRE_MSG(!old.empty(), "cannot ingest into an empty trace");
+    std::shared_ptr<SpotTrace>& next =
+        building[update.group.type_index * zones + update.group.zone_index];
+    if (next == nullptr) {
+      next = std::make_shared<SpotTrace>(old);
+      out.push_back(GroupTrace{update.group, next});
+    }
+    next->append(update.prices);
+  }
+  return out;
 }
 
 }  // namespace sompi

@@ -4,10 +4,12 @@
 // monotonically increasing *market epoch*. Readers take an immutable
 // snapshot (epoch + shared_ptr to a frozen Market) and plan against that;
 // writers ingest price updates copy-on-write, so a snapshot taken before an
-// update keeps planning against exactly the world it saw. The epoch is what
-// the plan cache keys on: a plan computed at epoch e is valid for every
-// request that arrives while the board is still at e, and silently obsolete
-// the moment the market moves.
+// update keeps planning against exactly the world it saw. Copy-on-write is
+// per group: an ingest builds a new trace for each group it touches and
+// shares every other group's trace object with the previous epoch. The
+// epoch is what the plan cache keys on: a plan computed at epoch e is valid
+// for every request that arrives while the board is still at e, and
+// silently obsolete the moment the market moves.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,20 @@ struct PriceUpdate {
   CircleGroupSpec group;
   std::vector<double> prices;
 };
+
+/// The next trace of one group an ingest touches.
+struct GroupTrace {
+  CircleGroupSpec group;
+  std::shared_ptr<const SpotTrace> trace;
+};
+
+/// The new traces `updates` produce against `base`: one per distinct touched
+/// group (in first-mention order), each a copy of the group's trace in
+/// `base` with all of its updates appended in order. Untouched groups cost
+/// nothing. Throws PreconditionError (and builds nothing) on an unknown
+/// group, an empty base trace or a negative price.
+std::vector<GroupTrace> appended_traces(const Market& base,
+                                        const std::vector<PriceUpdate>& updates);
 
 /// An immutable view of the market at one epoch. The Market behind the
 /// pointer is frozen: boards never mutate a published snapshot.
@@ -58,6 +74,12 @@ class MarketBoard {
   /// reuse every cached table across a forced bump.
   std::uint64_t ingest(const std::vector<PriceUpdate>& updates);
 
+  /// ingest() with the new traces already built — by appended_traces()
+  /// against a market with this board's content, which is how BoardFanout
+  /// builds one set of trace objects and installs it on every replica.
+  /// Same epoch and version semantics as ingest().
+  std::uint64_t install(const std::vector<GroupTrace>& traces);
+
   /// Per-group monotone history versions, indexed by catalog ordinal
   /// (type_index·zones + zone_index). A group's version is the epoch at
   /// which its trace content last changed: the constructor and publish()
@@ -67,6 +89,8 @@ class MarketBoard {
   std::shared_ptr<const std::vector<std::uint64_t>> group_versions() const;
 
  private:
+  std::uint64_t install_locked(const std::vector<GroupTrace>& traces);
+
   mutable std::mutex mutex_;
   std::uint64_t epoch_ = 0;
   std::shared_ptr<const Market> market_;

@@ -178,6 +178,12 @@ class PlanService {
   /// deterministic reclamation points.
   std::size_t invalidate_stale();
 
+  /// The sweep horizon now: every solve this service starts from here on is
+  /// at an epoch >= it, and so is every solve in progress. Not monotone (a
+  /// serve call may register an epoch just below a fresh bump), but always
+  /// a lower bound on the epochs still to be solved.
+  std::uint64_t sweep_horizon() const { return sweep_horizon(board_->epoch()); }
+
   /// Chaos seam: drops EVERY cache entry, current epoch included, counting
   /// them as stale_evicted. Correctness-neutral by the cache contract (a
   /// wiped entry re-solves to a bit-identical plan) but it deliberately

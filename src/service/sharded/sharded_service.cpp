@@ -1,6 +1,7 @@
 #include "service/sharded/sharded_service.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.h"
 
@@ -105,11 +106,25 @@ std::size_t ShardedPlanService::invalidate_stale() {
 
 void ShardedPlanService::record_solve(std::size_t /*shard*/, const std::string& key,
                                       std::uint64_t epoch) {
+  // Every solve from here on, on any shard, is at an epoch >= this horizon
+  // (and so is this one: its serve call is registered at or below `epoch`),
+  // so entries below it are final and dropping them keeps both counts exact.
+  std::uint64_t horizon = std::numeric_limits<std::uint64_t>::max();
+  for (const auto& service : services_) horizon = std::min(horizon, service->sweep_horizon());
   std::lock_guard<std::mutex> lock(ledger_mutex_);
-  if (++solve_counts_[{key, epoch}] > 1) ++duplicate_solves_;
+  solve_counts_.erase(solve_counts_.begin(), solve_counts_.lower_bound({horizon, std::string()}));
+  if (++solve_counts_[{epoch, key}] > 1)
+    ++duplicate_solves_;
+  else
+    ++distinct_solves_;
 }
 
 std::size_t ShardedPlanService::distinct_solves() const {
+  std::lock_guard<std::mutex> lock(ledger_mutex_);
+  return distinct_solves_;
+}
+
+std::size_t ShardedPlanService::ledger_entries() const {
   std::lock_guard<std::mutex> lock(ledger_mutex_);
   return solve_counts_.size();
 }

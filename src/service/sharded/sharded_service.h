@@ -29,7 +29,11 @@
 //
 // The solve ledger that proves the last law is built in: every shard's
 // solve hook is wrapped to record (shard, key, epoch) in a tier-level map,
-// so duplicate_solves() is an exact census, not a sampled one.
+// so duplicate_solves() is an exact census, not a sampled one. The map only
+// holds epochs some shard can still solve at: an epoch below every shard's
+// sweep horizon (PlanService::sweep_horizon) can never see another solve,
+// so its entries are dropped and the ledger stays bounded however long the
+// tier runs, while both solve counts stay exact.
 #pragma once
 
 #include <cstdint>
@@ -124,6 +128,9 @@ class ShardedPlanService {
 
   /// Distinct (canonical key, epoch) pairs solved anywhere in the tier.
   std::size_t distinct_solves() const;
+  /// (key, epoch) pairs the ledger still holds: those at epochs some shard
+  /// can still solve at.
+  std::size_t ledger_entries() const;
   /// Solves beyond the first per (key, epoch) — 0 is the dedup-tier
   /// soundness invariant (cache-wipe chaos may legitimately raise it).
   std::uint64_t duplicate_solves() const;
@@ -148,7 +155,10 @@ class ShardedPlanService {
   std::atomic<std::uint64_t> forwarded_{0};
 
   mutable std::mutex ledger_mutex_;
-  std::map<std::pair<std::string, std::uint64_t>, std::uint64_t> solve_counts_;
+  /// Solves per (epoch, canonical key), epoch first so a sweep erases a
+  /// prefix.
+  std::map<std::pair<std::uint64_t, std::string>, std::uint64_t> solve_counts_;
+  std::uint64_t distinct_solves_ = 0;
   std::uint64_t duplicate_solves_ = 0;
 };
 

@@ -6,11 +6,12 @@
 
 namespace sompi {
 
-Market::Market(const Catalog* catalog, std::vector<SpotTrace> traces)
-    : catalog_(catalog), traces_(std::move(traces)) {
+Market::Market(const Catalog* catalog, std::vector<SpotTrace> traces) : catalog_(catalog) {
   SOMPI_REQUIRE(catalog_ != nullptr);
-  SOMPI_REQUIRE_MSG(traces_.size() == catalog_->types().size() * catalog_->zones().size(),
+  SOMPI_REQUIRE_MSG(traces.size() == catalog_->types().size() * catalog_->zones().size(),
                     "one trace per (type, zone) required");
+  traces_.reserve(traces.size());
+  for (SpotTrace& t : traces) traces_.push_back(std::make_shared<const SpotTrace>(std::move(t)));
 }
 
 std::size_t Market::index(const CircleGroupSpec& group) const {
@@ -20,22 +21,29 @@ std::size_t Market::index(const CircleGroupSpec& group) const {
 }
 
 const SpotTrace& Market::trace(const CircleGroupSpec& group) const {
+  return *traces_[index(group)];
+}
+
+const std::shared_ptr<const SpotTrace>& Market::shared_trace(const CircleGroupSpec& group) const {
   return traces_[index(group)];
 }
 
-SpotTrace& Market::mutable_trace(const CircleGroupSpec& group) { return traces_[index(group)]; }
+void Market::set_trace(const CircleGroupSpec& group, std::shared_ptr<const SpotTrace> trace) {
+  SOMPI_REQUIRE(trace != nullptr);
+  traces_[index(group)] = std::move(trace);
+}
 
 Market Market::tail_hours(double hours) const {
   std::vector<SpotTrace> tails;
   tails.reserve(traces_.size());
-  for (const auto& t : traces_) tails.push_back(t.tail_hours(hours));
+  for (const auto& t : traces_) tails.push_back(t->tail_hours(hours));
   return Market(catalog_, std::move(tails));
 }
 
 Market Market::window(std::size_t start, std::size_t len) const {
   std::vector<SpotTrace> parts;
   parts.reserve(traces_.size());
-  for (const auto& t : traces_) parts.push_back(t.window(start, len));
+  for (const auto& t : traces_) parts.push_back(t->window(start, len));
   return Market(catalog_, std::move(parts));
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,11 @@
 namespace sompi {
 
 /// Spot-price traces for every circle group in a catalog.
+///
+/// Each group's trace is an immutable object held by shared pointer, so
+/// copying a Market copies one pointer per group and every copy reads the
+/// same trace objects. A new history for a group is a new trace installed
+/// with set_trace(); markets that still hold the old one are unaffected.
 class Market {
  public:
   Market(const Catalog* catalog, std::vector<SpotTrace> traces);
@@ -26,7 +32,10 @@ class Market {
 
   /// Trace for a circle group; groups are indexed as type*zones+zone.
   const SpotTrace& trace(const CircleGroupSpec& group) const;
-  SpotTrace& mutable_trace(const CircleGroupSpec& group);
+  /// The shared trace object behind trace(group).
+  const std::shared_ptr<const SpotTrace>& shared_trace(const CircleGroupSpec& group) const;
+  /// Points this market's group at `trace` (non-null).
+  void set_trace(const CircleGroupSpec& group, std::shared_ptr<const SpotTrace> trace);
 
   std::size_t group_count() const { return traces_.size(); }
 
@@ -41,7 +50,7 @@ class Market {
   std::size_t index(const CircleGroupSpec& group) const;
 
   const Catalog* catalog_;
-  std::vector<SpotTrace> traces_;
+  std::vector<std::shared_ptr<const SpotTrace>> traces_;
 };
 
 /// Per-group volatility assignment. Entry [t*zones+z] gives the class of

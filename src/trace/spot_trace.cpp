@@ -10,7 +10,15 @@ namespace sompi {
 SpotTrace::SpotTrace(double step_hours, std::vector<double> prices)
     : step_hours_(step_hours), prices_(std::move(prices)) {
   SOMPI_REQUIRE(step_hours_ > 0.0);
-  for (double p : prices_) SOMPI_REQUIRE_MSG(p >= 0.0, "spot price must be non-negative");
+  for (double p : prices_) {
+    SOMPI_REQUIRE_MSG(p >= 0.0, "spot price must be non-negative");
+    note_extremes(p);
+  }
+}
+
+void SpotTrace::note_extremes(double p) {
+  max_price_ = std::max(max_price_, p);
+  min_price_ = std::min(min_price_, p);
 }
 
 double SpotTrace::price(std::size_t i) const {
@@ -25,61 +33,31 @@ double SpotTrace::price_at_hours(double hours) const {
   return price(i);
 }
 
-void SpotTrace::ensure_index_locked() const {
-  if (index_built_) return;
-  sorted_ = prices_;
-  std::sort(sorted_.begin(), sorted_.end());
-  mean_memo_.assign(prices_.size() + 1, std::numeric_limits<double>::quiet_NaN());
-  index_built_ = true;
-}
-
 double SpotTrace::max_price() const {
   SOMPI_REQUIRE(!prices_.empty());
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  ensure_index_locked();
-  return sorted_.back();
+  return max_price_;
 }
 
 double SpotTrace::min_price() const {
   SOMPI_REQUIRE(!prices_.empty());
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  ensure_index_locked();
-  return sorted_.front();
+  return min_price_;
 }
 
 double SpotTrace::mean_below(double bid) const {
-  if (prices_.empty()) return 0.0;
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  ensure_index_locked();
-  // The admitted count determines the admitted multiset (the j smallest
-  // prices, duplicates included), so the mean is memoized per count. The
-  // memoized value comes from the same trace-order scan the naive version
-  // runs — summing in sorted order would change the bits.
-  const std::size_t j = static_cast<std::size_t>(
-      std::upper_bound(sorted_.begin(), sorted_.end(), bid) - sorted_.begin());
-  if (j == 0) return 0.0;
-  double& memo = mean_memo_[j];
-  if (std::isnan(memo)) {
-    const double threshold = sorted_[j - 1];
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (double p : prices_) {
-      if (p <= threshold) {
-        sum += p;
-        ++n;
-      }
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (double p : prices_) {
+    if (p <= bid) {
+      sum += p;
+      ++n;
     }
-    memo = sum / static_cast<double>(n);
   }
-  return memo;
+  return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
 double SpotTrace::availability(double bid) const {
   if (prices_.empty()) return 0.0;
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  ensure_index_locked();
-  const std::size_t n = static_cast<std::size_t>(
-      std::upper_bound(sorted_.begin(), sorted_.end(), bid) - sorted_.begin());
+  const auto n = std::count_if(prices_.begin(), prices_.end(), [&](double p) { return p <= bid; });
   return static_cast<double>(n) / static_cast<double>(prices_.size());
 }
 
@@ -115,19 +93,22 @@ void SpotTrace::append(const SpotTrace& more) {
                     "appended trace must use the same step size");
   if (prices_.empty()) step_hours_ = more.step_hours_;
   prices_.insert(prices_.end(), more.prices_.begin(), more.prices_.end());
-  invalidate_index();
+  if (!more.empty()) {
+    note_extremes(more.max_price_);
+    note_extremes(more.min_price_);
+  }
 }
 
 void SpotTrace::append(double price) {
   SOMPI_REQUIRE_MSG(price >= 0.0, "spot price must be non-negative");
   prices_.push_back(price);
-  invalidate_index();
+  note_extremes(price);
 }
 
 void SpotTrace::append(const std::vector<double>& prices) {
   for (double p : prices) SOMPI_REQUIRE_MSG(p >= 0.0, "spot price must be non-negative");
   prices_.insert(prices_.end(), prices.begin(), prices.end());
-  invalidate_index();
+  for (double p : prices) note_extremes(p);
 }
 
 }  // namespace sompi

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,34 +24,10 @@ class SpotTrace {
   /// Requires step_hours > 0 and all prices >= 0.
   SpotTrace(double step_hours, std::vector<double> prices);
 
-  // Copies and moves carry only the series; the lazy query index (see
-  // below) is rebuilt on first use so a window/tail copy stays O(n).
-  SpotTrace(const SpotTrace& o) : step_hours_(o.step_hours_), prices_(o.prices_) {}
-  SpotTrace& operator=(const SpotTrace& o) {
-    if (this != &o) {
-      step_hours_ = o.step_hours_;
-      prices_ = o.prices_;
-      invalidate_index();
-    }
-    return *this;
-  }
-  SpotTrace(SpotTrace&& o) noexcept
-      : step_hours_(o.step_hours_), prices_(std::move(o.prices_)) {}
-  SpotTrace& operator=(SpotTrace&& o) noexcept {
-    if (this != &o) {
-      step_hours_ = o.step_hours_;
-      prices_ = std::move(o.prices_);
-      invalidate_index();
-    }
-    return *this;
-  }
-
   /// Appends a single price step — the feed pipeline's per-tick hot path.
-  /// Invalidates the lazy index and memoized means under the index lock, so
-  /// the next query sees exactly the state a freshly constructed trace would.
   void append(double price);
 
-  /// Appends a batch of price steps (same invalidation semantics).
+  /// Appends a batch of price steps.
   void append(const std::vector<double>& prices);
 
   std::size_t steps() const { return prices_.size(); }
@@ -68,26 +43,23 @@ class SpotTrace {
   const std::vector<double>& prices() const { return prices_; }
 
   /// Highest price seen — the paper's H_i, the upper bound of the bid range.
-  /// O(1) after the first price query (lazy sorted index).
+  /// O(1): kept up to date by construction and every append.
   double max_price() const;
-  /// Lowest price seen. O(1) after the first price query.
+  /// Lowest price seen. O(1), like max_price().
   double min_price() const;
 
   /// Mean of all prices that are <= bid — the paper's expected spot price
   /// S_i(P). Returns 0 when no historical price is below the bid (the group
   /// would never launch and never accrue cost).
   ///
-  /// O(log n) per distinct selection: the lazy sorted index locates how many
-  /// prices the bid admits, and the mean for that selection is memoized. The
-  /// memoized value is computed by the same trace-order scan the naive
-  /// implementation performs, so results are bit-identical to it — sorted
-  /// prefix sums would re-associate the additions and drift the failure
-  /// model's expected prices by ulps, which the golden plans would catch.
+  /// One O(n) scan in trace order. The summation order is part of the
+  /// contract: sorted prefix sums would re-associate the additions and drift
+  /// the failure model's expected prices by ulps, which the golden plans
+  /// would catch. Callers that query many bids (the failure model's cost
+  /// tables) ask once per bid per table build.
   double mean_below(double bid) const;
 
-  /// Fraction of steps whose price is <= bid (instant availability).
-  /// O(log n) via the sorted index; the count is exact, so the result is the
-  /// same division the naive scan performs.
+  /// Fraction of steps whose price is <= bid (instant availability). O(n).
   double availability(double bid) const;
 
   /// First step at or after `start` whose price strictly exceeds `bid`,
@@ -108,27 +80,13 @@ class SpotTrace {
   void append(const SpotTrace& more);
 
  private:
-  /// Builds the sorted index on first use; caller must hold index_mutex_.
-  void ensure_index_locked() const;
-  /// Drops the index and memos; takes index_mutex_ so appends on a trace
-  /// whose index was already warmed cannot race a concurrent query into
-  /// serving stale memoized means.
-  void invalidate_index() {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    index_built_ = false;
-    sorted_.clear();
-    mean_memo_.clear();
-  }
+  void note_extremes(double p);
 
   double step_hours_ = 1.0;
   std::vector<double> prices_;
-  // Lazy query index. Mutable + mutex-protected so the price queries stay
-  // usable from const shared traces (market snapshots are read concurrently);
-  // the first query pays the O(n log n) sort, later ones O(log n) or O(1).
-  mutable std::mutex index_mutex_;
-  mutable bool index_built_ = false;
-  mutable std::vector<double> sorted_;     ///< prices, ascending
-  mutable std::vector<double> mean_memo_;  ///< by admitted count; NaN = unset
+  // Running extremes of prices_; meaningless (and never read) while empty.
+  double max_price_ = -std::numeric_limits<double>::infinity();
+  double min_price_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace sompi

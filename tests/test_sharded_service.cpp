@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -134,6 +137,120 @@ TEST_F(BoardFanoutTest, RejectsReplicasAtDivergentEpochs) {
   b.ingest({});  // push b to epoch 2 behind the fan-out's back
   EXPECT_THROW(BoardFanout({&a, &b}), PreconditionError);
   EXPECT_THROW(BoardFanout({}), PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Shared traces: a fan-out ingest builds each touched group's trace once and
+// every replica installs that object; untouched groups keep theirs.
+
+class SharedTraceTest : public BoardFanoutTest {};
+
+TEST_F(SharedTraceTest, FanoutIngestSharesTouchedTracesAndKeepsUntouchedOnes) {
+  MarketBoard a(market_), b(market_), c(market_);
+  BoardFanout fanout({&a, &b, &c});
+  const std::vector<MarketBoard*> replicas{&a, &b, &c};
+  std::vector<MarketSnapshot> before;
+  for (const MarketBoard* board : replicas) before.push_back(board->snapshot());
+  const std::vector<CircleGroupSpec> groups = catalog_.all_groups();
+  // Replicas primed from one Market already share its trace objects.
+  for (const CircleGroupSpec& g : groups)
+    for (const MarketSnapshot& snap : before)
+      EXPECT_EQ(snap.market->shared_trace(g), market_.shared_trace(g));
+
+  const std::vector<CircleGroupSpec> touched{{0, 0}, {1, 1}};
+  // {0, 0} is named twice: both of its updates land, in order, on one trace.
+  fanout.ingest({PriceUpdate{{0, 0}, {0.011}}, PriceUpdate{{1, 1}, {0.033, 0.044}},
+                 PriceUpdate{{0, 0}, {0.022}}});
+
+  for (const CircleGroupSpec& g : groups) {
+    const bool is_touched = std::find(touched.begin(), touched.end(), g) != touched.end();
+    const std::shared_ptr<const SpotTrace>& first = a.snapshot().market->shared_trace(g);
+    for (std::size_t r = 0; r < replicas.size(); ++r) {
+      const MarketSnapshot now = replicas[r]->snapshot();
+      // One object per group across all replicas, touched or not.
+      EXPECT_EQ(now.market->shared_trace(g), first) << "replica " << r;
+      if (is_touched)
+        EXPECT_NE(now.market->shared_trace(g), before[r].market->shared_trace(g));
+      else
+        EXPECT_EQ(now.market->shared_trace(g), before[r].market->shared_trace(g));
+    }
+  }
+
+  // The new traces carry the appended steps; the old snapshots still read
+  // exactly the history they were taken at.
+  const std::size_t len = market_.trace({0, 0}).steps();
+  const SpotTrace& t00 = b.snapshot().market->trace({0, 0});
+  ASSERT_EQ(t00.steps(), len + 2);
+  EXPECT_EQ(t00.price(len), 0.011);
+  EXPECT_EQ(t00.price(len + 1), 0.022);
+  EXPECT_EQ(c.snapshot().market->trace({1, 1}).steps(), market_.trace({1, 1}).steps() + 2);
+  for (const MarketSnapshot& snap : before) {
+    for (const CircleGroupSpec& g : touched) {
+      const SpotTrace& old = snap.market->trace(g);
+      ASSERT_EQ(old.steps(), market_.trace(g).steps());
+      EXPECT_EQ(old.prices(), market_.trace(g).prices());
+      EXPECT_EQ(old.max_price(), market_.trace(g).max_price());
+    }
+  }
+}
+
+TEST_F(SharedTraceTest, BoardIngestCopiesOnlyTouchedGroupsAndFailsAtomically) {
+  MarketBoard board(market_);
+  const MarketSnapshot before = board.snapshot();
+  board.ingest({PriceUpdate{{2, 1}, {0.5}}});
+  const MarketSnapshot after = board.snapshot();
+  for (const CircleGroupSpec& g : catalog_.all_groups()) {
+    if (g == CircleGroupSpec{2, 1})
+      EXPECT_NE(after.market->shared_trace(g), before.market->shared_trace(g));
+    else
+      EXPECT_EQ(after.market->shared_trace(g), before.market->shared_trace(g));
+  }
+  EXPECT_EQ(after.market->trace({2, 1}).max_price(),
+            std::max(0.5, before.market->trace({2, 1}).max_price()));
+
+  // A bad update anywhere in the batch publishes nothing.
+  EXPECT_THROW(board.ingest({PriceUpdate{{0, 0}, {0.1}}, PriceUpdate{{0, 1}, {-1.0}}}),
+               PreconditionError);
+  EXPECT_EQ(board.epoch(), after.epoch);
+  EXPECT_EQ(board.snapshot().market, after.market);
+  EXPECT_EQ(board.group_versions(), after.versions);
+}
+
+TEST_F(SharedTraceTest, ConcurrentReadersOfSharedTracesSeeFrozenHistories) {
+  // Readers on every replica query the shared trace objects (price scans,
+  // extremes, copies) while the fan-out keeps installing new ones. Each
+  // snapshot must read exactly the history of its epoch.
+  MarketBoard a(market_), b(market_), c(market_);
+  BoardFanout fanout({&a, &b, &c});
+  const std::vector<MarketBoard*> replicas{&a, &b, &c};
+  const std::size_t base = market_.trace({0, 0}).steps();
+  constexpr std::uint64_t kEpochs = 500;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (MarketBoard* board : replicas) {
+    readers.emplace_back([&, board] {
+      while (!done.load()) {
+        const MarketSnapshot snap = board->snapshot();
+        const SpotTrace& t = snap.market->trace({0, 0});
+        // Epoch e holds e - 1 appended steps of price 0.01 * e'.
+        if (t.steps() != base + (snap.epoch - 1)) ++mismatches;
+        if (snap.epoch > 1 && t.price(t.steps() - 1) != 0.01 * static_cast<double>(snap.epoch))
+          ++mismatches;
+        const double bid = t.max_price();
+        if (t.availability(bid) != 1.0 || t.mean_below(bid) <= 0.0) ++mismatches;
+        if (t.tail_hours(1.0).steps() != 4) ++mismatches;
+      }
+    });
+  }
+  for (std::uint64_t e = 2; e <= kEpochs; ++e)
+    EXPECT_EQ(fanout.ingest({PriceUpdate{{0, 0}, {0.01 * static_cast<double>(e)}},
+                             PriceUpdate{{1, 2}, {0.02}}}),
+              e);
+  done = true;
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(a.snapshot().market->shared_trace({0, 0}), c.snapshot().market->shared_trace({0, 0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -366,6 +483,48 @@ TEST_F(ShardedServiceTest, WipedShardReSolvesToTheIdenticalPlan) {
   EXPECT_EQ(plan_fingerprint(*again.plan), plan_fingerprint(*first.plan));
   // The wipe legitimately broke the one-solve economy — the ledger says so.
   EXPECT_EQ(tier.duplicate_solves(), 1u);
+}
+
+TEST_F(ShardedServiceTest, SolveLedgerStaysBoundedAndExactOverThousandsOfEpochs) {
+  // The tier's ledger forgets epochs no shard can solve at any more; a
+  // reference ledger fed by the caller's solve hook keeps everything. Both
+  // counts must agree with the reference at every epoch while the tier's
+  // entry count stays flat. Empty ingests bump the epoch without moving any
+  // history, so every re-plan reuses all of its tables and stays cheap.
+  std::map<std::pair<std::string, std::uint64_t>, std::uint64_t> reference;
+  std::uint64_t reference_duplicates = 0;
+  ShardedConfig config = tier_config(4);
+  config.service.solve_hook = [&](const std::string& key, std::uint64_t epoch) {
+    if (++reference[{key, epoch}] > 1) ++reference_duplicates;
+  };
+  ShardedPlanService tier(&catalog_, &est_, market_, config);
+  const std::vector<PlanRequest> requests{request(1.3), request(1.7)};
+  constexpr std::uint64_t kEpochs = 1000;
+  std::size_t peak_entries = 0;
+  for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_EQ(tier.serve_on(e % tier.shard_count(), requests[i]).outcome,
+                PlanOutcome::kSolved);
+      ASSERT_EQ(tier.serve(requests[i]).outcome, PlanOutcome::kHit);
+    }
+    if (e % 97 == 0) {
+      // Chaos: a wiped home shard re-solves at the same epoch — a duplicate
+      // the sweep must still see.
+      tier.shard(tier.home_shard(requests[0])).wipe_cache();
+      ASSERT_EQ(tier.serve(requests[0]).outcome, PlanOutcome::kSolved);
+    }
+    ASSERT_EQ(tier.distinct_solves(), reference.size()) << "epoch " << e;
+    ASSERT_EQ(tier.duplicate_solves(), reference_duplicates) << "epoch " << e;
+    peak_entries = std::max(peak_entries, tier.ledger_entries());
+    tier.fanout().ingest({});
+  }
+  EXPECT_EQ(reference.size(), kEpochs * requests.size());
+  EXPECT_EQ(reference_duplicates, kEpochs / 97);
+  // At most the current epoch's keys plus the previous epoch's, which are
+  // dropped by the first solve after the bump.
+  EXPECT_LE(peak_entries, 2 * requests.size());
+  const ShardedStats stats = tier.stats();
+  EXPECT_EQ(stats.total.solves, tier.distinct_solves() + stats.duplicate_solves);
 }
 
 TEST_F(ShardedServiceTest, RejectsZeroShardsAndOutOfRangeLanding) {

@@ -83,7 +83,7 @@ TEST(SpotTrace, RejectsNegativePricesAndBadStep) {
   EXPECT_THROW(SpotTrace(0.0, {1.0}), PreconditionError);
 }
 
-// --- Lazy sorted-index queries vs the naive O(n) scans. ---
+// --- Price queries vs independent naive O(n) scans. ---
 
 double naive_mean_below(const SpotTrace& t, double bid) {
   double sum = 0.0;
@@ -97,8 +97,8 @@ double naive_mean_below(const SpotTrace& t, double bid) {
 }
 
 TEST(SpotTraceIndex, MeanBelowMatchesNaiveScanBitwise) {
-  // The indexed fast path must return the naive scan's exact bits — the
-  // failure model's expected prices feed golden-pinned plan fingerprints.
+  // mean_below must return the naive scan's exact bits — the failure
+  // model's expected prices feed golden-pinned plan fingerprints.
   std::mt19937_64 rng(2024);
   std::uniform_real_distribution<double> price(0.0, 2.0);
   for (int round = 0; round < 20; ++round) {
@@ -127,7 +127,7 @@ TEST(SpotTraceIndex, MeanBelowMatchesNaiveScanBitwise) {
 
 TEST(SpotTraceIndex, AppendInvalidatesTheIndex) {
   SpotTrace t(0.5, {1.0, 2.0});
-  EXPECT_DOUBLE_EQ(t.mean_below(1.5), 1.0);  // builds the index
+  EXPECT_DOUBLE_EQ(t.mean_below(1.5), 1.0);
   t.append(SpotTrace(0.5, {0.5}));
   EXPECT_DOUBLE_EQ(t.mean_below(1.5), 0.75);  // sees the appended step
   EXPECT_DOUBLE_EQ(t.max_price(), 2.0);
@@ -136,8 +136,8 @@ TEST(SpotTraceIndex, AppendInvalidatesTheIndex) {
 
 TEST(SpotTraceIndex, CopiesQueryIndependently) {
   SpotTrace t(0.5, {1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(t.mean_below(10.0), 2.0);  // builds the index
-  SpotTrace copy = t;                         // copies drop the cache
+  EXPECT_DOUBLE_EQ(t.mean_below(10.0), 2.0);
+  SpotTrace copy = t;
   EXPECT_DOUBLE_EQ(copy.mean_below(1.0), 1.0);
   copy = SpotTrace(0.5, {5.0});
   EXPECT_DOUBLE_EQ(copy.max_price(), 5.0);
@@ -147,7 +147,7 @@ TEST(SpotTraceIndex, CopiesQueryIndependently) {
 TEST(SpotTraceIndex, PointAppendMatchesFreshTraceBitwise) {
   // The feed pipeline's hot path: point appends interleaved with queries.
   // After every append the trace must answer exactly like one constructed
-  // from scratch over the same series — stale index or memo bits would leak
+  // from scratch over the same series — stale extremes or means would leak
   // into the failure model's expected prices and shift plan fingerprints.
   std::mt19937_64 rng(77);
   std::uniform_real_distribution<double> price(0.0, 2.0);
@@ -157,7 +157,7 @@ TEST(SpotTraceIndex, PointAppendMatchesFreshTraceBitwise) {
     const double p = price(rng);
     prices.push_back(p);
     live.append(p);
-    if (i % 7 != 0) continue;  // query (and warm the index) on a subset
+    if (i % 7 != 0) continue;  // query on a subset
     const SpotTrace fresh(0.25, prices);
     const double bid = i % 2 == 0 ? price(rng) : prices[rng() % prices.size()];
     EXPECT_EQ(std::bit_cast<std::uint64_t>(live.mean_below(bid)),
@@ -173,7 +173,7 @@ TEST(SpotTraceIndex, PointAppendMatchesFreshTraceBitwise) {
 
 TEST(SpotTraceIndex, BatchAppendInvalidatesWarmIndex) {
   SpotTrace t(0.5, {1.0, 2.0});
-  EXPECT_DOUBLE_EQ(t.mean_below(2.5), 1.5);  // warms index + memo
+  EXPECT_DOUBLE_EQ(t.mean_below(2.5), 1.5);
   t.append(std::vector<double>{0.5, 4.0});
   EXPECT_DOUBLE_EQ(t.mean_below(2.5), (1.0 + 2.0 + 0.5) / 3.0);
   EXPECT_DOUBLE_EQ(t.max_price(), 4.0);
