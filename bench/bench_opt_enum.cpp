@@ -1,12 +1,13 @@
 // Level-2 enumeration kernel benchmark (DESIGN.md "Optimizer fast path").
-// Times end-to-end optimize() with the incremental branch-and-bound engine
-// against the reference scan (kReference: a fresh CostModel::evaluate per
-// tuple) across K ∈ {4, 8} candidate groups and two bid-grid densities, and
-// reports the work counters behind the speedup: logical evaluations (the
-// fingerprinted exhaustive count), evaluations actually performed, pruned
-// tuples/subtrees, and ns per performed evaluation.
+// Times end-to-end optimize() (the incremental branch-and-bound search)
+// against the exhaustive reference scan (tests/support/reference_search.h: a
+// fresh CostModel::evaluate per tuple) across K ∈ {4, 8} candidate groups and
+// two bid-grid densities, and reports the work counters behind the speedup:
+// logical evaluations (the fingerprinted exhaustive count), evaluations
+// actually performed, pruned tuples/subtrees, and ns per performed
+// evaluation.
 //
-// Every case cross-checks the two engines' plans field-by-field before
+// Every case cross-checks the two searches' plans field-by-field before
 // reporting — a speedup from a wrong plan is a bug, not a result.
 //
 //   bench_opt_enum [--json <path>] [--check <baseline.json>]
@@ -32,6 +33,7 @@
 #include "core/ondemand.h"
 #include "core/optimizer.h"
 #include "profile/paper_profiles.h"
+#include "support/reference_search.h"
 #include "trace/market.h"
 
 using namespace sompi;
@@ -52,7 +54,7 @@ struct Measurement {
   Plan plan;
 };
 
-OptimizerConfig engine_config(const Case& c, SearchEngine engine) {
+OptimizerConfig case_config(const Case& c) {
   OptimizerConfig cfg;
   cfg.max_candidates = c.max_candidates;
   cfg.max_groups = 4;
@@ -60,19 +62,19 @@ OptimizerConfig engine_config(const Case& c, SearchEngine engine) {
   cfg.setup.log_levels = c.log_levels;
   cfg.setup.failure.samples = 800;
   cfg.ratio_bins = 64;
-  cfg.engine = engine;
   return cfg;
 }
 
-Measurement measure(const SompiOptimizer& opt, const AppProfile& app, const Market& market,
-                    double deadline, std::size_t iters) {
+/// Times `iters` calls of `solve`, keeping the last plan.
+template <typename Solve>
+Measurement measure(const Solve& solve, std::size_t iters) {
   Measurement m;
   m.iters = iters;
   std::vector<double> samples;
   samples.reserve(iters);
   for (std::size_t i = 0; i < iters; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
-    m.plan = opt.optimize(app, market, deadline);
+    m.plan = solve();
     samples.push_back(
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count());
   }
@@ -148,11 +150,14 @@ int main(int argc, char** argv) {
   std::printf("%-8s %12s %12s %12s %12s %12s %10s %10s\n", "case", "engine", "mean_ms",
               "evals_logical", "evals_done", "pruned", "ns/eval", "speedup");
   for (const Case& c : cases) {
-    const SompiOptimizer ref(&catalog, &est, engine_config(c, SearchEngine::kReference));
-    const SompiOptimizer fast(&catalog, &est, engine_config(c, SearchEngine::kIncremental));
+    const OptimizerConfig cfg = case_config(c);
+    const SompiOptimizer fast(&catalog, &est, cfg);
 
-    const Measurement mr = measure(ref, app, market, deadline, /*iters=*/2);
-    const Measurement mf = measure(fast, app, market, deadline, /*iters=*/5);
+    const Measurement mr = measure(
+        [&] { return reference_optimize(catalog, est, cfg, app, market, deadline); },
+        /*iters=*/2);
+    const Measurement mf =
+        measure([&] { return fast.optimize(app, market, deadline); }, /*iters=*/5);
 
     if (!plans_identical(mr.plan, mf.plan)) {
       std::fprintf(stderr, "FAIL %s: incremental plan differs from reference plan\n",

@@ -1,5 +1,6 @@
 // Subset and mixed-radix enumeration helpers for the optimizer's k-of-K
-// circle-group search and the bid-tuple product grids.
+// circle-group search and its bid-tuple odometer. The colex and lex tuple
+// walkers the oracles use live in tests/support/reference_search.h.
 #pragma once
 
 #include <cstddef>
@@ -32,20 +33,6 @@ void for_each_combination(std::size_t n, std::size_t k, Fn&& fn) {
       }
       if (i == 0) return;
     }
-  }
-}
-
-/// Calls fn(digits) for every tuple in the mixed-radix product space with
-/// the given per-position radices. digits is reused across calls.
-template <typename Fn>
-void for_each_tuple(const std::vector<std::size_t>& radices, Fn&& fn) {
-  for (std::size_t r : radices) SOMPI_REQUIRE(r >= 1);
-  std::vector<std::size_t> digits(radices.size(), 0);
-  for (;;) {
-    fn(digits);
-    std::size_t i = 0;
-    while (i < radices.size() && ++digits[i] == radices[i]) digits[i++] = 0;
-    if (i == radices.size()) return;
   }
 }
 
@@ -112,20 +99,6 @@ class TupleOdometer {
   std::vector<std::size_t> digits_;
   bool done_ = false;
 };
-
-/// Calls fn(digits, changed_from) for every tuple in lexicographic order
-/// (last digit fastest). changed_from is the lowest index whose digit
-/// differs from the previous call (0 on the first call). digits is reused
-/// across calls.
-template <typename Fn>
-void for_each_tuple_lex(const std::vector<std::size_t>& radices, Fn&& fn) {
-  TupleOdometer od(radices);
-  std::size_t changed = 0;
-  while (!od.done()) {
-    fn(od.digits(), changed);
-    changed = od.advance();
-  }
-}
 
 /// Binomial coefficient C(n, k) in floating point (sizing estimates only).
 inline double binomial(std::size_t n, std::size_t k) {

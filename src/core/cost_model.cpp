@@ -188,26 +188,6 @@ Expectation CostModel::evaluate_joint_exact(const std::vector<GroupDecision>& de
 // naive evaluator would produce in place.
 // ---------------------------------------------------------------------------
 
-CostTables::CostTables(const std::vector<GroupSetup>& groups, const OnDemandChoice& od,
-                       CostModel::Config config, const std::vector<std::vector<int>>& f_of)
-    : CostTables(groups, od, config, [&] {
-        // Degenerate lowering: one choice per bid, scales exactly 1.0 — the
-        // generic constructor then performs the identical operations in the
-        // identical order as the pre-multilevel bid-only build.
-        std::vector<std::vector<ChoiceSpec>> choices(f_of.size());
-        for (std::size_t g = 0; g < f_of.size(); ++g) {
-          choices[g].resize(f_of[g].size());
-          for (std::size_t b = 0; b < f_of[g].size(); ++b) {
-            choices[g][b].bid_index = b;
-            choices[g][b].f_steps = f_of[g][b];
-          }
-        }
-        return choices;
-      }()) {
-  for (std::size_t g = 0; g < groups.size(); ++g)
-    SOMPI_REQUIRE(f_of[g].size() == groups[g].failure.bid_count());
-}
-
 GroupCostTable::GroupCostTable(const GroupSetup& grp, const OnDemandChoice& od,
                                CostModel::Config config,
                                const std::vector<ChoiceSpec>& choices)
@@ -280,22 +260,6 @@ GroupCostTable::GroupCostTable(const GroupSetup& grp, const OnDemandChoice& od,
     cells_[ci].life = life_pool_.data() + life_off[ci];
     cells_[ci].tail = tail_pool_.data() + tail_off[ci];
   }
-}
-
-CostTables::CostTables(const std::vector<GroupSetup>& groups, const OnDemandChoice& od,
-                       CostModel::Config config,
-                       const std::vector<std::vector<ChoiceSpec>>& choices)
-    : groups_(&groups), od_(od), config_(config) {
-  SOMPI_REQUIRE(!groups.empty());
-  SOMPI_REQUIRE(choices.size() == groups.size());
-  SOMPI_REQUIRE(config_.step_hours > 0.0);
-  SOMPI_REQUIRE(config_.ratio_bins >= 8);
-  SOMPI_REQUIRE(od_.t_h > 0.0 && od_.rate_usd_h > 0.0);
-
-  blocks_.reserve(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g)
-    blocks_.push_back(
-        std::make_shared<const GroupCostTable>(groups[g], od_, config_, choices[g]));
 }
 
 CostTables::CostTables(const std::vector<GroupSetup>& groups, const OnDemandChoice& od,

@@ -159,29 +159,17 @@ class GroupCostTable {
 /// Per-(group, choice) precomputed kernels over a candidate-group list,
 /// where a choice is a (bid, tied interval, level policy) triple — the
 /// bid-only construction is the degenerate single-policy case. Composes one
-/// GroupCostTable block per group (built here, or reused from a
-/// CostTableStore via the block-composing constructor). Groups are
-/// borrowed; the pointees must outlive the tables. Read-only after
-/// construction and therefore safe to share across optimizer threads.
+/// GroupCostTable block per group, each freshly built or reused from a
+/// CostTableStore. Groups are borrowed; the pointees must outlive the
+/// tables. Read-only after construction.
 class CostTables {
  public:
   using Cell = GroupCostTable::Cell;
 
-  /// Generalized form: choices[g] enumerates the (bid, F, policy) choices of
-  /// group g, in enumeration order.
-  CostTables(const std::vector<GroupSetup>& groups, const OnDemandChoice& od,
-             CostModel::Config config,
-             const std::vector<std::vector<ChoiceSpec>>& choices);
-
-  /// Bid-only convenience (the pre-multilevel surface): one choice per bid
-  /// with the interval tied via f_of[g][b] and degenerate scales.
-  CostTables(const std::vector<GroupSetup>& groups, const OnDemandChoice& od,
-             CostModel::Config config, const std::vector<std::vector<int>>& f_of);
-
-  /// Warm path: composes pre-built per-group blocks (one per group, each
-  /// built from the identical (setup, choices, od, config) inputs) without
-  /// recomputing anything — the composed tables are bit-identical to a
-  /// fresh build because blocks carry no cross-group state.
+  /// Composes pre-built per-group blocks (one per group, each built from its
+  /// group's (setup, choices, od, config) inputs) without recomputing
+  /// anything — blocks carry no cross-group state, so a reused block is
+  /// bit-identical to a fresh one.
   CostTables(const std::vector<GroupSetup>& groups, const OnDemandChoice& od,
              CostModel::Config config,
              std::vector<std::shared_ptr<const GroupCostTable>> blocks);

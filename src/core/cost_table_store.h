@@ -4,8 +4,8 @@
 // only on (that group's price history, the optimizer config, the app, the
 // deadline, the on-demand tier): the GroupSetup with its Monte-Carlo
 // FailureModel — a minority of a cold solve, which the search dominates —
-// plus the φ-tied checkpoint intervals, the guard tables and the incremental
-// engine's GroupCostTable block. All of it is a pure function of those
+// plus the φ-tied checkpoint intervals, the guard tables and the search's
+// GroupCostTable block. All of it is a pure function of those
 // inputs, so when an epoch bump moves only SOME groups' histories, the clean
 // groups' artifacts can be reused bit-identically instead of rebuilt.
 //
@@ -46,9 +46,7 @@ namespace sompi {
 /// artifact (has_derived() == false) carries just the GroupSetup — enough to
 /// skip the Monte-Carlo failure estimation — and is enriched to a full
 /// artifact the first time the group survives candidate pruning inside a
-/// search. `table` stays null under the reference engine (which builds no
-/// tables); an incremental solve that hits such an artifact rebuilds only
-/// the table block.
+/// search; a full artifact always carries its `table` block.
 struct GroupArtifact {
   /// FailureModel (inside GroupSetup) has no default state, so an artifact
   /// is born setup-only and enriched by assigning the derived fields.
@@ -65,7 +63,7 @@ struct GroupArtifact {
   /// Per-choice guard bits: worst case fits the deadline / survival >= 0.5.
   std::vector<unsigned char> fits;
   std::vector<unsigned char> surv_ok;
-  /// Incremental-engine per-(choice) cost table block; may be null.
+  /// Per-choice cost table block; non-null whenever has_derived().
   std::shared_ptr<const GroupCostTable> table;
 
   bool has_derived() const { return !f_of.empty(); }

@@ -205,10 +205,10 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
 
   // Warm start (DESIGN.md §14): resolve each kept candidate's cached
   // artifact. A hit whose shape matches the current composite choice space
-  // lets every derived table below — φ intervals, guard tables, and (for the
-  // incremental engine) the GroupCostTable block — be reused bit-identically
-  // instead of recomputed; everything else is computed as on the cold path
-  // and stored back for the next epoch.
+  // lets every derived table below — φ intervals, guard tables and the
+  // GroupCostTable block — be reused bit-identically instead of recomputed;
+  // everything else is computed as on the cold path and stored back for the
+  // next epoch.
   const bool warm = ctx != nullptr && ctx->usable();
   const std::uint64_t chash = warm ? replan_config_hash(config_, app, od, deadline_h) : 0;
   const std::size_t zone_count = catalog_->zones().size();
@@ -302,7 +302,9 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
 
   const std::size_t k_max =
       std::min<std::size_t>(config_.max_groups, candidates.size());
-  const std::size_t k_min = config_.enumerate_smaller_subsets ? 1 : k_max;
+  // Never the empty subset: with no candidates there is nothing to search.
+  const std::size_t k_min =
+      config_.enumerate_smaller_subsets ? 1 : std::max<std::size_t>(k_max, 1);
 
   // The cheapest acceptable configuration found within one subset.
   struct SubsetBest {
@@ -312,15 +314,15 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     Expectation expectation;
   };
   /// Logical evaluation count of the exhaustive scan — invariant under
-  /// engine and pruning, feeds Plan::model_evaluations (fingerprint).
+  /// pruning and warm starts, feeds Plan::model_evaluations (fingerprint).
   std::size_t evaluations = 0;
-  /// What the engine actually did (Plan::stats; fingerprint-excluded).
+  /// What the search actually did (Plan::stats; fingerprint-excluded).
   PlanStats stats;
 
   // Per-(group, composite-choice) guard tables, hoisted out of the tuple
-  // loop: the reference scan recomputes group_worst_h (an O(wall) scan) per
-  // tuple per group; both the deadline-fit and the survival-vs-0.5 test
-  // depend only on the (group, policy, bid) triple once F is tied to them.
+  // loop instead of an O(wall) group_worst_h scan per tuple per group: both
+  // the deadline-fit and the survival-vs-0.5 test depend only on the
+  // (group, policy, bid) triple once F is tied to them.
   std::vector<std::size_t> choice_off(candidates.size() + 1, 0);
   for (std::size_t g = 0; g < candidates.size(); ++g)
     choice_off[g + 1] = choice_off[g] + choice_count(g);
@@ -349,11 +351,12 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     }
   }
 
-  // The guard filter, table-driven (the same predicates the reference scan
+  // The guard filter, table-driven (the same predicates the exhaustive scan
   // computes per tuple) for the tuple `digits` over candidate `members`:
   // `branch` when some digit's worst case misses the deadline, `reject`
   // when, in addition, genuine replication cannot stand in — so the tuple
-  // is not evaluated at all.
+  // is not evaluated at all. A lone group never can: a short history window
+  // can miss rare spikes entirely and report survival 1.0.
   struct Guard {
     bool branch = false;
     bool reject = false;
@@ -372,7 +375,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
   };
 
   // Exhaustive-scan evaluation count for one subset, in closed form. The
-  // reference engine evaluates (a) every all-fit tuple, (b) for k >= 2,
+  // exhaustive scan evaluates (a) every all-fit tuple, (b) for k >= 2,
   // every tuple with some unfit digit whose groups all pass the survival
   // test, and (c) for k == 1, the guard-clamped second shot per bid where
   // the clamp is active. With the guard off, every tuple is evaluated.
@@ -407,104 +410,20 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     return n;
   };
 
-  const auto eval_subset_reference = [&](const std::vector<std::size_t>& subset) {
-    const std::size_t k = subset.size();
-    SubsetBest best;
-    ++stats.subsets_searched;
-
-    std::vector<const GroupSetup*> view;
-    std::vector<std::size_t> radices;
-    view.reserve(k);
-    radices.reserve(k);
-    for (std::size_t i : subset) {
-      view.push_back(&candidates[i]);
-      radices.push_back(n_pol * candidates[i].failure.bid_count());
-    }
-    const CostModel model(std::move(view), od, model_cfg);
-
-    std::vector<GroupDecision> decisions(k);
-    const auto consider = [&](const std::vector<GroupDecision>& d) {
-      if (config_.worst_case_guard) {
-        double worst = 0.0;
-        for (std::size_t i = 0; i < k; ++i)
-          worst = std::max(worst, group_worst_h(candidates[subset[i]], d[i].f_steps,
-                                                d[i].o_scale, d[i].r_scale));
-        if (worst > deadline_h) {
-          // Worst case does not fit: only GENUINE replication may stand in
-          // — at least two replicas, each individually likely to finish
-          // (no phantom replicas whose bid dies on arrival), with the
-          // joint wipeout below the tolerance. A lone group must not pass
-          // here: a short history window can miss rare spikes entirely
-          // and report survival 1.0.
-          if (k < 2) return;
-          for (std::size_t i = 0; i < k; ++i) {
-            const GroupSetup& g = candidates[subset[i]];
-            const GroupSchedule sched(g.t_steps, d[i].f_steps,
-                                      g.o_steps * d[i].o_scale,
-                                      g.r_steps * d[i].r_scale);
-            if (g.failure.survival_at(d[i].bid_index, sched.wall_duration()) < 0.5) return;
-          }
-          const Expectation e = model.evaluate(d);
-          ++evaluations;
-          ++stats.evaluations;
-          const double p_all_fail = 1.0 - e.p_complete_on_spot;
-          if (p_all_fail > config_.miss_tolerance) return;
-          if (e.time_h <= deadline_h && e.cost_usd < best.cost) {
-            best.cost = e.cost_usd;
-            best.subset = subset;
-            best.decisions = d;
-            best.expectation = e;
-          }
-          return;
-        }
-      }
-      const Expectation e = model.evaluate(d);
-      ++evaluations;
-      ++stats.evaluations;
-      if (e.time_h <= deadline_h && e.cost_usd < best.cost) {
-        best.cost = e.cost_usd;
-        best.subset = subset;
-        best.decisions = d;
-        best.expectation = e;
-      }
-    };
-
-    for_each_tuple(radices, [&](const std::vector<std::size_t>& digits) {
-      ++stats.tuples_visited;
-      for (std::size_t i = 0; i < k; ++i)
-        decisions[i] = decode(subset[i], digits[i], f_of);
-      consider(decisions);
-
-      // Single-group plans get a second shot with the guard-clamped
-      // interval: denser checkpoints buy worst-case deadline safety.
-      // (Not when checkpointing is ablated away — the clamp would
-      // silently re-enable it.)
-      if (config_.worst_case_guard && k == 1 && config_.phi_mode != PhiMode::kDisabled) {
-        const int clamp = f_guard_max[subset[0] * n_pol + decisions[0].policy_index];
-        if (clamp >= 1 && clamp < decisions[0].f_steps) {
-          std::vector<GroupDecision> clamped = decisions;
-          clamped[0].f_steps = clamp;
-          consider(clamped);
-        }
-      }
-    });
-    return best;
-  };
-
-  // --- Incremental engine (DESIGN.md "Optimizer fast path"). ---
+  // --- The search (DESIGN.md "Optimizer fast path"). ---
   // Per-(group, bid) kernels precomputed once over the full candidate list;
   // per-subset searches walk a lex-order odometer with per-prefix cached
   // fold state and cut subtrees whose admissible cost bound exceeds the
-  // cross-subset incumbent. Plans are bit-identical to the reference scan.
+  // cross-subset incumbent. Plans are bit-identical to the exhaustive scan
+  // (the oracle in tests/support/reference_search.h).
   std::optional<CostTables> tables;
-  if (config_.engine == SearchEngine::kIncremental && !candidates.empty()) {
+  if (!candidates.empty()) {
     // Per-group table blocks: a warm artifact's block is adopted as-is (it
     // is a pure function of inputs the version + config hash pin), the rest
     // are built exactly as on the cold path.
     std::vector<std::shared_ptr<const GroupCostTable>> blocks(candidates.size());
     for (std::size_t g = 0; g < candidates.size(); ++g) {
-      if (warm && derived_ok(g) && arts[g]->table != nullptr &&
-          arts[g]->table->choice_count() == choice_count(g)) {
+      if (warm && derived_ok(g)) {
         blocks[g] = arts[g]->table;
         ++stats.tables_reused;
         continue;
@@ -522,15 +441,11 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     tables.emplace(candidates, od, model_cfg, std::move(blocks));
   }
 
-  // Store back every artifact this solve had to (re)build, so the next
-  // epoch's clean groups start fully warm. Incremental solves store the
-  // table block too; reference solves leave it null (a later incremental
-  // solve rebuilds just the block from the cached setup).
+  // Store back every artifact this solve had to (re)build, table block
+  // included, so the next epoch's clean groups start fully warm.
   if (warm) {
     for (std::size_t g = 0; g < candidates.size(); ++g) {
-      const bool fully_cached =
-          derived_ok(g) && (!tables.has_value() || arts[g]->table != nullptr);
-      if (fully_cached) continue;
+      if (derived_ok(g)) continue;
       auto art = std::make_shared<GroupArtifact>(version_of(candidates[g].spec), candidates[g]);
       art->f_of = f_of[g];
       art->f_guard_max.assign(f_guard_max.begin() + static_cast<std::ptrdiff_t>(g * n_pol),
@@ -539,7 +454,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
                        fits.begin() + static_cast<std::ptrdiff_t>(choice_off[g + 1]));
       art->surv_ok.assign(surv_ok.begin() + static_cast<std::ptrdiff_t>(choice_off[g]),
                           surv_ok.begin() + static_cast<std::ptrdiff_t>(choice_off[g + 1]));
-      if (tables.has_value()) art->table = tables->block(g);
+      art->table = tables->block(g);
       ctx->store->store(ctx->scope, candidates[g].spec, chash, std::move(art));
     }
   }
@@ -558,8 +473,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
   // cut and equal-cost ties resolve through the untouched acceptance logic.
   // Any mapping failure (group no longer a candidate, bid fell off the grid,
   // guard-clamped interval, policy set changed) just skips the seed.
-  if (warm && ctx->incumbent != nullptr && ctx->incumbent->uses_spot() &&
-      config_.prune && tables.has_value()) {
+  if (warm && ctx->incumbent != nullptr && ctx->incumbent->uses_spot()) {
     const Plan& prev = *ctx->incumbent;
     const std::size_t k = prev.groups.size();
     bool ok = k >= k_min && k <= k_max;
@@ -592,7 +506,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
           break;
         }
       // Every field must match the tuple EXACTLY (bit-exact doubles): the
-      // seed must be a tuple the engine itself would evaluate from the
+      // seed must be a tuple the search itself would evaluate from the
       // tables, or its cost could undercut every real tuple and prune the
       // true winner.
       if (p == n_pol || b == bids || g.instances != gp.instances ||
@@ -621,7 +535,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
       if (!gd.reject) {
         SubsetEvaluator seed_ev(*tables, members);
         const Expectation& e = seed_ev.evaluate(digits);
-        const bool miss = gd.branch && 1.0 - e.p_complete_on_spot > config_.miss_tolerance;
+        const bool miss = gd.branch && 1.0 - e.p_complete_on_spot > kMissTolerance;
         if (!miss && e.time_h <= deadline_h) {
           incumbent = e.cost_usd;
           stats.warm_seeds = 1;
@@ -630,7 +544,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     }
   }
 
-  const auto eval_subset_fast = [&](const std::vector<std::size_t>& subset) {
+  const auto eval_subset = [&](const std::vector<std::size_t>& subset) {
     const std::size_t k = subset.size();
     SubsetBest best;
     evaluations += logical_evaluations(subset);
@@ -643,10 +557,10 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
       total_tuples *= radices.back();
     }
 
-    // The reference scan visits tuples digit-0-fastest (colex) and accepts
+    // The exhaustive scan visits tuples digit-0-fastest (colex) and accepts
     // strict improvements only, so among equal-cost tuples it keeps the one
     // with the lowest colex rank. The odometer visits in lex order; breaking
-    // cost ties by colex rank reproduces the reference winner exactly
+    // cost ties by colex rank reproduces the scan's winner exactly
     // instead of relying on costs never tying.
     std::vector<std::uint64_t> colex_w(k);
     std::uint64_t w = 1;
@@ -665,7 +579,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     // an interval outside the precomputed tables, where spot-term
     // monotonicity in F is not bitwise-guaranteed — so k == 1 subsets (only
     // O(bid_count) tuples) are searched unpruned.
-    const bool prune = config_.prune && k >= 2;
+    const bool prune = k >= 2;
 
     SubsetEvaluator ev(*tables, subset);
     if (prune && incumbent < std::numeric_limits<double>::infinity() &&
@@ -721,13 +635,15 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
       if (!gd.reject) {
         const Expectation& e = ev.evaluate(bids);
         ++stats.evaluations;
-        const bool miss = gd.branch && 1.0 - e.p_complete_on_spot > config_.miss_tolerance;
+        const bool miss = gd.branch && 1.0 - e.p_complete_on_spot > kMissTolerance;
         if (!miss) accept(e, decisions, colex_rank(bids));
       }
 
-      // Single-group second shot with the guard-clamped interval, exactly as
-      // in the reference scan. The clamped interval is not in the tables, so
-      // it goes through the naive evaluator (bit-identical by definition).
+      // Single-group second shot with the guard-clamped interval: denser
+      // checkpoints buy worst-case deadline safety (not when checkpointing is
+      // ablated away — the clamp would silently re-enable it). The clamped
+      // interval is not in the tables, so it goes through the naive
+      // evaluator (bit-identical by definition).
       if (config_.worst_case_guard && k == 1 && config_.phi_mode != PhiMode::kDisabled) {
         const int clamp = f_guard_max[subset[0] * n_pol + decisions[0].policy_index];
         if (clamp >= 1 && clamp < decisions[0].f_steps) {
@@ -739,7 +655,7 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
           const Expectation e = clamp_model->evaluate(clamped);
           ++stats.evaluations;
           // worst(clamp) fits the deadline by the binary-search invariant,
-          // so the reference takes the plain acceptance branch here too.
+          // so the scan takes the plain acceptance branch here too.
           accept(e, clamped, colex_rank(bids));
         }
       }
@@ -749,15 +665,13 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
     return best;
   };
 
-  // One in-order walk over the k-of-K subsets. Each engine keeps the
-  // exhaustive scan's winner within a subset; strict improvement across
+  // One in-order walk over the k-of-K subsets. Each subset search keeps
+  // the exhaustive scan's winner within it; strict improvement across
   // subsets keeps the earliest subset on a cost tie, as the scan does.
   SubsetBest best;
   for (std::size_t k = k_min; k <= k_max; ++k)
     for_each_combination(candidates.size(), k, [&](const std::vector<std::size_t>& subset) {
-      SubsetBest sb = config_.engine == SearchEngine::kIncremental
-                          ? eval_subset_fast(subset)
-                          : eval_subset_reference(subset);
+      SubsetBest sb = eval_subset(subset);
       if (sb.cost < best.cost) best = std::move(sb);
     });
 

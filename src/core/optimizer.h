@@ -21,17 +21,9 @@
 
 namespace sompi {
 
-/// Level-2 search engine selection.
-enum class SearchEngine {
-  /// Precomputed per-(group, bid) tables + odometer-incremental evaluation
-  /// + branch-and-bound pruning (DESIGN.md "Optimizer fast path"). Returns
-  /// plans bit-identical to kReference.
-  kIncremental,
-  /// The literal pre-optimization scan: a fresh CostModel::evaluate per
-  /// tuple, no pruning. Retained as the differential oracle and the
-  /// benchmark baseline.
-  kReference,
-};
+/// Acceptable all-replicas-fail probability for a plan whose worst case
+/// misses the deadline (OptimizerConfig::worst_case_guard, alternative (b)).
+inline constexpr double kMissTolerance = 0.05;
 
 struct OptimizerConfig {
   /// Fraction of the deadline reserved for checkpoint/recovery when picking
@@ -55,20 +47,11 @@ struct OptimizerConfig {
   ///   (a) its joint worst case fits: even if every group is killed at its
   ///       most damaging instant, time <= max_i max_t (t + Ratio_i(t)·T_od)
   ///       stays within the deadline — dense checkpoints achieve this; or
-  ///   (b) the model's P[every replica fails] <= miss_tolerance —
+  ///   (b) the model's P[every replica fails] <= kMissTolerance —
   ///       replication achieves this.
   /// This is what makes checkpointing and replication adaptively necessary
   /// rather than optional (paper §1, §5.4.2).
   bool worst_case_guard = true;
-  /// Acceptable all-replicas-fail probability under alternative (b).
-  double miss_tolerance = 0.05;
-  /// Level-2 engine. Both settings return bit-identical plans (enforced by
-  /// the golden-plan tests and tests/test_cost_model_fast.cpp).
-  SearchEngine engine = SearchEngine::kIncremental;
-  /// Branch-and-bound pruning in the incremental engine. The admissible
-  /// bound only discards tuples provably worse than the incumbent, so the
-  /// chosen plan is unchanged; Plan::stats prune counters become nonzero.
-  bool prune = true;
   /// Checkpoint-level policies enumerated per group as a third decision
   /// dimension next to bid and interval (DESIGN.md §11). Empty means the
   /// degenerate single-policy set {CkptPolicy::single_s3()}, whose plans are
@@ -95,7 +78,7 @@ struct ReplanContext {
   std::shared_ptr<const std::vector<std::uint64_t>> versions;
   /// Previous winning plan for this scope; seeds the incumbent bound. Any
   /// seed that maps onto the current search space is admissible — the true
-  /// winner costs no more than an acceptable tuple's engine-exact cost, and
+  /// winner costs no more than an acceptable tuple's table-exact cost, and
   /// pruning is strictly-above — so a stale or unmappable seed degrades to
   /// a cold search, never to a wrong plan.
   std::shared_ptr<const Plan> incumbent;
@@ -105,12 +88,11 @@ struct ReplanContext {
 
 /// Hash of every optimizer/app/od/deadline input that can change a cached
 /// per-group artifact's CONTENT. Deliberately excludes knobs that are
-/// bit-neutral for artifacts — engine, prune (determinism contract),
-/// max_groups / max_candidates / enumerate_smaller_subsets
-/// (select which artifacts are used, not what they hold) and miss_tolerance
-/// (evaluation-time acceptance only) — so artifacts survive across solver
-/// variants that share the same problem. False mismatches only cost a
-/// rebuild; false matches are impossible for inputs the hash covers.
+/// bit-neutral for artifacts — max_groups / max_candidates /
+/// enumerate_smaller_subsets select which artifacts are used, not what they
+/// hold — so artifacts survive across solver variants that share the same
+/// problem. False mismatches only cost a rebuild; false matches are
+/// impossible for inputs the hash covers.
 std::uint64_t replan_config_hash(const OptimizerConfig& config, const AppProfile& app,
                                  const OnDemandChoice& od, double deadline_h);
 

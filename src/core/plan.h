@@ -32,10 +32,10 @@ struct GroupPlan {
 /// Search-work accounting for one optimize() call. Unlike
 /// Plan::model_evaluations (the *logical* evaluation count of the exhaustive
 /// scan, which is deterministic and part of the plan fingerprint), these
-/// count the work the engine *actually* performed. They are exact and
-/// reproducible (the search is one serial pass), but they vary with the
-/// engine, with pruning and with a warm-start incumbent seed while the plan
-/// does not, so they are deliberately excluded from the plan fingerprint.
+/// count the work the branch-and-bound search *actually* performed. They are
+/// exact and reproducible (the search is one serial pass), but they vary
+/// with a warm-start incumbent seed and reused tables while the plan does
+/// not, so they are deliberately excluded from the plan fingerprint.
 struct PlanStats {
   std::size_t evaluations = 0;       ///< cost-model evaluations performed
   std::size_t tuples_visited = 0;    ///< bid tuples reached by the odometer
@@ -43,27 +43,14 @@ struct PlanStats {
   std::size_t subtrees_pruned = 0;   ///< odometer subtree cuts taken
   std::size_t subsets_pruned = 0;    ///< whole subsets skipped by their bound
   std::size_t subsets_searched = 0;  ///< subsets actually enumerated
-  // Warm-start accounting (DESIGN.md §14). Incremental engine only: how many
-  // per-group cost-table blocks this solve reused from a CostTableStore vs
-  // built fresh, and whether the previous plan seeded the B&B incumbent.
+  // Warm-start accounting (DESIGN.md §14): how many per-group cost-table
+  // blocks this solve reused from a CostTableStore vs built fresh, and
+  // whether the previous plan seeded the B&B incumbent.
   // Like the prune counters these never enter the plan fingerprint — a warm
   // plan is bit-identical to a cold one, only its work accounting differs.
   std::size_t tables_reused = 0;
   std::size_t tables_built = 0;
   std::size_t warm_seeds = 0;
-
-  PlanStats& operator+=(const PlanStats& o) {
-    evaluations += o.evaluations;
-    tuples_visited += o.tuples_visited;
-    tuples_pruned += o.tuples_pruned;
-    subtrees_pruned += o.subtrees_pruned;
-    subsets_pruned += o.subsets_pruned;
-    subsets_searched += o.subsets_searched;
-    tables_reused += o.tables_reused;
-    tables_built += o.tables_built;
-    warm_seeds += o.warm_seeds;
-    return *this;
-  }
 };
 
 /// A full plan plus the model's expectation for it and optimizer statistics.
@@ -84,8 +71,8 @@ struct Plan {
 
   // Optimizer accounting (the paper's "optimization overhead" metric).
   // model_evaluations is the logical count of the exhaustive scan: invariant
-  // under engine, pruning and thread count, and fingerprinted. stats holds
-  // what the engine did. optimize_seconds is the whole optimize() call's wall
+  // under pruning and warm starts, and fingerprinted. stats holds what the
+  // search did. optimize_seconds is the whole optimize() call's wall
   // time, setup_seconds its candidate-setup share (0 from optimize_over); the
   // two timers are neither fingerprinted nor sent on the wire.
   std::size_t model_evaluations = 0;

@@ -132,7 +132,8 @@ std::vector<std::byte> expected_state(std::uint64_t seed, int rank, int iter,
   return w.take();
 }
 
-/// Abstracts Checkpointer vs IncrementalCheckpointer for the shared harness.
+/// The checkpointer under test, for the shared lockstep app: a Checkpointer,
+/// an IncrementalCheckpointer or a MultiLevelCheckpointer.
 struct CkptOps {
   std::function<int(mpi::Comm&, std::span<const std::byte>)> save;
   std::function<std::optional<std::vector<std::byte>>(mpi::Comm&)> load;
@@ -194,6 +195,81 @@ void verify_final_state(
     violations.record("chaos-free verification world failed");
 }
 
+/// The lockstep app of the checkpointing kinds, one instance per scenario.
+/// Each rank restores and verifies the latest snapshot (if any), then runs
+/// tick → allreduce → save every ckpt_every iterations up to total_iters.
+/// Rank 0 records every commit and then calls after_commit (if set), the
+/// hook for post-save chaos.
+struct LockstepApp {
+  LockstepApp(std::uint64_t seed, int total_iters, int ckpt_every, std::size_t doubles,
+              bool check_commit_floor)
+      : seed(seed),
+        total_iters(total_iters),
+        ckpt_every(ckpt_every),
+        doubles(doubles),
+        check_commit_floor(check_commit_floor) {}
+
+  std::uint64_t seed;
+  int total_iters;
+  int ckpt_every;
+  std::size_t doubles;
+  /// Also flag a restore below a recorded commit (the flat-store kinds).
+  bool check_commit_floor;
+  std::function<void(int version)> after_commit;
+
+  // Written by rank 0 only; reads happen after join() (which synchronizes).
+  std::vector<std::pair<int, int>> committed;  // (version, iter), in commit order
+  int max_attempted = 0;
+  int last_restored = -1;
+
+  void run_rank(mpi::Comm& comm, const CkptOps& ops, Violations& violations) {
+    int iter = 0;
+    if (ops.has(comm)) {
+      const auto blob = ops.load(comm);
+      if (!blob) {
+        violations.record("has_snapshot true but load_latest returned nothing");
+        return;
+      }
+      StateReader reader(*blob);
+      iter = reader.read<std::int32_t>();
+      if (comm.rank() == 0) {
+        if (check_commit_floor) {
+          int max_committed = 0;
+          for (const auto& [v, it] : committed) max_committed = std::max(max_committed, it);
+          if (iter < max_committed)
+            violations.record("restore regressed below a recorded commit: iter " +
+                              std::to_string(iter) + " < " + std::to_string(max_committed));
+        }
+        if (iter > max_attempted)
+          violations.record("restored progress exceeds last attempted checkpoint: iter " +
+                            std::to_string(iter) + " > " + std::to_string(max_attempted));
+        if (iter < last_restored)
+          violations.record("restored progress regressed across attempts");
+        last_restored = iter;
+      }
+      const auto want = expected_state(seed, comm.rank(), iter, doubles);
+      if (*blob != want)
+        violations.record("restored state of rank " + std::to_string(comm.rank()) +
+                          " does not match the bytes saved at iteration " +
+                          std::to_string(iter));
+    }
+    while (iter < total_iters) {
+      comm.tick();
+      (void)comm.allreduce(state_value(seed, comm.rank(), iter, 0), mpi::ReduceOp::kSum);
+      ++iter;
+      if (iter % ckpt_every == 0 || iter == total_iters) {
+        if (comm.rank() == 0) max_attempted = std::max(max_attempted, iter);
+        const auto bytes = expected_state(seed, comm.rank(), iter, doubles);
+        const int version = ops.save(comm, bytes);
+        if (comm.rank() == 0) {
+          committed.emplace_back(version, iter);
+          if (after_commit) after_commit(version);
+        }
+      }
+    }
+  }
+};
+
 void run_checkpoint(std::uint64_t seed, bool incremental, Digest& digest,
                     Violations& violations) {
   Rng rng(seed ^ 0xC4EC4EC4EC4ULL);
@@ -223,52 +299,8 @@ void run_checkpoint(std::uint64_t seed, bool incremental, Digest& digest,
     ops.latest = [&] { return full.latest_version(); };
   }
 
-  // Written by rank 0 only; reads happen after join() (which synchronizes).
-  std::vector<std::pair<int, int>> committed;  // (version, iter), in commit order
-  int max_attempted = 0;
-  int last_restored = -1;
-
-  const auto rank_fn = [&](mpi::Comm& comm) {
-    int iter = 0;
-    if (ops.has(comm)) {
-      const auto blob = ops.load(comm);
-      if (!blob) {
-        violations.record("has_snapshot true but load_latest returned nothing");
-        return;
-      }
-      StateReader reader(*blob);
-      iter = reader.read<std::int32_t>();
-      if (comm.rank() == 0) {
-        int max_committed = 0;
-        for (const auto& [v, it] : committed) max_committed = std::max(max_committed, it);
-        if (iter < max_committed)
-          violations.record("restore regressed below a recorded commit: iter " +
-                            std::to_string(iter) + " < " + std::to_string(max_committed));
-        if (iter > max_attempted)
-          violations.record("restored progress exceeds last attempted checkpoint: iter " +
-                            std::to_string(iter) + " > " + std::to_string(max_attempted));
-        if (iter < last_restored)
-          violations.record("restored progress regressed across attempts");
-        last_restored = iter;
-      }
-      const auto want = expected_state(seed, comm.rank(), iter, doubles);
-      if (*blob != want)
-        violations.record("restored state of rank " + std::to_string(comm.rank()) +
-                          " does not match the bytes saved at iteration " +
-                          std::to_string(iter));
-    }
-    while (iter < total_iters) {
-      comm.tick();
-      (void)comm.allreduce(state_value(seed, comm.rank(), iter, 0), mpi::ReduceOp::kSum);
-      ++iter;
-      if (iter % ckpt_every == 0 || iter == total_iters) {
-        if (comm.rank() == 0) max_attempted = std::max(max_attempted, iter);
-        const auto bytes = expected_state(seed, comm.rank(), iter, doubles);
-        const int version = ops.save(comm, bytes);
-        if (comm.rank() == 0) committed.emplace_back(version, iter);
-      }
-    }
-  };
+  LockstepApp app(seed, total_iters, ckpt_every, doubles, /*check_commit_floor=*/true);
+  const auto rank_fn = [&](mpi::Comm& comm) { app.run_rank(comm, ops, violations); };
 
   std::function<void(int, const mpi::RunResult&)> trace;
   if (std::getenv("SOMPI_FUZZ_DEBUG") != nullptr) {
@@ -304,7 +336,7 @@ void run_checkpoint(std::uint64_t seed, bool incremental, Digest& digest,
                        " injected=" + std::to_string(injector.injected_count()) +
                        " latency=" + std::to_string(injector.simulated_latency_ms()) +
                        " latest=" + std::to_string(ops.latest()) + " committed=";
-    for (const auto& [v, it] : committed)
+    for (const auto& [v, it] : app.committed)
       line += "(" + std::to_string(v) + "," + std::to_string(it) + ")";
     std::vector<std::pair<std::string, std::uint64_t>> streams;
     for (const auto& [k, n] : injector.op_counts()) streams.emplace_back(k, n);
@@ -317,8 +349,8 @@ void run_checkpoint(std::uint64_t seed, bool incremental, Digest& digest,
   digest.mix(static_cast<std::uint64_t>(total_iters));
   digest.mix(static_cast<std::uint64_t>(ckpt_every));
   digest.mix(static_cast<std::uint64_t>(attempts));
-  digest.mix(static_cast<std::uint64_t>(committed.size()));
-  for (const auto& [v, it] : committed) {
+  digest.mix(static_cast<std::uint64_t>(app.committed.size()));
+  for (const auto& [v, it] : app.committed) {
     digest.mix(static_cast<std::uint64_t>(v));
     digest.mix(static_cast<std::uint64_t>(it));
   }
@@ -862,66 +894,29 @@ void run_multilevel(std::uint64_t seed, Digest& digest, Violations& violations) 
     return "fuzz-ml/l1/v" + std::to_string(version) + "/shard" + std::to_string(rank);
   };
 
-  // Written by rank 0 only; reads happen after join() (which synchronizes).
-  std::vector<std::pair<int, int>> committed;  // (version, iter), commit order
-  int max_attempted = 0;
-  int last_restored = -1;
-
-  const auto rank_fn = [&](mpi::Comm& comm) {
-    int iter = 0;
-    if (ml.has_snapshot(comm)) {
-      const auto blob = ml.load_latest(comm);
-      if (!blob) {
-        violations.record("has_snapshot true but load_latest returned nothing");
-        return;
-      }
-      StateReader reader(*blob);
-      iter = reader.read<std::int32_t>();
-      if (comm.rank() == 0) {
-        if (iter > max_attempted)
-          violations.record("restored progress exceeds last attempted checkpoint: iter " +
-                            std::to_string(iter) + " > " + std::to_string(max_attempted));
-        if (iter < last_restored)
-          violations.record("restored progress regressed across attempts");
-        last_restored = iter;
-      }
-      const auto want = expected_state(seed, comm.rank(), iter, doubles);
-      if (*blob != want)
-        violations.record("restored state of rank " + std::to_string(comm.rank()) +
-                          " does not match the bytes saved at iteration " +
-                          std::to_string(iter));
-    }
-    while (iter < total_iters) {
-      comm.tick();
-      (void)comm.allreduce(state_value(seed, comm.rank(), iter, 0), mpi::ReduceOp::kSum);
-      ++iter;
-      if (iter % ckpt_every == 0 || iter == total_iters) {
-        if (comm.rank() == 0) max_attempted = std::max(max_attempted, iter);
-        const auto bytes = expected_state(seed, comm.rank(), iter, doubles);
-        const int version = ml.save(comm, bytes);
-        if (comm.rank() == 0) {
-          committed.emplace_back(version, iter);
-          // Post-save chaos, one loss per version at most (see the header
-          // comment): a whole node dies (blob + own shard), or one peer
-          // shard rots away. Other ranks are already blocked on the next
-          // collective, so the wipe races with no storage traffic.
-          const std::string vtag = std::to_string(version);
-          if (injector.fires(Channel::kCacheWipe, "wipe/v" + vtag)) {
-            std::uint64_t s = seed ^ (0x51C7ULL + static_cast<std::uint64_t>(version));
-            const int victim =
-                static_cast<int>(splitmix64(s) % static_cast<std::uint64_t>(ranks));
-            cache.remove(cache_blob_key(version, victim));
-            cache.remove(shard_key(version, victim));
-          } else if (injector.fires(Channel::kPartnerLoss, "peer/v" + vtag)) {
-            std::uint64_t s = seed ^ (0x9EE2ULL + static_cast<std::uint64_t>(version));
-            const int victim =
-                static_cast<int>(splitmix64(s) % static_cast<std::uint64_t>(ranks));
-            cache.remove(shard_key(version, victim));
-          }
-        }
-      }
+  CkptOps ops;
+  ops.save = [&](mpi::Comm& c, std::span<const std::byte> s) { return ml.save(c, s); };
+  ops.load = [&](mpi::Comm& c) { return ml.load_latest(c); };
+  ops.has = [&](mpi::Comm& c) { return ml.has_snapshot(c); };
+  LockstepApp app(seed, total_iters, ckpt_every, doubles, /*check_commit_floor=*/false);
+  // Post-save chaos, one loss per version at most (see the header comment):
+  // a whole node dies (blob + own shard), or one peer shard rots away. Other
+  // ranks are already blocked on the next collective, so the wipe races with
+  // no storage traffic.
+  app.after_commit = [&](int version) {
+    const std::string vtag = std::to_string(version);
+    if (injector.fires(Channel::kCacheWipe, "wipe/v" + vtag)) {
+      std::uint64_t s = seed ^ (0x51C7ULL + static_cast<std::uint64_t>(version));
+      const int victim = static_cast<int>(splitmix64(s) % static_cast<std::uint64_t>(ranks));
+      cache.remove(cache_blob_key(version, victim));
+      cache.remove(shard_key(version, victim));
+    } else if (injector.fires(Channel::kPartnerLoss, "peer/v" + vtag)) {
+      std::uint64_t s = seed ^ (0x9EE2ULL + static_cast<std::uint64_t>(version));
+      const int victim = static_cast<int>(splitmix64(s) % static_cast<std::uint64_t>(ranks));
+      cache.remove(shard_key(version, victim));
     }
   };
+  const auto rank_fn = [&](mpi::Comm& comm) { app.run_rank(comm, ops, violations); };
 
   const int attempts = run_with_retries(ranks, rank_fn, plan, injector, violations);
 
@@ -963,7 +958,7 @@ void run_multilevel(std::uint64_t seed, Digest& digest, Violations& violations) 
     } else {
       const int newest = remote_versions.back();
       int want_iter = -1;
-      for (const auto& [v, it] : committed)
+      for (const auto& [v, it] : app.committed)
         if (v == newest) want_iter = it;
       if (want_iter < 0) {
         violations.record("remote-committed version " + std::to_string(newest) +
@@ -1035,8 +1030,8 @@ void run_multilevel(std::uint64_t seed, Digest& digest, Violations& violations) 
   digest.mix(std::string(redundancy_scheme_label(scheme)));
   digest.mix(rle);
   digest.mix(static_cast<std::uint64_t>(attempts));
-  digest.mix(static_cast<std::uint64_t>(committed.size()));
-  for (const auto& [v, it] : committed) {
+  digest.mix(static_cast<std::uint64_t>(app.committed.size()));
+  for (const auto& [v, it] : app.committed) {
     digest.mix(static_cast<std::uint64_t>(v));
     digest.mix(static_cast<std::uint64_t>(it));
   }

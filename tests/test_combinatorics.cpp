@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "support/reference_search.h"
+
 namespace sompi {
 namespace {
 

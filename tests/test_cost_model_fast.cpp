@@ -2,19 +2,24 @@
 // fast path"): the incremental evaluator must match the retained naive
 // evaluator to 0 ULP on every Expectation field, the admissible bounds must
 // never exceed a real cost, and branch-and-bound search must return plans
-// fingerprint-identical to exhaustive enumeration.
+// fingerprint-identical to the exhaustive scan in tests/support.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/ablations.h"
 #include "common/combinatorics.h"
 #include "core/cost_model.h"
 #include "core/optimizer.h"
 #include "profile/paper_profiles.h"
 #include "service/request.h"
+#include "support/reference_search.h"
 
 namespace sompi {
 namespace {
@@ -96,7 +101,7 @@ TEST(SubsetEvaluatorOracle, MatchesNaiveEvaluatorToZeroUlp) {
     for (std::uint64_t g = 0; g < 4; ++g) groups.push_back(random_group(seed * 13 + g));
     const OnDemandChoice od = make_od();
     const auto f_of = synthetic_f_of(groups, seed);
-    const CostTables tables(groups, od, cfg, f_of);
+    const CostTables tables = bid_only_tables(groups, od, cfg, f_of);
 
     // Every subset of sizes 1..3, full lex tuple walk, against a fresh
     // naive evaluation of the SAME decisions at every step.
@@ -134,7 +139,7 @@ TEST(SubsetEvaluatorOracle, StaleStateIsNeverReused) {
   for (std::uint64_t g = 0; g < 3; ++g) groups.push_back(random_group(777 + g));
   const OnDemandChoice od = make_od();
   const auto f_of = synthetic_f_of(groups, 777);
-  const CostTables tables(groups, od, cfg, f_of);
+  const CostTables tables = bid_only_tables(groups, od, cfg, f_of);
 
   const std::vector<std::size_t> subset{0, 1, 2};
   SubsetEvaluator ev(tables, subset);
@@ -167,7 +172,7 @@ TEST(SubsetEvaluatorOracle, AgreesWithJointExactOnTinyCases) {
   }
   const OnDemandChoice od = make_od();
   const auto f_of = synthetic_f_of(groups, 55);
-  const CostTables tables(groups, od, cfg, f_of);
+  const CostTables tables = bid_only_tables(groups, od, cfg, f_of);
 
   const std::vector<std::size_t> subset{0, 1};
   SubsetEvaluator ev(tables, subset);
@@ -195,7 +200,7 @@ TEST(SubsetEvaluatorOracle, BoundsAreAdmissible) {
     for (std::uint64_t g = 0; g < 3; ++g) groups.push_back(random_group(seed * 7 + g));
     const OnDemandChoice od = make_od();
     const auto f_of = synthetic_f_of(groups, seed);
-    const CostTables tables(groups, od, cfg, f_of);
+    const CostTables tables = bid_only_tables(groups, od, cfg, f_of);
 
     const std::vector<std::size_t> subset{0, 1, 2};
     SubsetEvaluator ev(tables, subset);
@@ -213,24 +218,37 @@ TEST(SubsetEvaluatorOracle, BoundsAreAdmissible) {
   }
 }
 
-// --- End-to-end plan identity across engines and pruning. ---
+// --- End-to-end plan identity: branch-and-bound vs the exhaustive scan. ---
 
 class EnginePlanIdentity : public ::testing::Test {
  protected:
-  static OptimizerConfig base_config() {
-    OptimizerConfig c;
+  /// Shrinks a config to a search the exhaustive scan finishes quickly.
+  static OptimizerConfig small(OptimizerConfig c) {
     c.max_candidates = 4;
-    c.max_groups = 2;
+    c.max_groups = std::min(c.max_groups, 2);
     c.setup.log_levels = 4;
     c.setup.failure.samples = 400;
     c.ratio_bins = 48;
     return c;
   }
+  static OptimizerConfig base_config() { return small(OptimizerConfig{}); }
 
-  Plan run(OptimizerConfig cfg, const AppProfile& app, double factor) const {
-    const SompiOptimizer opt(&catalog_, &est_, cfg);
-    const OnDemandSelector selector(&catalog_, &est_);
-    return opt.optimize(app, market_, selector.baseline(app).t_h * factor);
+  double deadline(const AppProfile& app, double factor) const {
+    return OnDemandSelector(&catalog_, &est_).baseline(app).t_h * factor;
+  }
+
+  Plan run(const OptimizerConfig& cfg, const AppProfile& app, double factor,
+           const std::vector<std::string>& types = {},
+           const std::vector<std::string>& zones = {}) const {
+    return SompiOptimizer(&catalog_, &est_, cfg)
+        .optimize(app, market_, deadline(app, factor), nullptr, types, zones);
+  }
+
+  Plan reference(const OptimizerConfig& cfg, const AppProfile& app, double factor,
+                 const std::vector<std::string>& types = {},
+                 const std::vector<std::string>& zones = {}) const {
+    return reference_optimize(catalog_, est_, cfg, app, market_, deadline(app, factor), types,
+                              zones);
   }
 
   Catalog catalog_ = paper_catalog();
@@ -246,53 +264,80 @@ TEST_F(EnginePlanIdentity, PrunedIncrementalMatchesReference) {
   } cases[] = {{"BT", 2.0}, {"SP", 1.5}, {"FT", 1.15}, {"LU", 1.3}};
   for (const auto& c : cases) {
     const AppProfile app = paper_profile(c.app);
-
-    OptimizerConfig ref_cfg = base_config();
-    ref_cfg.engine = SearchEngine::kReference;
-    const Plan reference = run(ref_cfg, app, c.factor);
-    const std::string want = plan_fingerprint(reference);
-
-    for (bool prune : {false, true}) {
-      OptimizerConfig cfg = base_config();
-      cfg.engine = SearchEngine::kIncremental;
-      cfg.prune = prune;
-      const Plan fast = run(cfg, app, c.factor);
-      EXPECT_EQ(plan_fingerprint(fast), want) << c.app << " prune=" << prune;
-      // The fingerprint covers model_evaluations; assert it explicitly
-      // anyway so a failure names the field.
-      EXPECT_EQ(fast.model_evaluations, reference.model_evaluations)
-          << c.app << " prune=" << prune;
-    }
+    const Plan want = reference(base_config(), app, c.factor);
+    const Plan fast = run(base_config(), app, c.factor);
+    EXPECT_EQ(plan_fingerprint(fast), plan_fingerprint(want)) << c.app;
+    // The fingerprint covers model_evaluations; assert it explicitly
+    // anyway so a failure names the field.
+    EXPECT_EQ(fast.model_evaluations, want.model_evaluations) << c.app;
   }
 }
 
 TEST_F(EnginePlanIdentity, StatsAccountForEveryTuple) {
   const AppProfile bt = paper_profile("BT");
 
-  OptimizerConfig ref_cfg = base_config();
-  ref_cfg.engine = SearchEngine::kReference;
-  const Plan reference = run(ref_cfg, bt, 2.0);
-  // The reference scan performs exactly the logical evaluation count.
-  EXPECT_EQ(reference.stats.evaluations, reference.model_evaluations);
-  EXPECT_GT(reference.stats.tuples_visited, 0u);
-  EXPECT_EQ(reference.stats.tuples_pruned, 0u);
-  EXPECT_EQ(reference.stats.subsets_pruned, 0u);
-
-  OptimizerConfig noprune_cfg = base_config();
-  noprune_cfg.prune = false;
-  const Plan unpruned = run(noprune_cfg, bt, 2.0);
-  // Without pruning the incremental engine evaluates the same tuple set.
-  EXPECT_EQ(unpruned.stats.evaluations, reference.model_evaluations);
-  EXPECT_EQ(unpruned.stats.tuples_pruned, 0u);
-  EXPECT_EQ(unpruned.stats.subsets_searched, reference.stats.subsets_searched);
+  const Plan exhaustive = reference(base_config(), bt, 2.0);
+  // The exhaustive scan performs exactly the logical evaluation count.
+  EXPECT_EQ(exhaustive.stats.evaluations, exhaustive.model_evaluations);
+  EXPECT_GT(exhaustive.stats.tuples_visited, 0u);
+  EXPECT_EQ(exhaustive.stats.tuples_pruned, 0u);
+  EXPECT_EQ(exhaustive.stats.subsets_pruned, 0u);
 
   const Plan pruned = run(base_config(), bt, 2.0);
-  // Pruning only ever removes work, and every enumerated tuple is either
-  // visited or pruned.
-  EXPECT_LE(pruned.stats.evaluations, unpruned.stats.evaluations);
+  // Pruning only ever removes work, and every enumerated tuple and subset
+  // is either searched or pruned.
+  EXPECT_LE(pruned.stats.evaluations, exhaustive.stats.evaluations);
   EXPECT_EQ(pruned.stats.tuples_visited + pruned.stats.tuples_pruned,
-            unpruned.stats.tuples_visited);
+            exhaustive.stats.tuples_visited);
+  EXPECT_EQ(pruned.stats.subsets_searched + pruned.stats.subsets_pruned,
+            exhaustive.stats.subsets_searched);
   EXPECT_GT(pruned.stats.tuples_pruned, 0u);
+}
+
+TEST_F(EnginePlanIdentity, AblationsConstraintsAndPoliciesMatchReference) {
+  // Configurations no other identity test reaches: the §5.4.2 ablations
+  // (φ disabled, guard off), exactly-k subsets, a constrained scope and the
+  // three-policy checkpoint-level set.
+  OptimizerConfig exactly_k = base_config();
+  exactly_k.enumerate_smaller_subsets = false;
+  OptimizerConfig unguarded_pairs = base_config();
+  unguarded_pairs.worst_case_guard = false;
+  OptimizerConfig multilevel = base_config();
+  multilevel.ckpt_policies = {CkptPolicy::single_s3(), CkptPolicy::cache_s3(),
+                              CkptPolicy::cache_xor_s3()};
+  const struct {
+    const char* name;
+    OptimizerConfig config;
+    std::vector<std::string> types;
+    std::vector<std::string> zones;
+  } cases[] = {
+      {"w/o-RP", small(without_replication_config()), {}, {}},
+      {"w/o-CK", small(without_checkpoint_config()), {}, {}},
+      {"All-Unable", small(all_unable_config()), {}, {}},
+      {"unguarded k<=2", unguarded_pairs, {}, {}},
+      {"exactly k", exactly_k, {}, {}},
+      {"constrained", base_config(), {"m1.large", "c3.xlarge", "cc2.8xlarge"},
+       {"us-east-1a", "us-east-1c"}},
+      {"three policies", multilevel, {}, {}},
+  };
+  std::size_t spot_plans = 0;
+  for (const auto& c : cases) {
+    for (const auto& [app_name, factor] :
+         {std::pair<const char*, double>{"BT", 1.5}, {"FT", 1.15}, {"LU", 2.0}}) {
+      const AppProfile app = paper_profile(app_name);
+      const std::string what = std::string(c.name) + " " + app_name;
+      const Plan want = reference(c.config, app, factor, c.types, c.zones);
+      const Plan fast = run(c.config, app, factor, c.types, c.zones);
+      EXPECT_EQ(plan_fingerprint(fast), plan_fingerprint(want)) << what;
+      EXPECT_EQ(fast.model_evaluations, want.model_evaluations) << what;
+      EXPECT_EQ(fast.stats.tuples_visited + fast.stats.tuples_pruned,
+                want.stats.tuples_visited)
+          << what;
+      spot_plans += fast.uses_spot();
+    }
+  }
+  // The comparison is only meaningful if the searches pick spot plans.
+  EXPECT_GT(spot_plans, 10u);
 }
 
 }  // namespace

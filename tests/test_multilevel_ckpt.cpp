@@ -38,6 +38,7 @@
 #include "profile/estimator.h"
 #include "profile/paper_profiles.h"
 #include "service/request.h"
+#include "support/reference_search.h"
 #include "trace/market.h"
 
 namespace sompi {
@@ -169,10 +170,9 @@ TEST(MultiLevelOptimizer, PolicySupersetNeverCostsMoreAndRecordsPolicy) {
                 g.ckpt_policy == "cache+xor+s3")
         << g.ckpt_policy;
   }
-  // Both engines agree on the enlarged choice set.
-  config.engine = SearchEngine::kReference;
-  const SompiOptimizer reference(&catalog, &estimator, config);
-  EXPECT_EQ(plan_fingerprint(pm), plan_fingerprint(reference.optimize(app, market, deadline_h)));
+  // The search agrees with the exhaustive scan on the enlarged choice set.
+  EXPECT_EQ(plan_fingerprint(pm), plan_fingerprint(reference_optimize(
+                                      catalog, estimator, config, app, market, deadline_h)));
 }
 
 // --- Redundancy properties ---------------------------------------------------

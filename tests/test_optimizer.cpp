@@ -5,6 +5,7 @@
 #include "net/wire.h"
 #include "profile/paper_profiles.h"
 #include "service/request.h"
+#include "support/reference_search.h"
 
 namespace sompi {
 namespace {
@@ -136,14 +137,12 @@ TEST_F(OptimizerTest, PlanCarriesSearchStats) {
   EXPECT_GT(plan.stats.evaluations, 0u);
   EXPECT_GT(plan.stats.tuples_visited, 0u);
   EXPECT_GT(plan.stats.subsets_searched, 0u);
-  // Default engine prunes, so it performs at most the logical count.
+  // The search prunes, so it performs at most the logical count.
   EXPECT_LE(plan.stats.evaluations, plan.model_evaluations);
 
-  // Disabling pruning restores the exhaustive work profile exactly.
-  OptimizerConfig noprune = fast_config();
-  noprune.prune = false;
-  const Plan full = SompiOptimizer(&catalog_, &est_, noprune)
-                        .optimize(bt, market_, selector_.baseline(bt).t_h * 1.5);
+  // The exhaustive scan's work profile is exactly the logical count.
+  const Plan full = reference_optimize(catalog_, est_, fast_config(), bt, market_,
+                                       selector_.baseline(bt).t_h * 1.5);
   EXPECT_EQ(full.stats.evaluations, full.model_evaluations);
   EXPECT_EQ(full.stats.tuples_pruned, 0u);
   EXPECT_EQ(full.stats.subsets_pruned, 0u);
@@ -178,12 +177,10 @@ TEST_F(OptimizerTest, OptimizeSecondsCoverCandidateSetupButNotThePlanIdentity) {
 }
 
 TEST_F(OptimizerTest, ReferenceEngineProducesIdenticalPlans) {
-  OptimizerConfig ref = fast_config();
-  ref.engine = SearchEngine::kReference;
   const AppProfile lu = paper_profile("LU");
   const double deadline = selector_.baseline(lu).t_h * 1.3;
   const Plan a = SompiOptimizer(&catalog_, &est_, fast_config()).optimize(lu, market_, deadline);
-  const Plan b = SompiOptimizer(&catalog_, &est_, ref).optimize(lu, market_, deadline);
+  const Plan b = reference_optimize(catalog_, est_, fast_config(), lu, market_, deadline);
   ASSERT_EQ(a.groups.size(), b.groups.size());
   for (std::size_t i = 0; i < a.groups.size(); ++i) {
     EXPECT_EQ(a.groups[i].name, b.groups[i].name);
