@@ -16,6 +16,15 @@
 // request id; responses may arrive in any order and a dropped connection
 // (chaos or server shutdown) fails only the requests outstanding on it —
 // each becomes an error completion, nothing blocks forever.
+//
+// The client starts no threads; its callers read the responses. harvest()
+// polls every connection without blocking. A blocking call whose result is
+// missing becomes its connection's reader when nobody reads it (leader):
+// it blocks in the pipe read outside the client lock and parks what it
+// decodes; every other waiter sleeps on the completion condition. The
+// server never waits for a client to read (server.h), so responses nobody
+// has collected yet queue in their pipes: a caller may submit any number
+// of requests before it harvests, as with the in-process service.
 #pragma once
 
 #include <atomic>
@@ -26,7 +35,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -88,29 +96,57 @@ class PlanClient {
   struct Connection {
     PipeEndpoint* endpoint = nullptr;  ///< owned by the server loop
     std::mutex write_mutex;
-    std::thread reader;
+    /// Used only by the thread holding the reader role (`reading`).
+    FrameDecoder decoder;
+    // Guarded by the client mutex_:
+    bool reading = false;  ///< some thread is reading this connection
+    bool eof = false;      ///< read side is down; `outstanding` was failed
     /// Request ids sent on this connection and not yet completed; a drop
-    /// fails exactly these. Guarded by the client mutex_.
+    /// fails exactly these.
     std::set<std::uint64_t> outstanding;
     WireCodecStats folded;  ///< decoder counters already in codec_stats_
   };
 
-  void reader_loop(std::size_t index);
-  /// Parks a completion and wakes waiters. Guarded internally.
-  void complete(std::uint64_t request_id, ClientCompletion completion);
-  /// Bulk variant: parks every completion under ONE lock acquisition and
-  /// wakes waiters once — the reader calls this per read chunk, not per
-  /// frame, so a batch of responses costs one wakeup instead of N.
-  void complete_many(std::vector<ClientCompletion> completions);
-  std::uint64_t send(std::size_t shard, MsgType type, std::string_view payload);
+  /// What a reader decoded while it held the role.
+  struct Decoded {
+    std::vector<ClientCompletion> completions;
+    std::vector<std::pair<std::uint64_t, WireTierStats>> stats;
+    bool eof = false;
+  };
+
+  /// Feeds one read chunk ("" = EOF) to the decoder. Needs the reader role.
+  static void decode_chunk(Connection& connection, const std::string& chunk, Decoded* out);
+  /// Parks what a reader decoded and gives up its role; at EOF fails the
+  /// connection's outstanding ids. Requires mutex_; caller notifies after.
+  void park(Connection& connection, Decoded decoded);
+  /// Parks `completion` iff its id is still outstanding on `connection`, so
+  /// each id completes exactly once. Requires mutex_.
+  void complete(Connection& connection, ClientCompletion completion);
+  /// Completes `ids`, whose frames could not be written, as dropped.
+  void fail_unsent(Connection& connection, const std::vector<std::uint64_t>& ids);
+  /// The reader-role step, the one rule that keeps each id completing
+  /// once: claims connections `wanted` selects that nobody reads (one if
+  /// `block`, all otherwise), reads them outside mutex_ (one blocking read,
+  /// or try_read until empty), parks the result and notifies done_cv_.
+  /// Returns false when there was nothing to claim. Requires mutex_.
+  template <typename Wanted>
+  bool read_step(std::unique_lock<std::mutex>& lock, Wanted wanted, bool block);
+  /// Blocks until `ready()` holds (checked under mutex_): reads an unread
+  /// connection `wanted` selects (leader), or waits on done_cv_.
+  template <typename Ready, typename Wanted>
+  void wait_reading(std::unique_lock<std::mutex>& lock, Ready ready, Wanted wanted);
+  /// Waits until a blocking call's id, sent on `shard`, has completed.
+  void await(std::unique_lock<std::mutex>& lock, std::uint64_t request_id, std::size_t shard);
+  /// The connection a request goes out on (consumes a round-robin slot).
+  std::size_t shard_for(const std::string& payload, const PlanRequest& request);
+  /// Registers a new id as outstanding (and as awaited, for a blocking
+  /// call) under mutex_, then writes its frame.
+  std::uint64_t send(std::size_t shard, MsgType type, std::string_view payload, bool awaited);
   /// Ring home of a request, memoized by its encoded payload bytes: repeat
   /// requests (the warm-hit common case) skip re-canonicalization and pay a
   /// hash lookup instead. Byte-different encodings of the same canonical
   /// request simply occupy two memo slots — both map to the same home.
   std::size_t route_for(const std::string& payload, const PlanRequest& request) const;
-  /// Waits for a specific id (blocking plan / stats path), removing it from
-  /// the harvest stream.
-  ClientCompletion await(std::uint64_t request_id);
 
   ShardRouter router_;
   ClientMode mode_;
@@ -129,7 +165,9 @@ class PlanClient {
   std::map<std::uint64_t, ClientCompletion> done_;
   /// Stats responses route here instead of done_ (different payload type).
   std::map<std::uint64_t, WireTierStats> stats_done_;
-  std::set<std::uint64_t> awaited_;  ///< ids claimed by await(); skip harvest
+  /// Ids a blocking call waits for; harvest() skips them. Registered with
+  /// the id's outstanding entry, before its frame is written.
+  std::set<std::uint64_t> awaited_;
   WireCodecStats codec_stats_;
   bool closing_ = false;
 };

@@ -17,14 +17,19 @@
 // Closing is one-way-visible like a socket: after close() (or a chaos drop)
 // writes fail and reads drain whatever was already buffered, then return 0.
 // Every blocking call is condition-variable based — no spinning — so the
-// 8-client stress tests run clean under TSan.
+// 8-client stress tests run clean under TSan. write_unbounded() never waits
+// for the reader (the level may pass capacity); try_read() polls without
+// blocking; an empty poll draws no chaos decision, so polling never shifts a
+// seed's short-read stream.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -41,21 +46,44 @@ class ByteChannel {
   /// Returns false (writing nothing) once the channel is closed.
   bool write(std::string_view bytes);
 
+  /// write() without the wait: appends all of `bytes` even past capacity,
+  /// so the level is bounded by the writer, not by the reader.
+  bool write_unbounded(std::string_view bytes);
+
   /// Takes up to `max_bytes` from the front, blocking while the channel is
   /// empty and open. Returns an empty string only at closed-and-drained.
   std::string read(std::size_t max_bytes);
 
+  /// read() without the wait: std::nullopt while the channel is empty and
+  /// open.
+  std::optional<std::string> try_read(std::size_t max_bytes);
+
+  /// True when read() would not block: bytes are buffered or the channel is
+  /// closed. Lock-free: the cheap probe before a try_read().
+  bool readable() const {
+    return size_.load(std::memory_order_acquire) != 0 ||
+           closed_.load(std::memory_order_acquire);
+  }
+
   /// Idempotent; wakes every blocked reader and writer.
   void close();
-  bool closed() const;
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
  private:
+  /// Appends `bytes` unless closed. Requires mutex_.
+  bool append(std::string_view bytes);
+  /// Moves up to `max_bytes` out of a non-empty buffer. Requires mutex_.
+  std::string take(std::size_t max_bytes);
+
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable readable_;
   std::condition_variable writable_;
   std::deque<char> buffer_;
-  bool closed_ = false;
+  /// buffer_.size() and the closed flag, published for the lock-free probe;
+  /// written only under mutex_.
+  std::atomic<std::size_t> size_{0};
+  std::atomic<bool> closed_{false};
 };
 
 class PipeEndpoint;
@@ -97,9 +125,21 @@ class PipeEndpoint {
   /// once the connection is down.
   bool write(std::string_view bytes);
 
+  /// write() that never waits for the peer to read: the bytes queue past the
+  /// pipe's capacity, like a server's per-connection output buffer. A writer
+  /// serving many connections uses it so that one unread connection cannot
+  /// stall the others. Same chaos as write().
+  bool write_unbounded(std::string_view bytes);
+
   /// Reads up to `max_bytes` (at least 1 unless closed-and-drained, which
   /// returns ""). Short-read chaos caps the chunk size; it never loses data.
   std::string read(std::size_t max_bytes = 4096);
+
+  /// read() without the wait: std::nullopt while nothing is buffered and the
+  /// connection is open. The short-read decision is drawn only when the read
+  /// goes ahead, so empty polls leave the chaos stream untouched. One reader
+  /// at a time, as with a socket.
+  std::optional<std::string> try_read(std::size_t max_bytes = 4096);
 
   /// Closes BOTH directions — like shutdown(SHUT_RDWR): peers' writes start
   /// failing and their reads drain then EOF.
@@ -111,6 +151,11 @@ class PipeEndpoint {
   bool closed() const { return out_->closed() && in_->closed(); }
 
  private:
+  /// write() or write_unbounded(), after the drop and torn-write draws.
+  bool send(std::string_view bytes, bool bounded);
+  /// `max_bytes`, capped by a short-read chaos decision when one fires.
+  std::size_t read_cap(std::size_t max_bytes);
+
   ByteChannel* out_;
   ByteChannel* in_;
   fi::FaultInjector* faults_;

@@ -80,7 +80,7 @@ void PlanServerLoop::reader_loop(Connection* connection) {
     // has observed a response must find it already counted in stats(); a
     // failed write (chaos drop, closed pipe) nets the count back to zero.
     responses_sent_.fetch_add(hit_frames, std::memory_order_relaxed);
-    if (!connection->server_end->write(hit_bytes))
+    if (!connection->server_end->write_unbounded(hit_bytes))
       responses_sent_.fetch_sub(hit_frames, std::memory_order_relaxed);
     hit_bytes.clear();
     hit_frames = 0;
@@ -181,7 +181,7 @@ void PlanServerLoop::on_frame(Connection* connection, FrameDecoder* decoder,
           encode_frame(MsgType::kStatsResponse, frame.request_id, payload);
       std::lock_guard<std::mutex> lock(connection->write_mutex);
       responses_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (!connection->server_end->write(bytes))
+      if (!connection->server_end->write_unbounded(bytes))
         responses_sent_.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
@@ -200,7 +200,7 @@ void PlanServerLoop::write_response(Connection* connection, std::uint64_t reques
       encode_frame(MsgType::kPlanResponse, request_id, encode_plan_response(response));
   std::lock_guard<std::mutex> lock(connection->write_mutex);
   responses_sent_.fetch_add(1, std::memory_order_relaxed);
-  if (!connection->server_end->write(bytes))
+  if (!connection->server_end->write_unbounded(bytes))
     responses_sent_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -211,7 +211,7 @@ void PlanServerLoop::write_error(Connection* connection, std::uint64_t request_i
       encode_frame(MsgType::kErrorResponse, request_id, encode_error_response(message));
   std::lock_guard<std::mutex> lock(connection->write_mutex);
   responses_sent_.fetch_add(1, std::memory_order_relaxed);
-  if (!connection->server_end->write(bytes))
+  if (!connection->server_end->write_unbounded(bytes))
     responses_sent_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -271,7 +271,7 @@ std::size_t PlanServerLoop::dispatch_ready(std::chrono::milliseconds wait) {
   for (auto& [connection, box] : outboxes) {
     std::lock_guard<std::mutex> lock(connection->write_mutex);
     responses_sent_.fetch_add(box.frames, std::memory_order_relaxed);
-    if (!connection->server_end->write(box.bytes))
+    if (!connection->server_end->write_unbounded(box.bytes))
       responses_sent_.fetch_sub(box.frames, std::memory_order_relaxed);
   }
   return batch.size();

@@ -14,6 +14,15 @@
 // turns overload into explicit kShed responses at the wire door, before the
 // batch queue, mirroring the tier's own admission control.
 //
+// The client end runs no threads (client.h): a response written here is
+// read by the client thread that waits for it, so an inline warm hit
+// crosses one thread besides the caller — this connection's reader. Hence
+// no response write ever waits for the client to read
+// (PipeEndpoint::write_unbounded): the bytes queue in the connection's pipe,
+// its output buffer, so one connection nobody reads yet cannot stall the
+// pump's writes to the others, its reader's intake of new requests, or
+// shutdown().
+//
 // The connection a request arrives on IS its landing shard: requests are
 // submitted with serve_on(connection.landing), so the tier's routed /
 // sprayed / forwarded ledger measures the CLIENT's routing quality — a

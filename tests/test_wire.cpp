@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -22,11 +23,14 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "faultinject/injector.h"
 #include "net/client.h"
 #include "net/pipe.h"
 #include "net/server.h"
@@ -394,6 +398,52 @@ TEST(WirePipe, ShutdownReadIsAHalfClose) {
   EXPECT_EQ(pipe.b().read(64), "reply");
 }
 
+/// Chunk sizes one seeded short-read stream yields when every read is
+/// preceded by `empty_polls` try_read() calls on the drained channel.
+std::vector<std::size_t> short_read_chunks(int empty_polls,
+                                           std::unordered_map<std::string, std::uint64_t>* ops) {
+  fi::FaultPlan plan;
+  plan.seed = 0x5407EADull;
+  plan.p_wire_short_read = 0.5;
+  fi::FaultInjector injector(plan);
+  DuplexPipe pipe({.faults = &injector, .label = "polls"});
+  std::vector<std::size_t> sizes;
+  for (int round = 0; round < 32; ++round) {
+    for (int i = 0; i < empty_polls; ++i) EXPECT_FALSE(pipe.b().try_read(64).has_value());
+    EXPECT_TRUE(pipe.a().write(std::string(40, 'x')));
+    for (std::size_t got = 0; got < 40;) {
+      const std::string chunk = pipe.b().read(64);
+      if (chunk.empty()) return sizes;  // unreachable: the pipe stays open
+      sizes.push_back(chunk.size());
+      got += chunk.size();
+    }
+  }
+  *ops = injector.op_counts();
+  return sizes;
+}
+
+TEST(WirePipe, EmptyPollsLeaveTheShortReadStreamUnchanged) {
+  std::unordered_map<std::string, std::uint64_t> quiet_ops;
+  std::unordered_map<std::string, std::uint64_t> polled_ops;
+  const std::vector<std::size_t> quiet = short_read_chunks(0, &quiet_ops);
+  const std::vector<std::size_t> polled = short_read_chunks(100, &polled_ops);
+  EXPECT_EQ(quiet, polled);
+  EXPECT_EQ(quiet_ops, polled_ops);
+  // The chaos was live: some reads were capped to a few bytes.
+  EXPECT_TRUE(std::any_of(quiet.begin(), quiet.end(), [](std::size_t n) { return n <= 4; }));
+  EXPECT_GT(quiet.size(), 32u);
+}
+
+TEST(WirePipe, TryReadPollsWithoutBlockingAndSeesEof) {
+  DuplexPipe pipe({});
+  EXPECT_FALSE(pipe.b().try_read().has_value());  // empty and open
+  ASSERT_TRUE(pipe.a().write("abc"));
+  EXPECT_EQ(pipe.b().try_read(2), std::optional<std::string>("ab"));
+  pipe.a().close();
+  EXPECT_EQ(pipe.b().try_read(), std::optional<std::string>("c"));  // drains first
+  EXPECT_EQ(pipe.b().try_read(), std::optional<std::string>(""));   // then EOF
+}
+
 // ---------------------------------------------------------------------------
 // Serving end to end.
 
@@ -582,32 +632,90 @@ TEST_F(WireServing, InvalidRequestFailsTheRequestNotTheConnection) {
   ASSERT_NE(good.plan, nullptr);
 }
 
+TEST_F(WireServing, BlockedPlanCallFailsWhenItsConnectionDrops) {
+  // One shard, one connection ("conn0s0"). Pick the first seed whose drop
+  // stream spares the client's request write (op 0 of side "/a") and fires
+  // on the server's response write (op 0 of side "/b"): the caller is
+  // already blocked reading when its connection goes down.
+  fi::FaultPlan plan;
+  plan.p_wire_drop = 0.5;
+  for (plan.seed = 1;; ++plan.seed) {
+    fi::FaultInjector probe(plan);
+    const bool client_drops = probe.fires(fi::Channel::kWireDrop, "conn0s0/a");
+    if (!client_drops && probe.fires(fi::Channel::kWireDrop, "conn0s0/b")) break;
+  }
+  fi::FaultInjector injector(plan);
+
+  std::mutex latch_mutex;
+  std::condition_variable latch_cv;
+  bool release = false;
+  std::atomic<bool> solving{false};
+  ShardedConfig config = tier_config(1);
+  config.service.solve_hook = [&](const std::string&, std::uint64_t) {
+    solving.store(true);
+    std::unique_lock<std::mutex> lock(latch_mutex);
+    latch_cv.wait(lock, [&] { return release; });
+  };
+  ShardedPlanService tier(&catalog_, &est_, market_, config);
+  PlanServerLoop server(&tier, {.workers = 1, .faults = &injector});
+  PlanClient client(&server, ClientMode::kRouted);
+
+  std::string error;
+  std::thread caller([&] {
+    try {
+      (void)client.plan(request(1.5));
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!solving.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(solving.load());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let the caller block
+  {
+    std::lock_guard<std::mutex> lock(latch_mutex);
+    release = true;
+  }
+  latch_cv.notify_all();
+  caller.join();
+  EXPECT_EQ(error, "connection dropped");
+  EXPECT_EQ(injector.injected_count(), 1u);
+}
+
 TEST_F(WireServing, ShutdownAnswersEverythingAcceptedBeforeClosing) {
   ShardedPlanService oracle(&catalog_, &est_, market_, tier_config(1));
-  ShardedPlanService tier(&catalog_, &est_, market_, tier_config(2));
-  auto server = std::make_unique<PlanServerLoop>(&tier, ServerConfig{});
-  PlanClient client(server.get(), ClientMode::kRouted);
-
   const std::vector<double> factors = {1.3, 1.4, 1.5, 1.6, 1.7, 1.8};
-  std::map<std::uint64_t, std::string> want;
-  for (const double factor : factors) {
-    const std::uint64_t id = client.submit(request(factor));
-    want[id] = plan_fingerprint(*oracle.serve(request(factor)).plan);
-  }
-  // Every frame above is already buffered in its pipe (submit's write is
-  // synchronous), so the drain law says all six get real answers.
-  server->shutdown();
-  client.drain();
-  const std::vector<ClientCompletion> done = client.harvest();
+  // 512-byte pipes hold about one response: the client reads nothing until
+  // shutdown() has returned, so the pump's flushes land in full pipes and
+  // must not wait on them.
+  for (const std::size_t pipe_bytes : {std::size_t{1} << 16, std::size_t{512}}) {
+    SCOPED_TRACE("pipe_capacity_bytes=" + std::to_string(pipe_bytes));
+    ShardedPlanService tier(&catalog_, &est_, market_, tier_config(2));
+    auto server = std::make_unique<PlanServerLoop>(
+        &tier, ServerConfig{.pipe_capacity_bytes = pipe_bytes});
+    PlanClient client(server.get(), ClientMode::kRouted);
 
-  ASSERT_EQ(done.size(), factors.size());
-  std::set<std::uint64_t> seen;
-  for (const ClientCompletion& completion : done) {
-    EXPECT_TRUE(seen.insert(completion.request_id).second) << "completed twice";
-    ASSERT_EQ(want.count(completion.request_id), 1u);
-    EXPECT_TRUE(completion.error.empty()) << completion.error;
-    ASSERT_NE(completion.response.plan, nullptr);
-    EXPECT_EQ(plan_fingerprint(*completion.response.plan), want[completion.request_id]);
+    std::map<std::uint64_t, std::string> want;
+    for (const double factor : factors) {
+      const std::uint64_t id = client.submit(request(factor));
+      want[id] = plan_fingerprint(*oracle.serve(request(factor)).plan);
+    }
+    // Every frame above is already buffered in its pipe (submit's write is
+    // synchronous), so the drain law says all six get real answers.
+    server->shutdown();
+    client.drain();
+    const std::vector<ClientCompletion> done = client.harvest();
+
+    ASSERT_EQ(done.size(), factors.size());
+    std::set<std::uint64_t> seen;
+    for (const ClientCompletion& completion : done) {
+      EXPECT_TRUE(seen.insert(completion.request_id).second) << "completed twice";
+      ASSERT_EQ(want.count(completion.request_id), 1u);
+      EXPECT_TRUE(completion.error.empty()) << completion.error;
+      ASSERT_NE(completion.response.plan, nullptr);
+      EXPECT_EQ(plan_fingerprint(*completion.response.plan), want[completion.request_id]);
+    }
   }
 }
 
