@@ -9,14 +9,16 @@
 // a cold solve() (the oracle — always the from-scratch path) and the warm
 // serve() re-plan. Per iteration the warm plan must be fingerprint-identical
 // to the cold one and the work counters must be EXACT:
-// tables_reused == K − d, tables_built == d, and the CostTableStore misses
-// (lookups finding no entry or a stale one) == d.
+// tables_reused == K − d, tables_built == d, the CostTableStore misses
+// (lookups finding no entry or a stale one) == d, and the expected-price
+// sums read d history steps (PlanStats::price_steps_read): each dirty group
+// gets one appended price, and its rebuild resumes the stale model's sums.
 //
 // Acceptance gates: exactly K candidates kept; exact counters and zero
 // fingerprint divergence on every iteration; and the headline —
 // single-group-delta warm re-plans are ≥ 5× faster than cold solves (p50).
 // --check compares the deterministic counters (kept, delta, tables_*,
-// store_*, divergence) against the committed baseline
+// store_*, price_steps_*, divergence) against the committed baseline
 // (bench/BENCH_replan.json) exact-equality; wall-clock ratios are printed
 // and gated in-process but never compared across machines.
 #include <algorithm>
@@ -127,6 +129,8 @@ int main(int argc, char** argv) {
     std::uint64_t divergence = 0;
     std::uint64_t store_misses = 0;
     std::uint64_t store_miss_errors = 0;
+    std::uint64_t price_steps = 0;
+    std::uint64_t price_steps_errors = 0;
   };
   std::vector<Series> series;
   for (const std::size_t delta : {std::size_t{1}, kK / 2, kK}) {
@@ -166,6 +170,8 @@ int main(int argc, char** argv) {
       if (warm.plan->stats.tables_built != delta ||
           warm.plan->stats.tables_reused != kK - delta)
         ++s.counter_errors;
+      s.price_steps += warm.plan->stats.price_steps_read;
+      if (warm.plan->stats.price_steps_read != delta) ++s.price_steps_errors;
     }
     series.push_back(std::move(s));
   }
@@ -176,7 +182,8 @@ int main(int argc, char** argv) {
   };
   double speedup_1 = 0.0;
   std::vector<bench::JsonResult> results;
-  std::uint64_t counter_errors = 0, divergence = 0, store_miss_errors = 0;
+  std::uint64_t counter_errors = 0, divergence = 0, store_miss_errors = 0,
+                price_steps_errors = 0;
   for (const Series& s : series) {
     const double cold_ms = p50(s.cold_s) * 1e3;
     const double warm_ms = p50(s.warm_s) * 1e3;
@@ -185,6 +192,7 @@ int main(int argc, char** argv) {
     counter_errors += s.counter_errors;
     divergence += s.divergence;
     store_miss_errors += s.store_miss_errors;
+    price_steps_errors += s.price_steps_errors;
     std::printf("delta %zu:  cold p50 %8.3f ms  |  warm p50 %8.3f ms  |  %5.1fx"
                 "  (reused %zu, rebuilt %zu)\n",
                 s.delta, cold_ms, warm_ms, ratio, kK - s.delta, s.delta);
@@ -204,6 +212,10 @@ int main(int argc, char** argv) {
                          static_cast<double>(s.store_misses) /
                              static_cast<double>(s.warm_s.size())},
                         {"store_miss_errors", static_cast<double>(s.store_miss_errors)},
+                        {"price_steps_read_per_replan",
+                         static_cast<double>(s.price_steps) /
+                             static_cast<double>(s.warm_s.size())},
+                        {"price_steps_errors", static_cast<double>(s.price_steps_errors)},
                         {"cold_p50_ms", cold_ms},
                         {"speedup_p50", ratio}}});
   }
@@ -222,12 +234,15 @@ int main(int argc, char** argv) {
   gate("every warm plan bit-matches the cold solve at its epoch", divergence == 0);
   gate("exact store work on every iteration (CostTableStore misses per warm re-plan = d)",
        store_miss_errors == 0);
+  gate("exact expected-price work on every iteration (history steps read per warm "
+       "re-plan = d)",
+       price_steps_errors == 0);
   std::printf("  [%s] single-group-delta warm re-plan >= 5x faster than cold "
               "(p50 %.1fx)\n",
               speedup_1 >= 5.0 ? "PASS" : "FAIL", speedup_1);
 
   bool ok = kept_ok && counter_errors == 0 && divergence == 0 && store_miss_errors == 0 &&
-            speedup_1 >= 5.0;
+            price_steps_errors == 0 && speedup_1 >= 5.0;
 
   if (!check_path.empty()) {
     std::ifstream in(check_path);

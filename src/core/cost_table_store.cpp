@@ -50,10 +50,9 @@ void CostTableStore::evict_locked(const std::string& keep) {
   }
 }
 
-std::shared_ptr<const GroupArtifact> CostTableStore::lookup(const std::string& scope,
-                                                            const CircleGroupSpec& spec,
-                                                            std::uint64_t version,
-                                                            std::uint64_t config_hash) {
+std::shared_ptr<const GroupArtifact> CostTableStore::lookup(
+    const std::string& scope, const CircleGroupSpec& spec, std::uint64_t version,
+    std::uint64_t config_hash, std::shared_ptr<const GroupArtifact>* stale) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto sit = scopes_.find(scope);
   if (sit == scopes_.end()) {
@@ -69,8 +68,12 @@ std::shared_ptr<const GroupArtifact> CostTableStore::lookup(const std::string& s
   if (it->second.config_hash != config_hash || it->second.artifact->version != version) {
     // Stale: the group's history moved (or the solver config changed under
     // the scope). It can never match again — versions of a live scope only
-    // move forward — so reclaim the bytes now.
+    // move forward — so reclaim the bytes now. A newer version under the
+    // same config hands the old artifact to the rebuild.
     ++counters_.invalidated;
+    if (stale != nullptr && it->second.config_hash == config_hash &&
+        it->second.artifact->version < version)
+      *stale = it->second.artifact;
     drop_entry_locked(sit->second, it);
     return nullptr;
   }

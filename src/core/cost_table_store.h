@@ -15,8 +15,12 @@
 //   * within a scope, the group spec, guarded by an exact
 //     (history version, config hash) match. The version comes from
 //     MarketBoard::group_versions(): equal versions mean bit-identical
-//     traces. Exact equality (not >=) makes wraparound/reset safe — any
-//     mismatch invalidates.
+//     traces. Reuse needs exact equality (not >=), which makes
+//     wraparound/reset safe — any mismatch invalidates. An entry
+//     invalidated by a newer version is handed back once as the stale
+//     artifact, whose FailureModel lets the rebuild resume its
+//     expected-price sums; the model's own lineage check, not the version,
+//     decides whether that resume is sound.
 //
 // Memory is bounded by a byte cap with scope-granularity LRU eviction: a
 // scope's artifacts live and die together (partial scopes would only
@@ -96,11 +100,13 @@ class CostTableStore {
 
   /// Returns the artifact for (scope, spec) iff its recorded history version
   /// and config hash match EXACTLY; a mismatched entry is dropped (counted
-  /// as invalidated) and nullptr returned.
-  std::shared_ptr<const GroupArtifact> lookup(const std::string& scope,
-                                              const CircleGroupSpec& spec,
-                                              std::uint64_t version,
-                                              std::uint64_t config_hash);
+  /// as invalidated) and nullptr returned. When the dropped entry has the
+  /// same config hash and an OLDER version (the group's history moved on),
+  /// it is also handed to `*stale`; a lookup at an older version (a reset
+  /// board) or under another config hash leaves `*stale` untouched.
+  std::shared_ptr<const GroupArtifact> lookup(
+      const std::string& scope, const CircleGroupSpec& spec, std::uint64_t version,
+      std::uint64_t config_hash, std::shared_ptr<const GroupArtifact>* stale = nullptr);
 
   /// Inserts or replaces the artifact for (scope, spec), then enforces the
   /// byte cap (evicting least-recently-touched OTHER scopes).

@@ -9,7 +9,7 @@
 namespace sompi {
 
 FailureModel::FailureModel(const SpotTrace& history, std::vector<double> bids,
-                           const FailureEstimationConfig& config)
+                           const FailureEstimationConfig& config, const FailureModel* prefix)
     : bids_(std::move(bids)), horizon_(config.horizon_steps) {
   SOMPI_REQUIRE(!history.empty());
   SOMPI_REQUIRE(!bids_.empty());
@@ -20,8 +20,22 @@ FailureModel::FailureModel(const SpotTrace& history, std::vector<double> bids,
 
   max_price_ = history.max_price();
 
+  // Expected prices: resume each bid's trace-order sum where the prefix
+  // model stopped. The lineage proves its history is a prefix of this one;
+  // equal bids are bit-equal, as no bid is zero.
+  const bool resume = prefix != nullptr && prefix->history_lineage_ == history.lineage() &&
+                      prefix->summed_steps_ <= history.steps() && prefix->bids_ == bids_;
+  const std::size_t from = resume ? prefix->summed_steps_ : 0;
+  price_sums_.reserve(bids_.size());
   expected_price_.reserve(bids_.size());
-  for (double b : bids_) expected_price_.push_back(history.mean_below(b));
+  for (std::size_t b = 0; b < bids_.size(); ++b) {
+    price_sums_.push_back(
+        history.sum_below(bids_[b], from, resume ? prefix->price_sums_[b] : SpotTrace::BelowSum{}));
+    expected_price_.push_back(price_sums_.back().mean());
+  }
+  summed_steps_ = history.steps();
+  history_lineage_ = history.lineage();
+  price_steps_read_ = summed_steps_ - from;
 
   // failures[b][t]: samples whose first passage for bid b lands exactly at t.
   const std::size_t width = horizon_ + 1;

@@ -7,7 +7,9 @@
 // a histogram-based way: start from G random points in the recent history,
 // record when the price first exceeds P, and normalize the counts. Record
 // chains (the steps where a start's running max rises) give EVERY bid's first
-// passage at once and scan overlapping horizons once (DESIGN.md §5.2).
+// passage at once and scan overlapping horizons once (DESIGN.md §5.2). The
+// expected prices resume from the sums of a model built on a prefix of the
+// same history, so a grown history costs only its new steps there.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +36,14 @@ class FailureModel {
  public:
   /// Builds the model over the given candidate bid levels (ascending, all
   /// positive) from the price history. The trace must be non-empty.
+  ///
+  /// `prefix` is an optional earlier model. Its expected-price sums are
+  /// resumed (only the steps past its history are read) when its history is
+  /// a prefix of this one — same SpotTrace::lineage(), no more steps — and
+  /// its bids are bit-equal to `bids`; otherwise the sums start from zero.
+  /// Either way the result is bit-identical.
   FailureModel(const SpotTrace& history, std::vector<double> bids,
-               const FailureEstimationConfig& config);
+               const FailureEstimationConfig& config, const FailureModel* prefix = nullptr);
 
   /// Candidate bid levels, ascending.
   const std::vector<double>& bids() const { return bids_; }
@@ -68,6 +76,10 @@ class FailureModel {
   /// Highest historical price H_i (upper end of the bid range).
   double max_price() const { return max_price_; }
 
+  /// History steps the expected-price sums read while building this model:
+  /// all of them, or only those past a resumed prefix.
+  std::size_t price_steps_read() const { return price_steps_read_; }
+
  private:
   std::vector<double> bids_;
   std::size_t horizon_;
@@ -75,6 +87,12 @@ class FailureModel {
   std::vector<double> survival_;
   std::vector<double> expected_price_;
   double max_price_ = 0.0;
+  // What a later model resumes from: each bid's sum over the first
+  // summed_steps_ steps of the history with lineage history_lineage_.
+  std::vector<SpotTrace::BelowSum> price_sums_;
+  std::size_t summed_steps_ = 0;
+  std::uint64_t history_lineage_ = 0;
+  std::size_t price_steps_read_ = 0;
 };
 
 /// The paper's logarithmic bid grid over (0, H]: the search points are

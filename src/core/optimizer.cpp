@@ -115,16 +115,18 @@ Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history, doub
   // disallowed groups' Monte-Carlo.
   const auto t_setup = std::chrono::steady_clock::now();
   std::vector<GroupSetup> candidates;
+  std::size_t price_steps_read = 0;
   for (const CircleGroupSpec& spec : catalog_->all_groups()) {
     const InstanceType& type = catalog_->type(spec.type_index);
     const std::string& zone = catalog_->zone(spec.zone_index).name;
     if (!allowed(allowed_types, type.name) || !allowed(allowed_zones, zone)) continue;
     if (estimator_->hours(app, type, zone) > deadline_h) continue;  // cannot finish in time
-    candidates.push_back(setup_for(app, spec, history, od, deadline_h, ctx));
+    candidates.push_back(setup_for(app, spec, history, od, deadline_h, ctx, &price_steps_read));
   }
   const auto t_search = std::chrono::steady_clock::now();
 
   Plan plan = optimize_over(app, std::move(candidates), od, deadline_h, ctx);
+  plan.stats.price_steps_read = price_steps_read;
   plan.setup_seconds = std::chrono::duration<double>(t_search - t_setup).count();
   plan.optimize_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t_begin).count();
@@ -133,23 +135,29 @@ Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history, doub
 
 GroupSetup SompiOptimizer::setup_for(const AppProfile& app, const CircleGroupSpec& spec,
                                      const Market& history, const OnDemandChoice& od,
-                                     double deadline_h, ReplanContext* ctx) const {
+                                     double deadline_h, ReplanContext* ctx,
+                                     std::size_t* price_steps_read) const {
   const SetupBuilder builder(catalog_, estimator_);
-  if (ctx == nullptr || !ctx->usable()) return builder.build(app, spec, history, config_.setup);
+  const bool warm = ctx != nullptr && ctx->usable();
+  std::uint64_t version = 0, chash = 0;
+  std::shared_ptr<const GroupArtifact> stale;
+  if (warm) {
+    const std::size_t zones = catalog_->zones().size();
+    version = ctx->versions->at(spec.type_index * zones + spec.zone_index);
+    chash = replan_config_hash(config_, app, od, deadline_h);
+    if (const auto art = ctx->store->lookup(ctx->scope, spec, version, chash, &stale))
+      return art->setup;
+  }
 
-  const std::size_t zones = catalog_->zones().size();
-  const std::uint64_t version = ctx->versions->at(spec.type_index * zones + spec.zone_index);
-  const std::uint64_t chash = replan_config_hash(config_, app, od, deadline_h);
-  if (const auto art = ctx->store->lookup(ctx->scope, spec, version, chash))
-    return art->setup;
-
+  // A stale artifact's model lets the expected prices read only new steps.
+  GroupSetup setup = builder.build(app, spec, history, config_.setup,
+                                   stale != nullptr ? &stale->setup.failure : nullptr);
+  if (price_steps_read != nullptr) *price_steps_read += setup.failure.price_steps_read();
   // Store a setup-only artifact immediately: even if this group is pruned
   // from the search below max_candidates, the next epoch skips its
   // Monte-Carlo failure estimation, the bulk of per-group setup.
-  auto art = std::make_shared<GroupArtifact>(version, builder.build(app, spec, history,
-                                                                   config_.setup));
-  GroupSetup setup = art->setup;
-  ctx->store->store(ctx->scope, spec, chash, std::move(art));
+  if (warm)
+    ctx->store->store(ctx->scope, spec, chash, std::make_shared<GroupArtifact>(version, setup));
   return setup;
 }
 

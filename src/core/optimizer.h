@@ -126,10 +126,13 @@ class SompiOptimizer {
   /// reuse: returns the cached GroupSetup when `ctx` holds an artifact for
   /// `spec` at its current history version (skipping the Monte-Carlo failure
   /// estimation), otherwise builds one and stores a setup-only artifact so
-  /// even groups later pruned from the search never rebuild it.
+  /// even groups later pruned from the search never rebuild it. A build
+  /// that replaces a stale artifact resumes its expected-price sums; every
+  /// build adds the history steps its sums read to `*price_steps_read`
+  /// (when non-null).
   GroupSetup setup_for(const AppProfile& app, const CircleGroupSpec& spec,
                        const Market& history, const OnDemandChoice& od, double deadline_h,
-                       ReplanContext* ctx) const;
+                       ReplanContext* ctx, std::size_t* price_steps_read = nullptr) const;
 
  private:
   const Catalog* catalog_;

@@ -51,6 +51,10 @@ struct PlanStats {
   std::size_t tables_reused = 0;
   std::size_t tables_built = 0;
   std::size_t warm_seeds = 0;
+  /// History steps the candidate setups' expected-price sums read (0 from
+  /// optimize_over): every step on a cold build, only the appended ones
+  /// when a warm build resumes its stale model's sums.
+  std::size_t price_steps_read = 0;
 };
 
 /// A full plan plus the model's expectation for it and optimizer statistics.

@@ -13,7 +13,8 @@ SetupBuilder::SetupBuilder(const Catalog* catalog, const ExecTimeEstimator* esti
 }
 
 GroupSetup SetupBuilder::build(const AppProfile& app, const CircleGroupSpec& spec,
-                               const Market& history, const SetupConfig& config) const {
+                               const Market& history, const SetupConfig& config,
+                               const FailureModel* prefix) const {
   const SpotTrace& trace = history.trace(spec);
   SOMPI_REQUIRE(config.max_bid_over_ondemand > 0.0);
   const double ceiling =
@@ -22,12 +23,13 @@ GroupSetup SetupBuilder::build(const AppProfile& app, const CircleGroupSpec& spe
   std::vector<double> bids = config.bid_grid == BidGridKind::kLogarithmic
                                  ? logarithmic_bid_grid(top, config.log_levels)
                                  : uniform_bid_grid(top, config.uniform_points);
-  return build_with_bids(app, spec, history, config, std::move(bids));
+  return build_with_bids(app, spec, history, config, std::move(bids), prefix);
 }
 
 GroupSetup SetupBuilder::build_with_bids(const AppProfile& app, const CircleGroupSpec& spec,
                                          const Market& history, const SetupConfig& config,
-                                         std::vector<double> bids) const {
+                                         std::vector<double> bids,
+                                         const FailureModel* prefix) const {
   SOMPI_REQUIRE(config.step_hours > 0.0);
   const InstanceType& type = catalog_->type(spec.type_index);
   // Zone-qualified estimates: with a platform-aware estimator the group's
@@ -54,7 +56,7 @@ GroupSetup SetupBuilder::build_with_bids(const AppProfile& app, const CircleGrou
       .t_steps = t_steps,
       .o_steps = o_steps,
       .r_steps = r_steps,
-      .failure = FailureModel(history.trace(spec), std::move(bids), fec),
+      .failure = FailureModel(history.trace(spec), std::move(bids), fec, prefix),
   };
 }
 

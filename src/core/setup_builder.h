@@ -38,15 +38,18 @@ class SetupBuilder {
 
   /// Builds the setup for one circle group from its price history.
   /// The failure-model horizon automatically covers the densest possible
-  /// checkpoint schedule (F = 1).
+  /// checkpoint schedule (F = 1). `prefix` is the group's previous failure
+  /// model, if any: its expected-price sums are resumed when its history is
+  /// a prefix of this one (FailureModel's constructor).
   GroupSetup build(const AppProfile& app, const CircleGroupSpec& spec, const Market& history,
-                   const SetupConfig& config) const;
+                   const SetupConfig& config, const FailureModel* prefix = nullptr) const;
 
   /// Like build(), but over an explicit bid grid (baselines that fix the bid
   /// by policy — e.g. "the on-demand price" — rather than by search).
   GroupSetup build_with_bids(const AppProfile& app, const CircleGroupSpec& spec,
                              const Market& history, const SetupConfig& config,
-                             std::vector<double> bids) const;
+                             std::vector<double> bids,
+                             const FailureModel* prefix = nullptr) const;
 
   const Catalog& catalog() const { return *catalog_; }
   const ExecTimeEstimator& estimator() const { return *estimator_; }

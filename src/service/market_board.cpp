@@ -1,5 +1,7 @@
 #include "service/market_board.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace sompi {
@@ -74,19 +76,25 @@ std::uint64_t MarketBoard::install_locked(const std::vector<GroupTrace>& traces)
 std::vector<GroupTrace> appended_traces(const Market& base,
                                         const std::vector<PriceUpdate>& updates) {
   const std::size_t zones = base.catalog().zones().size();
-  // The trace under construction per group ordinal; `out` shares each one.
-  std::vector<std::shared_ptr<SpotTrace>> building(base.group_count());
-  std::vector<GroupTrace> out;
+  // Each touched group's new prices, concatenated in update order, per group
+  // ordinal; `touched` keeps first-mention order. Every update is checked
+  // before any trace is built, so a bad batch claims no lineage.
+  std::vector<std::vector<double>> more(base.group_count());
+  std::vector<CircleGroupSpec> touched;
   for (const PriceUpdate& update : updates) {
-    const SpotTrace& old = base.trace(update.group);
-    SOMPI_REQUIRE_MSG(!old.empty(), "cannot ingest into an empty trace");
-    std::shared_ptr<SpotTrace>& next =
-        building[update.group.type_index * zones + update.group.zone_index];
-    if (next == nullptr) {
-      next = std::make_shared<SpotTrace>(old);
-      out.push_back(GroupTrace{update.group, next});
-    }
-    next->append(update.prices);
+    SOMPI_REQUIRE_MSG(!base.trace(update.group).empty(), "cannot ingest into an empty trace");
+    for (double p : update.prices) SOMPI_REQUIRE_MSG(p >= 0.0, "spot price must be non-negative");
+    if (std::find(touched.begin(), touched.end(), update.group) == touched.end())
+      touched.push_back(update.group);
+    std::vector<double>& prices = more[update.group.type_index * zones + update.group.zone_index];
+    prices.insert(prices.end(), update.prices.begin(), update.prices.end());
+  }
+  std::vector<GroupTrace> out;
+  out.reserve(touched.size());
+  for (const CircleGroupSpec& group : touched) {
+    const std::vector<double>& prices = more[group.type_index * zones + group.zone_index];
+    out.push_back(GroupTrace{group, std::make_shared<const SpotTrace>(
+                                        base.trace(group).extended(prices))});
   }
   return out;
 }

@@ -34,9 +34,10 @@ struct GroupTrace {
 };
 
 /// The new traces `updates` produce against `base`: one per distinct touched
-/// group (in first-mention order), each a copy of the group's trace in
-/// `base` with all of its updates appended in order. Untouched groups cost
-/// nothing. Throws PreconditionError (and builds nothing) on an unknown
+/// group (in first-mention order), each the group's trace in `base`
+/// extended (SpotTrace::extended, exact size, same lineage) by all of its
+/// updates' prices in order — even when they are all empty. Untouched groups
+/// cost nothing. Throws PreconditionError (and builds nothing) on an unknown
 /// group, an empty base trace or a negative price.
 std::vector<GroupTrace> appended_traces(const Market& base,
                                         const std::vector<PriceUpdate>& updates);

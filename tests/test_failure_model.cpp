@@ -314,5 +314,134 @@ TEST(FailureModelOracle, PaperScaleAndSparseTracesMatchPerSampleScan) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Resumed expected-price sums: a model built with the previous model of a
+// growing history as its prefix must equal a fresh model bit for bit, and
+// must read only the appended steps — or every step whenever the prefix
+// cannot be proven (moved bid grid, forked lineage, window/tail copies,
+// shorter history).
+
+// Returns the number of values on which the two models differ.
+std::size_t model_mismatches(const FailureModel& got, const FailureModel& want) {
+  std::size_t mismatches = got.bid_count() != want.bid_count();
+  for (std::size_t b = 0; b < std::min(got.bid_count(), want.bid_count()); ++b) {
+    mismatches += got.expected_price(b) != want.expected_price(b);
+    mismatches += got.mtbf(b) != want.mtbf(b);
+    for (std::size_t t = 0; t <= want.horizon(); ++t)
+      mismatches += got.survival(b, t) != want.survival(b, t);
+  }
+  return mismatches;
+}
+
+std::vector<double> random_prices(std::size_t n, Rng& rng) {
+  if (rng.bernoulli(0.5)) return tied_prices(n, 1 + rng.uniform_index(4), rng);
+  std::vector<double> prices(n);
+  for (double& p : prices) p = rng.uniform(0.0, 0.05);
+  return prices;
+}
+
+TEST(FailureModelResume, ExtensionChainsMatchFreshModelsBitForBit) {
+  Rng rng(0x2E5E);
+  std::size_t resumed_links = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const std::size_t n0 = 1 + rng.uniform_index(60);
+    SpotTrace trace(0.25, random_prices(n0, rng));
+    const std::vector<double> bids = random_bids(trace.prices(), rng);
+    FailureEstimationConfig cfg;
+    cfg.samples = 1 + rng.uniform_index(rng.bernoulli(0.5) ? 400 : 20);
+    cfg.horizon_steps = 1 + rng.uniform_index(2 * n0 + 8);
+    cfg.wrap = rng.bernoulli(0.5);
+    cfg.seed = rng();
+    FailureModel prev(trace, bids, cfg);
+    ASSERT_EQ(prev.price_steps_read(), n0);
+    const std::size_t links = 1 + rng.uniform_index(20);
+    for (std::size_t link = 0; link < links; ++link) {
+      const std::size_t more = rng.uniform_index(41);
+      const std::size_t before = trace.steps();
+      trace = trace.extended(random_prices(more, rng));
+      FailureModel resumed(trace, bids, cfg, &prev);
+      const FailureModel fresh(trace, bids, cfg);
+      ASSERT_EQ(resumed.price_steps_read(), more) << "iter " << iter << " link " << link;
+      ASSERT_EQ(model_mismatches(resumed, fresh), 0u)
+          << "iter " << iter << " link " << link << " n=" << before << "+" << more
+          << " H=" << cfg.horizon_steps << " wrap=" << cfg.wrap;
+      // And both equal one plain trace-order pass over the whole history.
+      for (std::size_t b = 0; b < bids.size(); ++b) {
+        double sum = 0.0;
+        std::size_t count = 0;
+        for (double p : trace.prices()) {
+          if (p <= bids[b]) {
+            sum += p;
+            ++count;
+          }
+        }
+        ASSERT_EQ(resumed.expected_price(b), count == 0 ? 0.0 : sum / static_cast<double>(count));
+      }
+      prev = std::move(resumed);
+      ++resumed_links;
+    }
+  }
+  EXPECT_GT(resumed_links, 400u);
+}
+
+TEST(FailureModelResume, InPlaceAppendsAndCopiesResume) {
+  Rng rng(0xA99E);
+  SpotTrace trace(0.25, random_prices(50, rng));
+  const std::vector<double> bids = random_bids(trace.prices(), rng);
+  const FailureEstimationConfig cfg = config(300, 30);
+  const FailureModel base(trace, bids, cfg);
+  // A copy is the same history: nothing new to read.
+  const SpotTrace copy = trace;
+  EXPECT_EQ(FailureModel(copy, bids, cfg, &base).price_steps_read(), 0u);
+  trace.append(0.02);
+  trace.append(std::vector<double>{0.0, 0.03});
+  const FailureModel resumed(trace, bids, cfg, &base);
+  EXPECT_EQ(resumed.price_steps_read(), 3u);
+  EXPECT_EQ(model_mismatches(resumed, FailureModel(trace, bids, cfg)), 0u);
+}
+
+TEST(FailureModelResume, FallsBackToAFullPassWhenThePrefixIsUnproven) {
+  Rng rng(0xFA11);
+  const SpotTrace base =
+      generate_trace(regime_params_for(VolatilityClass::kSpiky, 0.05), 80, 0.25, rng);
+  const FailureEstimationConfig cfg = config(500, 40);
+  const std::vector<double> bids = logarithmic_bid_grid(base.max_price(), 5);
+  const FailureModel prefix(base, bids, cfg);
+
+  // Asserts `history` is rebuilt from step 0 despite the prefix, and equals
+  // the fresh model.
+  const auto expect_full_pass = [&](const SpotTrace& history, const std::vector<double>& grid,
+                                    const char* why) {
+    const FailureModel got(history, grid, cfg, &prefix);
+    EXPECT_EQ(got.price_steps_read(), history.steps()) << why;
+    EXPECT_EQ(model_mismatches(got, FailureModel(history, grid, cfg)), 0u) << why;
+  };
+
+  // The bid grid moved: a new maximum raised its top.
+  const SpotTrace higher = base.extended({base.max_price() * 2.0});
+  expect_full_pass(higher, logarithmic_bid_grid(higher.max_price(), 5), "grid top moved");
+  // Same content, but bids that differ in one bit.
+  std::vector<double> nudged = bids;
+  nudged.back() = std::nextafter(nudged.back(), 0.0);
+  expect_full_pass(base, nudged, "bids not bit-equal");
+
+  // A fork: `higher` already extended `base`, so a second, different
+  // extension of `base` leaves the lineage and must not resume.
+  const SpotTrace fork = base.extended({0.0, 0.0, 0.0});
+  EXPECT_NE(fork.lineage(), base.lineage());
+  expect_full_pass(fork, bids, "forked lineage");
+
+  // window() and tail_hours() copies start new lineages, even unshortened.
+  expect_full_pass(base.window(0, base.steps()), bids, "window");
+  expect_full_pass(base.tail_hours(base.span_hours()), bids, "tail_hours");
+
+  // A shorter history of the same lineage: the prefix model covers more
+  // steps than the history holds.
+  const FailureModel longer(higher, bids, cfg);
+  const FailureModel shorter(base, bids, cfg, &longer);
+  EXPECT_EQ(shorter.price_steps_read(), base.steps());
+  EXPECT_EQ(model_mismatches(shorter, prefix), 0u);
+}
+
 }  // namespace
 }  // namespace sompi

@@ -143,6 +143,39 @@ TEST_F(CostTableStoreTest, ConfigHashMismatchInvalidates) {
   EXPECT_EQ(store.stats().misses, 1u);
 }
 
+TEST_F(CostTableStoreTest, NewerVersionHandsTheStaleArtifactOverOnce) {
+  CostTableStore store;
+  const CircleGroupSpec spec{0, 0};
+  const std::shared_ptr<GroupArtifact> old = artifact(/*version=*/5);
+  store.store("scope", spec, /*config_hash=*/7, old);
+  ASSERT_GT(store.stats().bytes, 0u);
+
+  // The group's history moved on: no reuse, but the rebuild gets the old
+  // artifact (its FailureModel resumes the expected-price sums). The entry
+  // is still dropped, counted and its bytes released.
+  std::shared_ptr<const GroupArtifact> stale;
+  EXPECT_EQ(store.lookup("scope", spec, 6, 7, &stale), nullptr);
+  EXPECT_EQ(stale, old);
+  CostTableStore::Stats s = store.stats();
+  EXPECT_EQ(s.invalidated, 1u);
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.bytes, 0u);
+  // Once: the next lookup is a plain miss with nothing to hand over.
+  stale = nullptr;
+  EXPECT_EQ(store.lookup("scope", spec, 6, 7, &stale), nullptr);
+  EXPECT_EQ(stale, nullptr);
+  EXPECT_EQ(store.stats().misses, 1u);
+
+  // An OLDER version (a reset board) and a changed config hand nothing over.
+  store.store("scope", spec, 7, artifact(9));
+  EXPECT_EQ(store.lookup("scope", spec, 2, 7, &stale), nullptr);
+  EXPECT_EQ(stale, nullptr);
+  store.store("scope", spec, 7, artifact(9));
+  EXPECT_EQ(store.lookup("scope", spec, 10, /*config_hash=*/8, &stale), nullptr);
+  EXPECT_EQ(stale, nullptr);
+  EXPECT_EQ(store.stats().invalidated, 3u);
+}
+
 TEST_F(CostTableStoreTest, ByteCapEvictsColdScopesNeverTheTouchedOne) {
   CostTableStore store(CostTableStore::Config{/*max_bytes=*/1});
   store.store("a", {0, 0}, 1, artifact(1));
@@ -276,6 +309,36 @@ TEST_F(WarmStartTest, ForcedEpochBumpReusesEveryTable) {
   EXPECT_EQ(replan.stats.tables_built, 0u);
   EXPECT_EQ(replan.stats.tables_reused, first.stats.tables_built);
   EXPECT_EQ(plan_fingerprint(replan), plan_fingerprint(first));
+}
+
+TEST_F(WarmStartTest, DirtyGroupsReadOnlyTheirAppendedSteps) {
+  CostTableStore store;
+  const SompiOptimizer opt(&catalog_, &est_, tiny_config());
+  MarketSnapshot snap = board_.snapshot();
+  ReplanContext fill = context(&store, snap);
+  const Plan first = opt.optimize(app_, *snap.market, deadline_h_, &fill);
+  // Every group's history has the same length; a cold build reads all of it
+  // once per candidate group.
+  const std::size_t steps = snap.market->trace({0, 0}).steps();
+  ASSERT_GT(first.stats.price_steps_read, 0u);
+  ASSERT_EQ(first.stats.price_steps_read % steps, 0u);
+  const std::size_t candidates = first.stats.price_steps_read / steps;
+
+  // Two steps for every group, each at or below the group's maximum so the
+  // bid grids stay put: each candidate's rebuild reads just those two.
+  std::vector<PriceUpdate> updates;
+  for (const CircleGroupSpec& g : catalog_.all_groups()) {
+    const SpotTrace& trace = snap.market->trace(g);
+    updates.push_back(PriceUpdate{g, {trace.price(0), trace.min_price()}});
+  }
+  board_.ingest(updates);
+  snap = board_.snapshot();
+  ReplanContext warm = context(&store, snap, std::make_shared<const Plan>(first));
+  const Plan replan = opt.optimize(app_, *snap.market, deadline_h_, &warm);
+  EXPECT_EQ(replan.stats.price_steps_read, 2 * candidates);
+  const Plan cold = opt.optimize(app_, *snap.market, deadline_h_);
+  EXPECT_EQ(cold.stats.price_steps_read, (steps + 2) * candidates);
+  EXPECT_EQ(plan_fingerprint(replan), plan_fingerprint(cold));
 }
 
 // ---------------------------------------------------------------------------

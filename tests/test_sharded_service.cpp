@@ -253,6 +253,99 @@ TEST_F(SharedTraceTest, ConcurrentReadersOfSharedTracesSeeFrozenHistories) {
   EXPECT_EQ(a.snapshot().market->shared_trace({0, 0}), c.snapshot().market->shared_trace({0, 0}));
 }
 
+// Lineage (SpotTrace::lineage): copies share it, the first trace to extend
+// it keeps it, every later extension of a shorter member forks a new one.
+
+TEST_F(SharedTraceTest, CopiesShareALineageAndOnlyTheFirstExtenderKeepsIt) {
+  const SpotTrace base = market_.trace({0, 0});
+  const SpotTrace copy = base;
+  EXPECT_NE(base.lineage(), 0u);
+  EXPECT_EQ(copy.lineage(), base.lineage());
+  EXPECT_EQ(base.extended({}).lineage(), base.lineage());  // no new step
+
+  const SpotTrace first = base.extended({0.01});
+  EXPECT_EQ(first.lineage(), base.lineage());
+  const SpotTrace second = copy.extended({0.02});
+  EXPECT_NE(second.lineage(), base.lineage());
+  // The first extender can go on extending; an in-place append of a copy
+  // of `base` is a second extension too and forks.
+  EXPECT_EQ(first.extended({0.03}).lineage(), base.lineage());
+  SpotTrace appended = base;
+  appended.append(0.04);
+  EXPECT_NE(appended.lineage(), base.lineage());
+  EXPECT_NE(appended.lineage(), second.lineage());
+
+  // Fresh traces, windows and tails never share one.
+  EXPECT_NE(base.window(0, base.steps()).lineage(), base.lineage());
+  EXPECT_NE(base.tail_hours(1.0).lineage(), base.lineage());
+  EXPECT_NE(SpotTrace(0.25, base.prices()).lineage(), base.lineage());
+}
+
+TEST_F(SharedTraceTest, ConcurrentExtendersOfOneBaseLeaveExactlyOneInItsLineage) {
+  const SpotTrace base = market_.trace({1, 1});
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 50; ++round) {
+    const SpotTrace shared = base.extended({0.01 * round});  // a fresh tip each round
+    std::vector<SpotTrace> out(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i)
+      threads.emplace_back([&, i] { out[i] = shared.extended({0.001 * (i + 1)}); });
+    for (std::thread& t : threads) t.join();
+    const auto keepers = std::count_if(out.begin(), out.end(), [&](const SpotTrace& t) {
+      return t.lineage() == shared.lineage();
+    });
+    EXPECT_EQ(keepers, 1) << "round " << round;
+  }
+}
+
+TEST_F(SharedTraceTest, ExtendedTracesAreBuiltAtTheirFinalSize) {
+  const SpotTrace& base = market_.trace({2, 0});
+  const SpotTrace next = base.extended({0.5, 0.25});
+  EXPECT_EQ(next.steps(), base.steps() + 2);
+  EXPECT_EQ(next.prices().capacity(), next.steps());
+  EXPECT_EQ(next.price(base.steps()), 0.5);
+  EXPECT_EQ(next.max_price(), std::max(0.5, base.max_price()));
+  EXPECT_THROW(base.extended({0.1, -1.0}), PreconditionError);
+
+  MarketBoard board(market_);
+  board.ingest({PriceUpdate{{2, 0}, {0.1}}});
+  const SpotTrace& installed = board.snapshot().market->trace({2, 0});
+  EXPECT_EQ(installed.prices().capacity(), installed.steps());
+}
+
+TEST_F(SharedTraceTest, AppendedTracesConcatenateUpdatesInOrderAndBumpEmptyOnes) {
+  // {0, 0} is named three times, {1, 2} only by an empty update.
+  const std::vector<GroupTrace> traces = appended_traces(
+      market_, {PriceUpdate{{0, 0}, {0.011, 0.012}}, PriceUpdate{{1, 2}, {}},
+                PriceUpdate{{0, 0}, {}}, PriceUpdate{{0, 0}, {0.013}}});
+  ASSERT_EQ(traces.size(), 2u);
+  EXPECT_EQ(traces[0].group, (CircleGroupSpec{0, 0}));
+  EXPECT_EQ(traces[1].group, (CircleGroupSpec{1, 2}));
+  const SpotTrace& old00 = market_.trace({0, 0});
+  const SpotTrace& t00 = *traces[0].trace;
+  ASSERT_EQ(t00.steps(), old00.steps() + 3);
+  EXPECT_EQ(t00.price(old00.steps()), 0.011);
+  EXPECT_EQ(t00.price(old00.steps() + 1), 0.012);
+  EXPECT_EQ(t00.price(old00.steps() + 2), 0.013);
+  EXPECT_EQ(t00.lineage(), old00.lineage());
+  // The empty-only group still gets a new trace object, same content.
+  EXPECT_NE(traces[1].trace, market_.shared_trace({1, 2}));
+  EXPECT_EQ(traces[1].trace->prices(), market_.trace({1, 2}).prices());
+  EXPECT_EQ(traces[1].trace->lineage(), market_.trace({1, 2}).lineage());
+
+  // On a board, both groups' versions move; no other group's does.
+  MarketBoard board(market_);
+  const auto before = board.group_versions();
+  board.ingest({PriceUpdate{{0, 0}, {0.011}}, PriceUpdate{{1, 2}, {}}});
+  const auto after = board.group_versions();
+  const std::size_t zones = catalog_.zones().size();
+  for (const CircleGroupSpec& g : catalog_.all_groups()) {
+    const std::size_t ordinal = g.type_index * zones + g.zone_index;
+    const bool named = g == CircleGroupSpec{0, 0} || g == CircleGroupSpec{1, 2};
+    EXPECT_EQ(after->at(ordinal) != before->at(ordinal), named) << ordinal;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ShardedPlanService: the differential battery.
 
