@@ -23,7 +23,9 @@
 // oracle, then concurrently through a 1-shard and an N-shard tier, then a
 // cross-shard spray burst. Gates: every concurrent response bit-matches the
 // oracle fingerprint; unique solves, conservation and the dedup ledger are
-// exact; the burst solves once; and N-shard throughput clears a
+// exact; the tier's shared failure-model cache builds each candidate
+// group's model once for all 48 deadline-only-different requests; the burst
+// solves once; and N-shard throughput clears a
 // hardware-aware floor of min(N, threads, cores) × 1-shard throughput × 0.3
 // (wall clock is never gated tighter than that — shared runners are noisy).
 // --check additionally compares the deterministic counters against a
@@ -235,6 +237,21 @@ int run_sharded(const Args& args) {
   std::printf("scale:    1 shard %.0f plans/s  |  %zu shards %.0f plans/s  (%.2fx)\n", rps_1,
               shards, rps_n, rps_n / rps_1);
 
+  // The requests differ only by deadline, so their groups' failure models
+  // are the same: the tier's shared cache builds each candidate group's
+  // model once, not once per request.
+  std::uint64_t candidate_groups = 0;
+  for (const CircleGroupSpec& g : catalog.all_groups())
+    candidate_groups += est.hours(bt, catalog.type(g.type_index),
+                                  catalog.zone(g.zone_index).name) <=
+                        request_for(kUnique - 1).deadline_h;
+  const std::uint64_t models_built = tier.stats().total.failure_models_built;
+  const bool models_ok =
+      models_built == candidate_groups && tier.model_cache_stats().builds == candidate_groups;
+  std::printf("models:   %llu failure models built for %d requests over %llu candidate groups\n",
+              static_cast<unsigned long long>(models_built), kUnique,
+              static_cast<unsigned long long>(candidate_groups));
+
   // --- Phase 3: identical cross-shard burst -------------------------------
   const ShardedStats pre_burst = tier.stats();
   {
@@ -302,6 +319,8 @@ int run_sharded(const Args& args) {
   gate("unique solves == unique requests (exactly-once economy)",
        stats.total.solves == static_cast<std::uint64_t>(kUnique) + burst_solves);
   gate("zero duplicate solves in the tier ledger", stats.duplicate_solves == 0);
+  gate("one failure model per candidate group across the deadline-only-different requests",
+       models_ok);
   gate("per-shard counters conserve the aggregate", conserve);
   gate("zero sheds under the roomy queue", stats.total.sheds == 0);
   gate("exactly one solve per cross-shard identical burst", burst_solves == 1);
@@ -311,7 +330,7 @@ int run_sharded(const Args& args) {
               "(%.0f >= 0.3 * %.0f * %.0f)\n",
               scaling_ok ? "PASS" : "FAIL", rps_n, expected, rps_1);
 
-  bool ok = fp_mismatches.load() == 0 && stats.duplicate_solves == 0 && conserve &&
+  bool ok = fp_mismatches.load() == 0 && stats.duplicate_solves == 0 && models_ok && conserve &&
             stats.total.sheds == 0 && burst_solves == 1 && scaling_ok &&
             stats.total.solves == static_cast<std::uint64_t>(kUnique) + burst_solves &&
             churn_replans > 0 && churn_divergence == 0;
@@ -333,6 +352,7 @@ int run_sharded(const Args& args) {
                       {"sheds", static_cast<double>(stats.total.sheds)},
                       {"churn_replans", static_cast<double>(churn_replans)},
                       {"churn_divergence", static_cast<double>(churn_divergence)},
+                      {"models_built", static_cast<double>(models_built)},
                       {"rps_1shard", rps_1},
                       {"rps_nshard", rps_n}}});
   ok = latencies_recorded(results) && ok;
@@ -352,7 +372,7 @@ int run_sharded(const Args& args) {
       for (const auto& [key, value] : r.counters) {
         if (key != "unique_requests" && key != "shards" && key != "requests" &&
             key != "unique_solves" && key != "burst_solves" && key != "sheds" &&
-            key != "churn_replans" && key != "churn_divergence")
+            key != "churn_replans" && key != "churn_divergence" && key != "models_built")
           continue;
         const std::optional<double> base = baseline_field(baseline, r.name, key);
         if (!base) {

@@ -116,11 +116,12 @@ void print_stats(const ServiceStats& s) {
               s.cache_entries, static_cast<unsigned long long>(s.stale_evicted), s.solve_p50_ms,
               s.solve_p99_ms, s.solve_seconds_total);
   std::printf("replans %llu (%llu warm-seeded) | tables reused %llu / rebuilt %llu | "
-              "replan p50 %.2f ms, p99 %.2f ms\n",
+              "failure models built %llu | replan p50 %.2f ms, p99 %.2f ms\n",
               static_cast<unsigned long long>(s.replan_count),
               static_cast<unsigned long long>(s.warm_seeds),
               static_cast<unsigned long long>(s.replan_table_hits),
-              static_cast<unsigned long long>(s.replan_table_misses), s.replan_p50_ms,
+              static_cast<unsigned long long>(s.replan_table_misses),
+              static_cast<unsigned long long>(s.failure_models_built), s.replan_p50_ms,
               s.replan_p99_ms);
 }
 

@@ -8,9 +8,6 @@ namespace sompi {
 
 std::size_t GroupArtifact::bytes() const {
   std::size_t n = sizeof(GroupArtifact);
-  // The FailureModel's histogram tables dominate the setup: one survival /
-  // expected-price row per bid across the horizon.
-  n += setup.failure.bid_count() * (setup.failure.horizon() + 2) * sizeof(double);
   n += f_of.capacity() * sizeof(int);
   n += f_guard_max.capacity() * sizeof(int);
   n += fits.capacity() + surv_ok.capacity();
@@ -18,7 +15,9 @@ std::size_t GroupArtifact::bytes() const {
   return n;
 }
 
-CostTableStore::CostTableStore(Config config) : config_(config) {
+CostTableStore::CostTableStore(Config config, std::shared_ptr<FailureModelCache> models)
+    : config_(config),
+      models_(models != nullptr ? std::move(models) : std::make_shared<FailureModelCache>()) {
   SOMPI_REQUIRE(config_.max_bytes > 0);
 }
 
@@ -50,9 +49,10 @@ void CostTableStore::evict_locked(const std::string& keep) {
   }
 }
 
-std::shared_ptr<const GroupArtifact> CostTableStore::lookup(
-    const std::string& scope, const CircleGroupSpec& spec, std::uint64_t version,
-    std::uint64_t config_hash, std::shared_ptr<const GroupArtifact>* stale) {
+std::shared_ptr<const GroupArtifact> CostTableStore::lookup(const std::string& scope,
+                                                            const CircleGroupSpec& spec,
+                                                            std::uint64_t version,
+                                                            std::uint64_t config_hash) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto sit = scopes_.find(scope);
   if (sit == scopes_.end()) {
@@ -68,12 +68,8 @@ std::shared_ptr<const GroupArtifact> CostTableStore::lookup(
   if (it->second.config_hash != config_hash || it->second.artifact->version != version) {
     // Stale: the group's history moved (or the solver config changed under
     // the scope). It can never match again — versions of a live scope only
-    // move forward — so reclaim the bytes now. A newer version under the
-    // same config hands the old artifact to the rebuild.
+    // move forward — so reclaim the bytes now.
     ++counters_.invalidated;
-    if (stale != nullptr && it->second.config_hash == config_hash &&
-        it->second.artifact->version < version)
-      *stale = it->second.artifact;
     drop_entry_locked(sit->second, it);
     return nullptr;
   }

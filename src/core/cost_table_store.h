@@ -16,11 +16,13 @@
 //     (history version, config hash) match. The version comes from
 //     MarketBoard::group_versions(): equal versions mean bit-identical
 //     traces. Reuse needs exact equality (not >=), which makes
-//     wraparound/reset safe — any mismatch invalidates. An entry
-//     invalidated by a newer version is handed back once as the stale
-//     artifact, whose FailureModel lets the rebuild resume its
-//     expected-price sums; the model's own lineage check, not the version,
-//     decides whether that resume is sound.
+//     wraparound/reset safe — any mismatch invalidates.
+//
+// The setups' failure models come from a FailureModelCache: one model per
+// market group, shared by every scope (tenant and deadline) of the store and
+// by every store handed the same cache (the shards of one tier). A rebuilt
+// setup therefore costs a Monte-Carlo estimation only when no other scope
+// has already estimated that group's new history.
 //
 // Memory is bounded by a byte cap with scope-granularity LRU eviction: a
 // scope's artifacts live and die together (partial scopes would only
@@ -41,6 +43,7 @@
 
 #include "cloud/catalog.h"
 #include "core/cost_model.h"
+#include "core/failure_model_cache.h"
 #include "core/plan.h"
 #include "core/problem.h"
 
@@ -71,7 +74,9 @@ struct GroupArtifact {
   std::shared_ptr<const GroupCostTable> table;
 
   bool has_derived() const { return !f_of.empty(); }
-  /// Approximate footprint for the store's byte accounting.
+  /// Approximate footprint for the store's byte accounting. The failure
+  /// model counts as its handle: its tables are shared, and the model
+  /// cache accounts for them.
   std::size_t bytes() const;
 };
 
@@ -96,17 +101,16 @@ class CostTableStore {
   };
 
   CostTableStore() : CostTableStore(Config()) {}
-  explicit CostTableStore(Config config);
+  /// `models` is the failure-model cache the setups share; null gives the
+  /// store one of its own.
+  explicit CostTableStore(Config config, std::shared_ptr<FailureModelCache> models = nullptr);
 
   /// Returns the artifact for (scope, spec) iff its recorded history version
   /// and config hash match EXACTLY; a mismatched entry is dropped (counted
-  /// as invalidated) and nullptr returned. When the dropped entry has the
-  /// same config hash and an OLDER version (the group's history moved on),
-  /// it is also handed to `*stale`; a lookup at an older version (a reset
-  /// board) or under another config hash leaves `*stale` untouched.
-  std::shared_ptr<const GroupArtifact> lookup(
-      const std::string& scope, const CircleGroupSpec& spec, std::uint64_t version,
-      std::uint64_t config_hash, std::shared_ptr<const GroupArtifact>* stale = nullptr);
+  /// as invalidated) and nullptr returned.
+  std::shared_ptr<const GroupArtifact> lookup(const std::string& scope,
+                                              const CircleGroupSpec& spec,
+                                              std::uint64_t version, std::uint64_t config_hash);
 
   /// Inserts or replaces the artifact for (scope, spec), then enforces the
   /// byte cap (evicting least-recently-touched OTHER scopes).
@@ -123,6 +127,9 @@ class CostTableStore {
 
   Stats stats() const;
   const Config& config() const { return config_; }
+
+  /// The failure-model cache behind this store's setups.
+  FailureModelCache& models() const { return *models_; }
 
  private:
   using SpecKey = std::pair<std::size_t, std::size_t>;  // (type_index, zone_index)
@@ -143,6 +150,7 @@ class CostTableStore {
 
   mutable std::mutex mutex_;
   Config config_;
+  std::shared_ptr<FailureModelCache> models_;
   std::map<std::string, Scope> scopes_;
   std::uint64_t tick_ = 0;
   std::size_t total_bytes_ = 0;

@@ -10,37 +10,43 @@ namespace sompi {
 
 FailureModel::FailureModel(const SpotTrace& history, std::vector<double> bids,
                            const FailureEstimationConfig& config, const FailureModel* prefix)
-    : bids_(std::move(bids)), horizon_(config.horizon_steps) {
+    : horizon_(config.horizon_steps) {
   SOMPI_REQUIRE(!history.empty());
-  SOMPI_REQUIRE(!bids_.empty());
-  SOMPI_REQUIRE(std::is_sorted(bids_.begin(), bids_.end()));
-  SOMPI_REQUIRE_MSG(bids_.front() > 0.0, "bids must be positive");
+  SOMPI_REQUIRE(!bids.empty());
+  SOMPI_REQUIRE(std::is_sorted(bids.begin(), bids.end()));
+  SOMPI_REQUIRE_MSG(bids.front() > 0.0, "bids must be positive");
   SOMPI_REQUIRE(config.samples > 0);
   SOMPI_REQUIRE(horizon_ > 0);
 
-  max_price_ = history.max_price();
+  auto tables = std::make_shared<Tables>();
+  Tables& m = *tables;
+  m.bids = std::move(bids);
+  m.horizon = horizon_;
+  m.max_price = history.max_price();
 
   // Expected prices: resume each bid's trace-order sum where the prefix
   // model stopped. The lineage proves its history is a prefix of this one;
   // equal bids are bit-equal, as no bid is zero.
-  const bool resume = prefix != nullptr && prefix->history_lineage_ == history.lineage() &&
-                      prefix->summed_steps_ <= history.steps() && prefix->bids_ == bids_;
-  const std::size_t from = resume ? prefix->summed_steps_ : 0;
-  price_sums_.reserve(bids_.size());
-  expected_price_.reserve(bids_.size());
-  for (std::size_t b = 0; b < bids_.size(); ++b) {
-    price_sums_.push_back(
-        history.sum_below(bids_[b], from, resume ? prefix->price_sums_[b] : SpotTrace::BelowSum{}));
-    expected_price_.push_back(price_sums_.back().mean());
+  const Tables* pre = prefix != nullptr ? prefix->tables_.get() : nullptr;
+  const bool resume = pre != nullptr && pre->history_lineage == history.lineage() &&
+                      pre->summed_steps <= history.steps() && pre->bids == m.bids;
+  const std::size_t from = resume ? pre->summed_steps : 0;
+  m.price_sums.reserve(m.bids.size());
+  m.expected_price.reserve(m.bids.size());
+  for (std::size_t b = 0; b < m.bids.size(); ++b) {
+    m.price_sums.push_back(
+        history.sum_below(m.bids[b], from, resume ? pre->price_sums[b] : SpotTrace::BelowSum{}));
+    m.expected_price.push_back(m.price_sums.back().mean());
   }
-  summed_steps_ = history.steps();
-  history_lineage_ = history.lineage();
-  price_steps_read_ = summed_steps_ - from;
+  m.summed_steps = history.steps();
+  m.history_lineage = history.lineage();
+  m.price_steps_read = m.summed_steps - from;
 
   // failures[b][t]: samples whose first passage for bid b lands exactly at t.
+  const std::vector<double>& bid = m.bids;
   const std::size_t width = horizon_ + 1;
-  std::vector<std::size_t> failures(bids_.size() * width, 0);
-  std::vector<std::size_t> never(bids_.size(), 0);  // alive through the horizon
+  std::vector<std::size_t> failures(bid.size() * width, 0);
+  std::vector<std::size_t> never(bid.size(), 0);  // alive through the horizon
 
   // Start points come from one sequential stream; the counts are integer
   // sums, so visiting the starts in sorted order changes nothing.
@@ -67,7 +73,7 @@ FailureModel::FailureModel(const SpotTrace& history, std::vector<double> bids,
     chain.clear();
     double run_max = 0.0;
     std::size_t pos = s;
-    for (; pos <= last && pos < above_start && run_max <= bids_.back(); ++pos) {
+    for (; pos <= last && pos < above_start && run_max <= bid.back(); ++pos) {
       const double p = price[pos < n ? pos : pos - n];
       if (p > run_max) chain.push_back({pos, run_max = p});
     }
@@ -75,31 +81,48 @@ FailureModel::FailureModel(const SpotTrace& history, std::vector<double> bids,
       if (above[r].price > run_max) chain.push_back({above[r].pos, run_max = above[r].price});
     std::size_t next = 0;  // lowest still-alive bid index
     for (const Record& r : chain)
-      for (; next < bids_.size() && bids_[next] < r.price; ++next)
+      for (; next < bid.size() && bid[next] < r.price; ++next)
         failures[next * width + (r.pos - s)] += copies;
-    for (std::size_t b = next; b < bids_.size(); ++b) never[b] += copies;
+    for (std::size_t b = next; b < bid.size(); ++b) never[b] += copies;
     std::swap(chain, above);
     above_start = s;
   }
 
   // Convert counts to survival curves: survival(t) = P[fp >= t].
-  survival_.assign(bids_.size() * width, 0.0);
+  m.survival.assign(bid.size() * width, 0.0);
   const auto g = static_cast<double>(config.samples);
-  for (std::size_t b = 0; b < bids_.size(); ++b) {
+  for (std::size_t b = 0; b < bid.size(); ++b) {
     double alive = g;
     for (std::size_t t = 0; t < width; ++t) {
-      survival_[b * width + t] = alive / g;
+      m.survival[b * width + t] = alive / g;
       alive -= static_cast<double>(failures[b * width + t]);
     }
     SOMPI_ASSERT(alive >= -1e-9);
     SOMPI_ASSERT(std::abs(alive - static_cast<double>(never[b])) < 0.5);
   }
+  tables_ = std::move(tables);
 }
 
+FailureModel FailureModel::view(std::size_t horizon) const {
+  SOMPI_REQUIRE(horizon > 0 && horizon <= tables_->horizon);
+  return FailureModel(tables_, horizon);
+}
+
+std::size_t FailureModel::table_bytes() const {
+  const Tables& m = *tables_;
+  return sizeof(Tables) +
+         (m.bids.capacity() + m.survival.capacity() + m.expected_price.capacity()) *
+             sizeof(double) +
+         m.price_sums.capacity() * sizeof(SpotTrace::BelowSum);
+}
+
+// A view at h reads the first h + 1 entries of each row: the counts at
+// t <= h do not depend on how far past h the samples were scanned, and
+// neither do the running sums that turn them into survival.
 double FailureModel::survival(std::size_t b, std::size_t t) const {
-  SOMPI_REQUIRE(b < bids_.size());
+  SOMPI_REQUIRE(b < bid_count());
   t = std::min(t, horizon_);
-  return survival_[b * (horizon_ + 1) + t];
+  return tables_->survival[b * (tables_->horizon + 1) + t];
 }
 
 double FailureModel::survival_at(std::size_t b, double x) const {

@@ -9,11 +9,14 @@
 // chains (the steps where a start's running max rises) give EVERY bid's first
 // passage at once and scan overlapping horizons once (DESIGN.md §5.2). The
 // expected prices resume from the sums of a model built on a prefix of the
-// same history, so a grown history costs only its new steps there.
+// same history, so a grown history costs only its new steps there. The
+// tables are shared and read through horizon views, so one model built at
+// the longest horizon serves every app (FailureModelCache).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "trace/spot_trace.h"
@@ -32,6 +35,11 @@ struct FailureEstimationConfig {
   bool wrap = true;
 };
 
+/// A failure model is a cheap handle: a shared pointer to immutable tables
+/// built at some horizon H, read through a horizon view h <= H. A view
+/// answers every query exactly as a model built at h would, bit for bit
+/// (DESIGN.md §5.2), so copying a model, or narrowing it to a shorter
+/// horizon, copies one pointer and one integer.
 class FailureModel {
  public:
   /// Builds the model over the given candidate bid levels (ascending, all
@@ -45,12 +53,18 @@ class FailureModel {
   FailureModel(const SpotTrace& history, std::vector<double> bids,
                const FailureEstimationConfig& config, const FailureModel* prefix = nullptr);
 
-  /// Candidate bid levels, ascending.
-  const std::vector<double>& bids() const { return bids_; }
-  std::size_t bid_count() const { return bids_.size(); }
-  double bid(std::size_t b) const { return bids_.at(b); }
+  /// The same tables read through the horizon `horizon` (<= built_horizon()).
+  FailureModel view(std::size_t horizon) const;
 
+  /// Candidate bid levels, ascending.
+  const std::vector<double>& bids() const { return tables_->bids; }
+  std::size_t bid_count() const { return tables_->bids.size(); }
+  double bid(std::size_t b) const { return tables_->bids.at(b); }
+
+  /// The horizon this handle reads through.
   std::size_t horizon() const { return horizon_; }
+  /// The horizon the shared tables were built at; views may not exceed it.
+  std::size_t built_horizon() const { return tables_->horizon; }
 
   /// P[first-passage >= t]: the group survives (at least) the first t steps.
   /// survival(b, 0) == 1. t is clamped to the horizon.
@@ -71,28 +85,43 @@ class FailureModel {
   double mtbf(std::size_t b) const;
 
   /// The paper's expected spot price S_i(P): mean of historical prices <= P.
-  double expected_price(std::size_t b) const { return expected_price_[b]; }
+  double expected_price(std::size_t b) const { return tables_->expected_price[b]; }
 
   /// Highest historical price H_i (upper end of the bid range).
-  double max_price() const { return max_price_; }
+  double max_price() const { return tables_->max_price; }
 
-  /// History steps the expected-price sums read while building this model:
+  /// History steps the expected-price sums read while building the tables:
   /// all of them, or only those past a resumed prefix.
-  std::size_t price_steps_read() const { return price_steps_read_; }
+  std::size_t price_steps_read() const { return tables_->price_steps_read; }
+
+  /// The history the tables were built from: its lineage and step count.
+  std::uint64_t history_lineage() const { return tables_->history_lineage; }
+  std::size_t history_steps() const { return tables_->summed_steps; }
+
+  /// Approximate footprint of the shared tables.
+  std::size_t table_bytes() const;
 
  private:
-  std::vector<double> bids_;
+  struct Tables {
+    std::vector<double> bids;
+    std::size_t horizon = 0;
+    // survival[b * (horizon+1) + t] = P[fp >= t]
+    std::vector<double> survival;
+    std::vector<double> expected_price;
+    double max_price = 0.0;
+    // What a later model resumes from: each bid's sum over the first
+    // summed_steps steps of the history with lineage history_lineage.
+    std::vector<SpotTrace::BelowSum> price_sums;
+    std::size_t summed_steps = 0;
+    std::uint64_t history_lineage = 0;
+    std::size_t price_steps_read = 0;
+  };
+
+  FailureModel(std::shared_ptr<const Tables> tables, std::size_t horizon)
+      : tables_(std::move(tables)), horizon_(horizon) {}
+
+  std::shared_ptr<const Tables> tables_;
   std::size_t horizon_;
-  // survival_[b * (horizon_+1) + t] = P[fp >= t]
-  std::vector<double> survival_;
-  std::vector<double> expected_price_;
-  double max_price_ = 0.0;
-  // What a later model resumes from: each bid's sum over the first
-  // summed_steps_ steps of the history with lineage history_lineage_.
-  std::vector<SpotTrace::BelowSum> price_sums_;
-  std::size_t summed_steps_ = 0;
-  std::uint64_t history_lineage_ = 0;
-  std::size_t price_steps_read_ = 0;
 };
 
 /// The paper's logarithmic bid grid over (0, H]: the search points are

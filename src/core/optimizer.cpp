@@ -87,6 +87,17 @@ std::uint64_t replan_config_hash(const OptimizerConfig& config, const AppProfile
   return h;
 }
 
+namespace {
+
+/// The call's replan_config_hash on the warm path; 0 (never read) when cold.
+std::uint64_t warm_config_hash(const ReplanContext* ctx, const OptimizerConfig& config,
+                               const AppProfile& app, const OnDemandChoice& od,
+                               double deadline_h) {
+  return ctx != nullptr && ctx->usable() ? replan_config_hash(config, app, od, deadline_h) : 0;
+}
+
+}  // namespace
+
 SompiOptimizer::SompiOptimizer(const Catalog* catalog, const ExecTimeEstimator* estimator,
                                OptimizerConfig config)
     : catalog_(catalog), estimator_(estimator), config_(std::move(config)) {
@@ -114,19 +125,21 @@ Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history, doub
   // store. Filtering before building is what lets a constrained scope skip
   // disallowed groups' Monte-Carlo.
   const auto t_setup = std::chrono::steady_clock::now();
+  const std::uint64_t chash = warm_config_hash(ctx, config_, app, od, deadline_h);
   std::vector<GroupSetup> candidates;
-  std::size_t price_steps_read = 0;
+  FailureModelTally models;
   for (const CircleGroupSpec& spec : catalog_->all_groups()) {
     const InstanceType& type = catalog_->type(spec.type_index);
     const std::string& zone = catalog_->zone(spec.zone_index).name;
     if (!allowed(allowed_types, type.name) || !allowed(allowed_zones, zone)) continue;
     if (estimator_->hours(app, type, zone) > deadline_h) continue;  // cannot finish in time
-    candidates.push_back(setup_for(app, spec, history, od, deadline_h, ctx, &price_steps_read));
+    candidates.push_back(setup_with(app, spec, history, chash, ctx, &models));
   }
   const auto t_search = std::chrono::steady_clock::now();
 
-  Plan plan = optimize_over(app, std::move(candidates), od, deadline_h, ctx);
-  plan.stats.price_steps_read = price_steps_read;
+  Plan plan = optimize_with(app, std::move(candidates), od, deadline_h, ctx, chash);
+  plan.stats.failure_models_built = models.built;
+  plan.stats.price_steps_read = models.price_steps_read;
   plan.setup_seconds = std::chrono::duration<double>(t_search - t_setup).count();
   plan.optimize_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t_begin).count();
@@ -136,34 +149,40 @@ Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history, doub
 GroupSetup SompiOptimizer::setup_for(const AppProfile& app, const CircleGroupSpec& spec,
                                      const Market& history, const OnDemandChoice& od,
                                      double deadline_h, ReplanContext* ctx,
-                                     std::size_t* price_steps_read) const {
-  const SetupBuilder builder(catalog_, estimator_);
-  const bool warm = ctx != nullptr && ctx->usable();
-  std::uint64_t version = 0, chash = 0;
-  std::shared_ptr<const GroupArtifact> stale;
-  if (warm) {
-    const std::size_t zones = catalog_->zones().size();
-    version = ctx->versions->at(spec.type_index * zones + spec.zone_index);
-    chash = replan_config_hash(config_, app, od, deadline_h);
-    if (const auto art = ctx->store->lookup(ctx->scope, spec, version, chash, &stale))
-      return art->setup;
-  }
+                                     FailureModelTally* tally) const {
+  const std::uint64_t chash = warm_config_hash(ctx, config_, app, od, deadline_h);
+  return setup_with(app, spec, history, chash, ctx, tally);
+}
 
-  // A stale artifact's model lets the expected prices read only new steps.
-  GroupSetup setup = builder.build(app, spec, history, config_.setup,
-                                   stale != nullptr ? &stale->setup.failure : nullptr);
-  if (price_steps_read != nullptr) *price_steps_read += setup.failure.price_steps_read();
+GroupSetup SompiOptimizer::setup_with(const AppProfile& app, const CircleGroupSpec& spec,
+                                      const Market& history, std::uint64_t chash,
+                                      ReplanContext* ctx, FailureModelTally* tally) const {
+  const SetupBuilder builder(catalog_, estimator_);
+  if (ctx == nullptr || !ctx->usable())
+    return builder.build(app, spec, history, config_.setup, nullptr, tally);
+  const std::size_t zones = catalog_->zones().size();
+  const std::uint64_t version = ctx->versions->at(spec.type_index * zones + spec.zone_index);
+  if (const auto art = ctx->store->lookup(ctx->scope, spec, version, chash)) return art->setup;
+
+  GroupSetup setup =
+      builder.build(app, spec, history, config_.setup, &ctx->store->models(), tally);
   // Store a setup-only artifact immediately: even if this group is pruned
   // from the search below max_candidates, the next epoch skips its
   // Monte-Carlo failure estimation, the bulk of per-group setup.
-  if (warm)
-    ctx->store->store(ctx->scope, spec, chash, std::make_shared<GroupArtifact>(version, setup));
+  ctx->store->store(ctx->scope, spec, chash, std::make_shared<GroupArtifact>(version, setup));
   return setup;
 }
 
 Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup> candidates,
                                    const OnDemandChoice& od, double deadline_h,
                                    ReplanContext* ctx) const {
+  const std::uint64_t chash = warm_config_hash(ctx, config_, app, od, deadline_h);
+  return optimize_with(app, std::move(candidates), od, deadline_h, ctx, chash);
+}
+
+Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup> candidates,
+                                   const OnDemandChoice& od, double deadline_h,
+                                   ReplanContext* ctx, std::uint64_t chash) const {
   const auto t_begin = std::chrono::steady_clock::now();
 
   Plan plan;
@@ -218,7 +237,6 @@ Plan SompiOptimizer::optimize_over(const AppProfile& app, std::vector<GroupSetup
   // everything else is computed as on the cold path and stored back for the
   // next epoch.
   const bool warm = ctx != nullptr && ctx->usable();
-  const std::uint64_t chash = warm ? replan_config_hash(config_, app, od, deadline_h) : 0;
   const std::size_t zone_count = catalog_->zones().size();
   const auto version_of = [&](const CircleGroupSpec& spec) {
     return ctx->versions->at(spec.type_index * zone_count + spec.zone_index);

@@ -65,9 +65,11 @@ struct OptimizerConfig {
 /// borrowed for the duration of the call. With a null context (or a context
 /// missing its store or versions) the optimizer runs the cold path exactly;
 /// with a usable one it reuses cached per-group artifacts whose history
-/// version still matches and seeds the branch-and-bound incumbent with the
-/// previous plan. The chosen plan is bit-identical either way — warm starts
-/// change only the work accounting (PlanStats), never the plan.
+/// version still matches, takes the failure models of the groups it rebuilds
+/// from the store's FailureModelCache, and seeds the branch-and-bound
+/// incumbent with the previous plan. The chosen plan is bit-identical either
+/// way — warm starts change only the work accounting (PlanStats), never the
+/// plan.
 struct ReplanContext {
   CostTableStore* store = nullptr;
   /// Artifact namespace — typically the canonical request key: it pins app,
@@ -125,16 +127,24 @@ class SompiOptimizer {
   /// The per-group unit of optimize()'s candidate loop with warm setup
   /// reuse: returns the cached GroupSetup when `ctx` holds an artifact for
   /// `spec` at its current history version (skipping the Monte-Carlo failure
-  /// estimation), otherwise builds one and stores a setup-only artifact so
-  /// even groups later pruned from the search never rebuild it. A build
-  /// that replaces a stale artifact resumes its expected-price sums; every
-  /// build adds the history steps its sums read to `*price_steps_read`
-  /// (when non-null).
+  /// estimation), otherwise builds one — its failure model from the store's
+  /// model cache — and stores a setup-only artifact so even groups later
+  /// pruned from the search never rebuild it. The models this call builds
+  /// add to `*tally` (when non-null).
   GroupSetup setup_for(const AppProfile& app, const CircleGroupSpec& spec,
                        const Market& history, const OnDemandChoice& od, double deadline_h,
-                       ReplanContext* ctx, std::size_t* price_steps_read = nullptr) const;
+                       ReplanContext* ctx, FailureModelTally* tally = nullptr) const;
 
  private:
+  /// setup_for() and optimize_over() with the call's replan_config_hash
+  /// already computed (0 on the cold path).
+  GroupSetup setup_with(const AppProfile& app, const CircleGroupSpec& spec,
+                        const Market& history, std::uint64_t config_hash, ReplanContext* ctx,
+                        FailureModelTally* tally) const;
+  Plan optimize_with(const AppProfile& app, std::vector<GroupSetup> candidates,
+                     const OnDemandChoice& od, double deadline_h, ReplanContext* ctx,
+                     std::uint64_t config_hash) const;
+
   const Catalog* catalog_;
   const ExecTimeEstimator* estimator_;
   OptimizerConfig config_;

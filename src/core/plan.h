@@ -51,9 +51,13 @@ struct PlanStats {
   std::size_t tables_reused = 0;
   std::size_t tables_built = 0;
   std::size_t warm_seeds = 0;
-  /// History steps the candidate setups' expected-price sums read (0 from
-  /// optimize_over): every step on a cold build, only the appended ones
-  /// when a warm build resumes its stale model's sums.
+  /// Failure models the candidate setups built (0 from optimize_over): one
+  /// per candidate on the cold path; on the warm path only those no scope
+  /// sharing the store's model cache had built for the group's history yet.
+  std::size_t failure_models_built = 0;
+  /// History steps those builds' expected-price sums read: every step on a
+  /// cold build, only the appended ones when a warm build resumes the sums
+  /// of the group's previous model.
   std::size_t price_steps_read = 0;
 };
 

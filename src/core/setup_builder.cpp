@@ -2,10 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 
 namespace sompi {
+
+namespace {
+
+/// Tags the knobs a bid grid is derived from; the cache keys entries by it.
+/// A collision only makes two grids share one entry, never a wrong model:
+/// the cache matches bids exactly.
+std::uint64_t grid_tag(const SetupConfig& config) {
+  std::uint64_t tag = 0;
+  std::memcpy(&tag, &config.max_bid_over_ondemand, sizeof(tag));
+  const bool log = config.bid_grid == BidGridKind::kLogarithmic;
+  return tag ^ (static_cast<std::uint64_t>(log ? config.log_levels : config.uniform_points) << 1) ^
+         (log ? 0 : 1);
+}
+
+}  // namespace
 
 SetupBuilder::SetupBuilder(const Catalog* catalog, const ExecTimeEstimator* estimator)
     : catalog_(catalog), estimator_(estimator) {
@@ -14,7 +30,7 @@ SetupBuilder::SetupBuilder(const Catalog* catalog, const ExecTimeEstimator* esti
 
 GroupSetup SetupBuilder::build(const AppProfile& app, const CircleGroupSpec& spec,
                                const Market& history, const SetupConfig& config,
-                               const FailureModel* prefix) const {
+                               FailureModelCache* models, FailureModelTally* tally) const {
   const SpotTrace& trace = history.trace(spec);
   SOMPI_REQUIRE(config.max_bid_over_ondemand > 0.0);
   const double ceiling =
@@ -23,13 +39,19 @@ GroupSetup SetupBuilder::build(const AppProfile& app, const CircleGroupSpec& spe
   std::vector<double> bids = config.bid_grid == BidGridKind::kLogarithmic
                                  ? logarithmic_bid_grid(top, config.log_levels)
                                  : uniform_bid_grid(top, config.uniform_points);
-  return build_with_bids(app, spec, history, config, std::move(bids), prefix);
+  return assemble(app, spec, history, config, std::move(bids), models, tally);
 }
 
 GroupSetup SetupBuilder::build_with_bids(const AppProfile& app, const CircleGroupSpec& spec,
                                          const Market& history, const SetupConfig& config,
-                                         std::vector<double> bids,
-                                         const FailureModel* prefix) const {
+                                         std::vector<double> bids) const {
+  return assemble(app, spec, history, config, std::move(bids), nullptr, nullptr);
+}
+
+GroupSetup SetupBuilder::assemble(const AppProfile& app, const CircleGroupSpec& spec,
+                                  const Market& history, const SetupConfig& config,
+                                  std::vector<double> bids, FailureModelCache* models,
+                                  FailureModelTally* tally) const {
   SOMPI_REQUIRE(config.step_hours > 0.0);
   const InstanceType& type = catalog_->type(spec.type_index);
   // Zone-qualified estimates: with a platform-aware estimator the group's
@@ -50,13 +72,23 @@ GroupSetup SetupBuilder::build_with_bids(const AppProfile& app, const CircleGrou
   fec.horizon_steps = static_cast<std::size_t>(
       std::ceil(static_cast<double>(t_steps) * (1.0 + o_steps))) + 2;
 
+  const SpotTrace& trace = history.trace(spec);
+  const auto model = [&] {
+    if (models != nullptr) return models->get(spec, grid_tag(config), trace, bids, fec, tally);
+    FailureModel m(trace, std::move(bids), fec);
+    if (tally != nullptr) {
+      ++tally->built;
+      tally->price_steps_read += m.price_steps_read();
+    }
+    return m;
+  };
   return GroupSetup{
       .spec = spec,
       .instances = catalog_->instances_for(spec.type_index, app.processes),
       .t_steps = t_steps,
       .o_steps = o_steps,
       .r_steps = r_steps,
-      .failure = FailureModel(history.trace(spec), std::move(bids), fec, prefix),
+      .failure = model(),
   };
 }
 

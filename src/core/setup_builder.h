@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cloud/catalog.h"
+#include "core/failure_model_cache.h"
 #include "core/problem.h"
 #include "profile/app_profile.h"
 #include "profile/estimator.h"
@@ -38,23 +39,28 @@ class SetupBuilder {
 
   /// Builds the setup for one circle group from its price history.
   /// The failure-model horizon automatically covers the densest possible
-  /// checkpoint schedule (F = 1). `prefix` is the group's previous failure
-  /// model, if any: its expected-price sums are resumed when its history is
-  /// a prefix of this one (FailureModel's constructor).
+  /// checkpoint schedule (F = 1). With `models`, the failure model comes from
+  /// that cache (a view of the group's shared model); without, it is built
+  /// here. Models built either way add to `*tally` (when non-null).
   GroupSetup build(const AppProfile& app, const CircleGroupSpec& spec, const Market& history,
-                   const SetupConfig& config, const FailureModel* prefix = nullptr) const;
+                   const SetupConfig& config, FailureModelCache* models = nullptr,
+                   FailureModelTally* tally = nullptr) const;
 
   /// Like build(), but over an explicit bid grid (baselines that fix the bid
   /// by policy — e.g. "the on-demand price" — rather than by search).
   GroupSetup build_with_bids(const AppProfile& app, const CircleGroupSpec& spec,
                              const Market& history, const SetupConfig& config,
-                             std::vector<double> bids,
-                             const FailureModel* prefix = nullptr) const;
+                             std::vector<double> bids) const;
 
   const Catalog& catalog() const { return *catalog_; }
   const ExecTimeEstimator& estimator() const { return *estimator_; }
 
  private:
+  GroupSetup assemble(const AppProfile& app, const CircleGroupSpec& spec,
+                      const Market& history, const SetupConfig& config,
+                      std::vector<double> bids, FailureModelCache* models,
+                      FailureModelTally* tally) const;
+
   const Catalog* catalog_;
   const ExecTimeEstimator* estimator_;
 };

@@ -19,13 +19,14 @@ const char* outcome_label(PlanOutcome outcome) {
 }
 
 PlanService::PlanService(const Catalog* catalog, const ExecTimeEstimator* estimator,
-                         MarketBoard* board, ServiceConfig config)
+                         MarketBoard* board, ServiceConfig config,
+                         std::shared_ptr<FailureModelCache> models)
     : catalog_(catalog),
       board_(board),
       config_(std::move(config)),
       optimizer_(catalog, estimator, config_.opt),
       cache_(config_.cache),
-      table_store_(config_.table_store) {
+      table_store_(config_.table_store, std::move(models)) {
   SOMPI_REQUIRE(board_ != nullptr);  // the optimizer checks catalog and estimator
   SOMPI_REQUIRE(config_.max_concurrent_solves >= 1);
   SOMPI_REQUIRE(config_.latency_window >= 1);
@@ -103,6 +104,7 @@ void PlanService::record_solve(double seconds, const Plan& plan, bool replan) {
   subsets_pruned_ += plan.stats.subsets_pruned;
   replan_table_hits_ += plan.stats.tables_reused;
   replan_table_misses_ += plan.stats.tables_built;
+  failure_models_built_ += plan.stats.failure_models_built;
   warm_seeds_ += plan.stats.warm_seeds;
   for (const GroupPlan& g : plan.groups)
     if (g.ckpt_policy != "s3") {
@@ -288,6 +290,7 @@ ServiceStats PlanService::stats() const {
     s.warm_seeds = warm_seeds_;
     s.replan_table_hits = replan_table_hits_;
     s.replan_table_misses = replan_table_misses_;
+    s.failure_models_built = failure_models_built_;
     if (!latency_ring_.empty()) {
       s.solve_p50_ms = percentile(latency_ring_, 0.50) * 1e3;
       s.solve_p99_ms = percentile(latency_ring_, 0.99) * 1e3;

@@ -102,6 +102,9 @@ struct ServiceStats {
   /// across all solves (incremental engine; exact, not sampled).
   std::uint64_t replan_table_hits = 0;
   std::uint64_t replan_table_misses = 0;
+  /// Failure models the solves built (PlanStats::failure_models_built): with
+  /// the model cache shared, one per group history, not one per scope.
+  std::uint64_t failure_models_built = 0;
   /// Percentiles over the trailing ServiceConfig::latency_window solves
   /// (0 when nothing has been solved yet).
   double solve_p50_ms = 0.0;
@@ -147,9 +150,11 @@ struct ServiceConfig {
 class PlanService {
  public:
   /// `catalog`, `estimator` and `board` are borrowed and must outlive the
-  /// service.
+  /// service. `models` is the failure-model cache the warm path shares with
+  /// other services (a tier's shards); null gives the service its own.
   PlanService(const Catalog* catalog, const ExecTimeEstimator* estimator,
-              MarketBoard* board, ServiceConfig config);
+              MarketBoard* board, ServiceConfig config,
+              std::shared_ptr<FailureModelCache> models = nullptr);
 
   /// Serves one request; blocks while joining or solving. Overload is
   /// reported as PlanOutcome::kShed. A solve failure (e.g. a precondition
@@ -267,6 +272,7 @@ class PlanService {
   std::uint64_t warm_seeds_ = 0;
   std::uint64_t replan_table_hits_ = 0;
   std::uint64_t replan_table_misses_ = 0;
+  std::uint64_t failure_models_built_ = 0;
   std::vector<double> latency_ring_;
   std::size_t latency_next_ = 0;
   std::vector<double> replan_ring_;

@@ -22,7 +22,8 @@ ShardedPlanService::ShardedPlanService(const Catalog* catalog,
                                        const ExecTimeEstimator* estimator,
                                        const Market& initial, ShardedConfig config)
     : config_(std::move(config)),
-      router_(RouterConfig{config_.shards, config_.vnodes, config_.salt}) {
+      router_(RouterConfig{config_.shards, config_.vnodes, config_.salt}),
+      models_(std::make_shared<FailureModelCache>()) {
   SOMPI_REQUIRE_MSG(config_.shards >= 1, "sharded tier needs at least one shard");
 
   boards_.reserve(config_.shards);
@@ -47,8 +48,8 @@ ShardedPlanService::ShardedPlanService(const Catalog* catalog,
       record_solve(i, key, epoch);
       if (user_hook) user_hook(key, epoch);
     };
-    services_.push_back(
-        std::make_unique<PlanService>(catalog, estimator, boards_[i].get(), std::move(sc)));
+    services_.push_back(std::make_unique<PlanService>(catalog, estimator, boards_[i].get(),
+                                                      std::move(sc), models_));
   }
 }
 
@@ -155,6 +156,7 @@ ShardedStats ShardedPlanService::stats() const {
     s.total.warm_seeds += shard.warm_seeds;
     s.total.replan_table_hits += shard.replan_table_hits;
     s.total.replan_table_misses += shard.replan_table_misses;
+    s.total.failure_models_built += shard.failure_models_built;
     s.total.solve_p50_ms = std::max(s.total.solve_p50_ms, shard.solve_p50_ms);
     s.total.solve_p99_ms = std::max(s.total.solve_p99_ms, shard.solve_p99_ms);
     s.total.replan_p50_ms = std::max(s.total.replan_p50_ms, shard.replan_p50_ms);

@@ -27,6 +27,9 @@
 //   Σ_shard requests == tier requests,    hits + solves + joins + sheds == requests,
 //   solves per (canonical key, epoch) == 1   (absent cache-wipe chaos).
 //
+// The shards share one FailureModelCache: a market group's failure model is
+// built once per history for the whole tier, whichever shard's tenants ask.
+//
 // The solve ledger that proves the last law is built in: every shard's
 // solve hook is wrapped to record (shard, key, epoch) in a tier-level map,
 // so duplicate_solves() is an exact census, not a sampled one. The map only
@@ -120,6 +123,8 @@ class ShardedPlanService {
   PlanService& shard(std::size_t i) { return *services_[i]; }
   MarketBoard& board(std::size_t i) { return *boards_[i]; }
   const ShardRouter& router() const { return router_; }
+  /// The tier's failure-model cache, shared by every shard's warm path.
+  FailureModelCache::Stats model_cache_stats() const { return models_->stats(); }
 
   /// Sum of per-shard stale sweeps.
   std::size_t invalidate_stale();
@@ -146,6 +151,10 @@ class ShardedPlanService {
 
   ShardedConfig config_;
   ShardRouter router_;
+  /// One failure model per market group for the whole tier: the replicas
+  /// share their trace objects, so every shard's re-plan finds the model
+  /// another shard built.
+  std::shared_ptr<FailureModelCache> models_;
   std::vector<std::unique_ptr<MarketBoard>> boards_;
   std::vector<std::unique_ptr<PlanService>> services_;
   std::unique_ptr<BoardFanout> fanout_;

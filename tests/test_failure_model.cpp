@@ -443,5 +443,81 @@ TEST(FailureModelResume, FallsBackToAFullPassWhenThePrefixIsUnproven) {
   EXPECT_EQ(model_mismatches(shorter, prefix), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Horizon views: a model built at horizon H and read through h < H must equal
+// a model built at h bit for bit, on every query the cost model makes — the
+// rule that lets one model per market group serve every app.
+
+// Returns the number of values on which the view differs from the model
+// built at its horizon.
+std::size_t view_mismatches(const FailureModel& view, const FailureModel& want) {
+  std::size_t mismatches = (view.horizon() != want.horizon()) + (view.bids() != want.bids());
+  const std::size_t h = want.horizon();
+  const double hd = static_cast<double>(h);
+  for (std::size_t b = 0; b < want.bid_count(); ++b) {
+    mismatches += view.expected_price(b) != want.expected_price(b);
+    mismatches += view.mtbf(b) != want.mtbf(b);
+    for (std::size_t t = 0; t <= h + 2; ++t)  // past h: both clamp
+      mismatches += view.survival(b, t) != want.survival(b, t);
+    for (std::size_t t = 0; t <= h; ++t) mismatches += view.pmf(b, t) != want.pmf(b, t);
+    for (const double w : {0.0, 0.5, 1.0, hd / 2.0 + 0.25, hd - 0.5, hd, hd + 3.5}) {
+      mismatches += view.expected_lifetime(b, w) != want.expected_lifetime(b, w);
+      mismatches += view.survival_at(b, w) != want.survival_at(b, w);
+    }
+  }
+  return mismatches;
+}
+
+TEST(FailureModelView, ShorterHorizonsMatchModelsBuiltThereBitForBit) {
+  Rng rng(0x71E3);
+  std::size_t views = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const std::size_t n = 1 + rng.uniform_index(120);
+    const SpotTrace trace(0.25, random_prices(n, rng));
+    const std::vector<double> bids = random_bids(trace.prices(), rng);
+    FailureEstimationConfig cfg;
+    cfg.samples = 1 + rng.uniform_index(rng.bernoulli(0.5) ? 600 : 20);
+    cfg.horizon_steps = 2 + rng.uniform_index(2 * n + 8);
+    cfg.seed = rng();
+    for (const bool wrap : {true, false}) {
+      cfg.wrap = wrap;
+      const FailureModel full(trace, bids, cfg);
+      for (int k = 0; k < 5; ++k) {
+        FailureEstimationConfig at = cfg;
+        at.horizon_steps = 1 + rng.uniform_index(cfg.horizon_steps - 1);  // h < H
+        const FailureModel view = full.view(at.horizon_steps);
+        ASSERT_EQ(view_mismatches(view, FailureModel(trace, bids, at)), 0u)
+            << "iter " << iter << " n=" << n << " H=" << cfg.horizon_steps
+            << " h=" << at.horizon_steps << " G=" << cfg.samples << " wrap=" << wrap;
+        // A view shares the tables: no copy of any row.
+        ASSERT_EQ(&view.bids(), &full.bids());
+        ASSERT_EQ(view.built_horizon(), cfg.horizon_steps);
+        ++views;
+      }
+    }
+  }
+  EXPECT_EQ(views, 3000u);
+}
+
+TEST(FailureModelView, PaperScaleGridAndHorizonBounds) {
+  Rng rng(0x9A9E);
+  const SpotTrace trace =
+      generate_trace(regime_params_for(VolatilityClass::kSpiky, 0.05), 2000, 0.25, rng);
+  const std::vector<double> bids = logarithmic_bid_grid(trace.max_price(), 7);
+  FailureEstimationConfig cfg = config(2000, 400);
+  for (const bool wrap : {true, false}) {
+    cfg.wrap = wrap;
+    const FailureModel full(trace, bids, cfg);
+    for (const std::size_t h : {1, 37, 100, 250, 399, 400}) {
+      FailureEstimationConfig at = cfg;
+      at.horizon_steps = h;
+      EXPECT_EQ(view_mismatches(full.view(h), FailureModel(trace, bids, at)), 0u)
+          << "h=" << h << " wrap=" << wrap;
+    }
+    EXPECT_THROW((void)full.view(0), PreconditionError);
+    EXPECT_THROW((void)full.view(401), PreconditionError);
+  }
+}
+
 }  // namespace
 }  // namespace sompi
