@@ -5,7 +5,10 @@
 // two bid-grid densities, and reports the work counters behind the speedup:
 // logical evaluations (the fingerprinted exhaustive count), evaluations
 // actually performed, pruned tuples/subtrees, and ns per performed
-// evaluation.
+// evaluation. A `derive` row per case times the cold solve's derived-table
+// stage alone: φ (CheckpointPlanner::choose) for every (candidate, bid)
+// choice plus each candidate's GroupCostTable block. It is reported, not
+// gated.
 //
 // Every case cross-checks the two searches' plans field-by-field before
 // reporting — a speedup from a wrong plan is a bug, not a result.
@@ -30,6 +33,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/ckpt_interval.h"
+#include "core/cost_model.h"
 #include "core/ondemand.h"
 #include "core/optimizer.h"
 #include "profile/paper_profiles.h"
@@ -83,6 +88,28 @@ Measurement measure(const Solve& solve, std::size_t iters) {
   m.p50_ms = bench::percentile_nearest_rank(samples, 0.50);
   m.p99_ms = bench::percentile_nearest_rank(samples, 0.99);
   return m;
+}
+
+/// One pass of the derived-table stage over `candidates`; returns the
+/// number of choices derived.
+std::size_t derive_tables(const std::vector<GroupSetup>& candidates, const OnDemandChoice& od,
+                          const OptimizerConfig& cfg) {
+  CheckpointPlanner::Config phi_cfg;
+  phi_cfg.mode = cfg.phi_mode;
+  phi_cfg.step_hours = cfg.setup.step_hours;
+  phi_cfg.ratio_bins = cfg.ratio_bins;
+  const CheckpointPlanner phi(phi_cfg);
+  const CostModel::Config model_cfg{.step_hours = cfg.setup.step_hours,
+                                    .ratio_bins = cfg.ratio_bins};
+  std::size_t choices = 0;
+  for (const GroupSetup& g : candidates) {
+    std::vector<ChoiceSpec> specs(g.failure.bid_count());
+    for (std::size_t b = 0; b < specs.size(); ++b)
+      specs[b] = ChoiceSpec{.bid_index = b, .f_steps = phi.choose(g, b, od)};
+    const GroupCostTable block(g, od, model_cfg, specs);
+    choices += block.choice_count();
+  }
+  return choices;
 }
 
 bool plans_identical(const Plan& a, const Plan& b) {
@@ -191,6 +218,20 @@ int main(int argc, char** argv) {
                         {"subsets_pruned", static_cast<double>(st.subsets_pruned)},
                         {"ns_per_eval", fast_ns_per_eval},
                         {"speedup_vs_reference", speedup}}});
+
+    const std::vector<GroupSetup> kept =
+        reference_candidates(catalog, est, cfg, app, market, deadline);
+    std::size_t choices = 0;
+    const Measurement md = measure(
+        [&] {
+          choices = derive_tables(kept, mf.plan.od, cfg);
+          return Plan{};
+        },
+        /*iters=*/20);
+    std::printf("%-8s %12s %12.3f %12zu choices\n", c.name.c_str(), "derive", md.mean_ms,
+                choices);
+    results.push_back({c.name + "/derive", md.iters, md.mean_ms, md.p50_ms, md.p99_ms,
+                       {{"choices", static_cast<double>(choices)}}});
   }
 
   if (!check_path.empty()) {

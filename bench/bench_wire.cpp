@@ -1,7 +1,7 @@
 // Wire-serving overhead and equivalence: the RPC front end vs the in-process
 // tier (DESIGN.md §15, ISSUE 10).
 //
-//   $ ./bench_wire [--iters N=30] [--batch B=32] [--json <path>]
+//   $ ./bench_wire [--iters N=1000] [--batch B=32] [--json <path>]
 //                  [--check <baseline.json>]
 //
 // For shards ∈ {1, 8}: a router-aware PlanClient drives a PlanServerLoop
@@ -108,7 +108,7 @@ struct ShardRun {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int iters = 30;
+  int iters = 1000;
   std::size_t batch_size = 32;
   std::string check_path;
   const std::string json_path = bench::json_path_from_args(argc, argv);

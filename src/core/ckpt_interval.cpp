@@ -9,13 +9,21 @@
 
 namespace sompi {
 
-int CheckpointPlanner::young_daly(const GroupSetup& group, std::size_t bid_index,
-                                  double o_scale) {
-  const double mtbf = group.failure.mtbf(bid_index);
+namespace {
+
+// Young/Daly from the bid's MTBF, so φ reads the MTBF once per bid.
+int young_daly_at(const GroupSetup& group, double mtbf, double o_scale) {
   const double o = group.o_steps * o_scale;
   if (o <= 0.0) return 1;  // free checkpoints: checkpoint every step
   const double f = std::sqrt(2.0 * o * mtbf);
   return std::clamp(static_cast<int>(std::lround(f)), 1, group.t_steps);
+}
+
+}  // namespace
+
+int CheckpointPlanner::young_daly(const GroupSetup& group, std::size_t bid_index,
+                                  double o_scale) {
+  return young_daly_at(group, group.failure.mtbf(bid_index), o_scale);
 }
 
 std::vector<int> CheckpointPlanner::candidate_intervals(int t_steps, int young) const {
@@ -63,17 +71,76 @@ double CheckpointPlanner::objective(const GroupSetup& group, std::size_t bid_ind
 int CheckpointPlanner::choose(const GroupSetup& group, std::size_t bid_index,
                               const OnDemandChoice& od, double o_scale,
                               double r_scale) const {
-  if (config_.mode == PhiMode::kDisabled) return group.t_steps;
-  const int young = young_daly(group, bid_index, o_scale);
-  if (config_.mode == PhiMode::kYoungDaly) return young;
+  return choose(group, bid_index, od, {CkptPolicy{"", o_scale, r_scale}}).front();
+}
 
-  int best_f = group.t_steps;
-  double best_j = std::numeric_limits<double>::infinity();
-  for (int f : candidate_intervals(group.t_steps, young)) {
-    const double j = objective(group, bid_index, f, od, o_scale, r_scale);
-    if (j < best_j) {
-      best_j = j;
-      best_f = f;
+std::vector<int> CheckpointPlanner::choose(const GroupSetup& group, std::size_t bid_index,
+                                           const OnDemandChoice& od,
+                                           const std::vector<CkptPolicy>& policies) const {
+  std::vector<int> best_f(policies.size(), group.t_steps);
+  if (config_.mode == PhiMode::kDisabled) return best_f;
+  const auto& fm = group.failure;
+  const double mtbf = fm.mtbf(bid_index);
+  if (config_.mode == PhiMode::kYoungDaly) {
+    for (std::size_t p = 0; p < policies.size(); ++p)
+      best_f[p] = young_daly_at(group, mtbf, policies[p].o_scale);
+    return best_f;
+  }
+
+  // The bid's row, read once. F = 1 has the longest wall (the most
+  // checkpoints), so its ceiling bounds every step any interval reads.
+  const std::size_t b = bid_index;
+  double longest = 0.0;
+  for (const CkptPolicy& pol : policies)
+    longest = std::max(longest, GroupSchedule(group.t_steps, 1, group.o_steps * pol.o_scale,
+                                              group.r_steps * pol.r_scale)
+                                    .wall_duration());
+  const std::size_t n = std::min(static_cast<std::size_t>(std::ceil(longest)), fm.horizon());
+  std::vector<double> pmf(n);
+  for (std::size_t t = 0; t < n; ++t) pmf[t] = fm.pmf(b, t);
+  // lifetime[k] = Σ_{t=1..k} survival(t), in expected_lifetime's order.
+  std::vector<double> lifetime(n + 1, 0.0);
+  for (std::size_t t = 1; t <= n; ++t) lifetime[t] = lifetime[t - 1] + fm.survival(b, t);
+
+  const std::vector<int> geometric = candidate_intervals(group.t_steps, 1);
+  std::vector<int> grid;
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    const CkptPolicy& pol = policies[p];
+    // candidate_intervals(T, young): the geometric grid (which holds 1)
+    // with the Young/Daly point merged in.
+    const int young = young_daly_at(group, mtbf, pol.o_scale);
+    grid = geometric;
+    const auto at = std::lower_bound(grid.begin(), grid.end(), young);
+    if (*at != young) grid.insert(at, young);
+
+    double best_j = std::numeric_limits<double>::infinity();
+    for (int f : grid) {
+      // objective(group, b, f, od, pol.o_scale, pol.r_scale), term for term.
+      const GroupSchedule sched(group.t_steps, f, group.o_steps * pol.o_scale,
+                                group.r_steps * pol.r_scale);
+      const double w = sched.wall_duration();
+      // expected_lifetime(b, w) from the running sums.
+      const double capped = std::min(w, static_cast<double>(fm.horizon()));
+      const auto whole = static_cast<std::size_t>(std::floor(capped));
+      double e_life = lifetime[whole];
+      const double frac = capped - static_cast<double>(whole);
+      if (frac > 0.0) e_life += frac * fm.survival(b, whole + 1);
+      const double spot_cost =
+          fm.expected_price(b) * group.instances * e_life * config_.step_hours;
+
+      // E[Ratio] per ratio run; the pmf is never negative, so the atoms the
+      // oracle skips (p == 0) add an exact +0.0 here.
+      double e_ratio = 0.0;
+      sched.for_each_ratio_run(
+          std::min(static_cast<std::size_t>(std::ceil(w)), fm.horizon()),
+          [&](std::size_t begin, std::size_t end, double ratio) {
+            for (std::size_t t = begin; t < end; ++t) e_ratio += pmf[t] * ratio;
+          });
+      const double j = spot_cost + od.rate_usd_h * od.t_h * e_ratio;
+      if (j < best_j) {
+        best_j = j;
+        best_f[p] = f;
+      }
     }
   }
   return best_f;

@@ -50,8 +50,18 @@ class CheckpointPlanner {
   int choose(const GroupSetup& group, std::size_t bid_index, const OnDemandChoice& od,
              double o_scale = 1.0, double r_scale = 1.0) const;
 
-  /// The single-group objective J_i(F) — exposed for tests and the φ
-  /// optimality property check.
+  /// φ at one bid under each policy's scales: entry p equals
+  /// choose(group, bid_index, od, policies[p].o_scale, policies[p].r_scale).
+  /// The bid's pmf row, lifetime sums and MTBF are read once for every
+  /// policy and candidate interval, and each interval's E[Ratio] is summed
+  /// per checkpoint cycle (GroupSchedule::for_each_ratio_run) in the same
+  /// ascending-t order objective() uses, so the result is bit-identical.
+  std::vector<int> choose(const GroupSetup& group, std::size_t bid_index,
+                          const OnDemandChoice& od,
+                          const std::vector<CkptPolicy>& policies) const;
+
+  /// The single-group objective J_i(F) — the per-step oracle that choose()
+  /// minimizes, exposed for tests and the φ optimality property check.
   double objective(const GroupSetup& group, std::size_t bid_index, int f_steps,
                    const OnDemandChoice& od, double o_scale = 1.0,
                    double r_scale = 1.0) const;

@@ -233,17 +233,19 @@ GroupCostTable::GroupCostTable(const GroupSetup& grp, const OnDemandChoice& od,
     for (std::size_t t = 0; t < c.w_ceil; ++t)
       life_pool_.push_back(1.0 - grp.failure.survival(b, t + 1));
 
+    // CostModel::evaluate's atoms, bucketed per ratio run: a run's atoms
+    // share one value, hence one bucket, and still land in ascending-t
+    // order. The pmf is never negative, so the atoms evaluate skips
+    // (p == 0) add an exact +0.0 here.
     std::fill(bucket.begin(), bucket.end(), 0.0);
-    for (std::size_t t = 0; t < c.w_ceil; ++t) {
-      const double p = grp.failure.pmf(b, t);
-      if (p <= 0.0) continue;
-      const double v = sched.ratio_at(static_cast<double>(t));
+    sched.for_each_ratio_run(c.w_ceil, [&](std::size_t begin, std::size_t end, double v) {
       const auto j_top = static_cast<std::ptrdiff_t>(
           std::ceil(v * static_cast<double>(bins) - 0.5));
-      if (j_top >= 1)
-        bucket[static_cast<std::size_t>(
-            std::min<std::ptrdiff_t>(j_top, static_cast<std::ptrdiff_t>(bins)) - 1)] += p;
-    }
+      if (j_top < 1) return;
+      double& slot = bucket[static_cast<std::size_t>(
+          std::min<std::ptrdiff_t>(j_top, static_cast<std::ptrdiff_t>(bins)) - 1)];
+      for (std::size_t t = begin; t < end; ++t) slot += grp.failure.pmf(b, t);
+    });
     tail_off[ci] = tail_pool_.size();
     tail_pool_.resize(tail_off[ci] + bins);
     double suffix = 0.0;

@@ -1,7 +1,5 @@
 #include "core/cost_table_store.h"
 
-#include <limits>
-
 #include "common/error.h"
 
 namespace sompi {
@@ -21,7 +19,15 @@ CostTableStore::CostTableStore(Config config, std::shared_ptr<FailureModelCache>
   SOMPI_REQUIRE(config_.max_bytes > 0);
 }
 
-void CostTableStore::touch_locked(Scope& scope) { scope.touched = ++tick_; }
+CostTableStore::Scope& CostTableStore::scope_locked(const std::string& name) {
+  const auto [it, fresh] = scopes_.try_emplace(name);
+  if (fresh) it->second.lru = lru_.insert(lru_.end(), &it->first);
+  return it->second;
+}
+
+void CostTableStore::touch_locked(Scope& scope) {
+  lru_.splice(lru_.end(), lru_, scope.lru);
+}
 
 void CostTableStore::drop_entry_locked(Scope& scope,
                                        std::map<SpecKey, Entry>::iterator it) {
@@ -32,19 +38,16 @@ void CostTableStore::drop_entry_locked(Scope& scope,
 }
 
 void CostTableStore::evict_locked(const std::string& keep) {
-  while (total_bytes_ > config_.max_bytes && scopes_.size() > 1) {
-    auto victim = scopes_.end();
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (auto it = scopes_.begin(); it != scopes_.end(); ++it) {
-      if (it->first == keep) continue;
-      if (it->second.touched < oldest) {
-        oldest = it->second.touched;
-        victim = it;
-      }
+  auto victim = lru_.begin();
+  while (total_bytes_ > config_.max_bytes && victim != lru_.end()) {
+    if (**victim == keep) {
+      ++victim;
+      continue;
     }
-    if (victim == scopes_.end()) return;  // only `keep` is left
-    total_bytes_ -= victim->second.bytes;
-    scopes_.erase(victim);
+    const auto it = scopes_.find(**victim);
+    total_bytes_ -= it->second.bytes;
+    victim = lru_.erase(victim);
+    scopes_.erase(it);
     ++counters_.evictions;
   }
 }
@@ -82,7 +85,7 @@ void CostTableStore::store(const std::string& scope, const CircleGroupSpec& spec
                            std::shared_ptr<const GroupArtifact> artifact) {
   SOMPI_REQUIRE(artifact != nullptr);
   std::lock_guard<std::mutex> lock(mutex_);
-  Scope& s = scopes_[scope];
+  Scope& s = scope_locked(scope);
   touch_locked(s);
   Entry& e = s.entries[SpecKey{spec.type_index, spec.zone_index}];
   if (e.artifact != nullptr) {
@@ -106,7 +109,7 @@ std::shared_ptr<const Plan> CostTableStore::last_plan(const std::string& scope) 
 
 void CostTableStore::note_plan(const std::string& scope, std::shared_ptr<const Plan> plan) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Scope& s = scopes_[scope];
+  Scope& s = scope_locked(scope);
   touch_locked(s);
   s.last_plan = std::move(plan);
 }
@@ -114,6 +117,7 @@ void CostTableStore::note_plan(const std::string& scope, std::shared_ptr<const P
 void CostTableStore::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   scopes_.clear();
+  lru_.clear();
   total_bytes_ = 0;
 }
 

@@ -34,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -140,10 +141,12 @@ class CostTableStore {
   struct Scope {
     std::map<SpecKey, Entry> entries;
     std::shared_ptr<const Plan> last_plan;
-    std::uint64_t touched = 0;  ///< LRU tick
+    std::list<const std::string*>::iterator lru;  ///< this scope's place in lru_
     std::size_t bytes = 0;
   };
 
+  /// The scope named `name`, created (most recently touched) if absent.
+  Scope& scope_locked(const std::string& name);
   void touch_locked(Scope& scope);
   void drop_entry_locked(Scope& scope, std::map<SpecKey, Entry>::iterator it);
   void evict_locked(const std::string& keep);
@@ -152,7 +155,9 @@ class CostTableStore {
   Config config_;
   std::shared_ptr<FailureModelCache> models_;
   std::map<std::string, Scope> scopes_;
-  std::uint64_t tick_ = 0;
+  /// Every scope's name (its key in scopes_), least recently touched first:
+  /// eviction takes the front instead of scanning every scope.
+  std::list<const std::string*> lru_;
   std::size_t total_bytes_ = 0;
   Stats counters_;  ///< hits/misses/invalidated/evictions only
 };

@@ -116,26 +116,6 @@ std::size_t FailureModel::table_bytes() const {
          m.price_sums.capacity() * sizeof(SpotTrace::BelowSum);
 }
 
-// A view at h reads the first h + 1 entries of each row: the counts at
-// t <= h do not depend on how far past h the samples were scanned, and
-// neither do the running sums that turn them into survival.
-double FailureModel::survival(std::size_t b, std::size_t t) const {
-  SOMPI_REQUIRE(b < bid_count());
-  t = std::min(t, horizon_);
-  return tables_->survival[b * (tables_->horizon + 1) + t];
-}
-
-double FailureModel::survival_at(std::size_t b, double x) const {
-  if (x <= 0.0) return 1.0;
-  return survival(b, static_cast<std::size_t>(std::ceil(x)));
-}
-
-double FailureModel::pmf(std::size_t b, std::size_t t) const {
-  SOMPI_REQUIRE(t <= horizon_);
-  const double next = t == horizon_ ? 0.0 : survival(b, t + 1);
-  return std::max(0.0, survival(b, t) - next);
-}
-
 double FailureModel::expected_lifetime(std::size_t b, double w) const {
   SOMPI_REQUIRE(w >= 0.0);
   // E[min(fp, w)] = sum_{t=1..floor(w)} P[fp >= t] + frac(w) * P[fp >= ceil(w)]

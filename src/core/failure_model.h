@@ -14,11 +14,14 @@
 // the longest horizon serves every app (FailureModelCache).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/error.h"
 #include "trace/spot_trace.h"
 
 namespace sompi {
@@ -68,13 +71,29 @@ class FailureModel {
 
   /// P[first-passage >= t]: the group survives (at least) the first t steps.
   /// survival(b, 0) == 1. t is clamped to the horizon.
-  double survival(std::size_t b, std::size_t t) const;
+  ///
+  /// A view at h reads the first h + 1 entries of each row: the counts at
+  /// t <= h do not depend on how far past h the samples were scanned, and
+  /// neither do the running sums that turn them into survival.
+  double survival(std::size_t b, std::size_t t) const {
+    SOMPI_REQUIRE(b < bid_count());
+    t = std::min(t, horizon_);
+    return tables_->survival[b * (tables_->horizon + 1) + t];
+  }
 
   /// P[first-passage >= x] for fractional x (first-passage is step-valued).
-  double survival_at(std::size_t b, double x) const;
+  double survival_at(std::size_t b, double x) const {
+    if (x <= 0.0) return 1.0;
+    return survival(b, static_cast<std::size_t>(std::ceil(x)));
+  }
 
   /// P[first-passage == t]: the paper's f_i(P, t) for a failure at step t.
-  double pmf(std::size_t b, std::size_t t) const;
+  /// Never negative.
+  double pmf(std::size_t b, std::size_t t) const {
+    SOMPI_REQUIRE(t <= horizon_);
+    const double next = t == horizon_ ? 0.0 : survival(b, t + 1);
+    return std::max(0.0, survival(b, t) - next);
+  }
 
   /// E[min(first-passage, w)]: expected lifetime of a group whose complete
   /// run lasts w wall steps. Beyond the horizon the group is assumed alive.

@@ -254,7 +254,8 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
   };
 
   // Dimension reduction: F_i = φ_i(P_i), precomputed per composite
-  // (group, policy, bid) choice — φ sees the policy's effective O/R.
+  // (group, policy, bid) choice — φ sees the policy's effective O/R. One
+  // call per (group, bid) serves every policy.
   CheckpointPlanner::Config phi_cfg;
   phi_cfg.mode = config_.phi_mode;
   phi_cfg.step_hours = config_.setup.step_hours;
@@ -268,9 +269,9 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
     }
     const std::size_t bids = candidates[i].failure.bid_count();
     f_of[i].resize(n_pol * bids);
-    for (std::size_t c = 0; c < f_of[i].size(); ++c) {
-      const CkptPolicy& pol = policies[c / bids];
-      f_of[i][c] = phi.choose(candidates[i], c % bids, od, pol.o_scale, pol.r_scale);
+    for (std::size_t b = 0; b < bids; ++b) {
+      const std::vector<int> f = phi.choose(candidates[i], b, od, policies);
+      for (std::size_t p = 0; p < n_pol; ++p) f_of[i][p * bids + b] = f[p];
     }
   }
 
@@ -283,18 +284,11 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
   // max over t of (t + Ratio(t)·T_od). The max over all groups bounds the
   // joint worst case of any plan: if every group dies at time t_i,
   //   Time <= max_i t_i + T_od·min_i Ratio_i(t_i) <= max_i (t_i + T_od·Ratio_i(t_i)).
+  // O(checkpoints) per call: each ratio run's maximum sits at its last step.
   const auto group_worst_h = [&](const GroupSetup& g, int f_steps, double o_scale,
                                  double r_scale) {
-    const GroupSchedule sched(g.t_steps, f_steps, g.o_steps * o_scale,
-                              g.r_steps * r_scale);
-    const double w = sched.wall_duration();
-    double worst = w * step_h;  // clean completion
-    for (std::size_t t = 0; t < static_cast<std::size_t>(std::ceil(w)); ++t) {
-      const double candidate =
-          static_cast<double>(t) * step_h + sched.ratio_at(static_cast<double>(t)) * od.t_h;
-      worst = std::max(worst, candidate);
-    }
-    return worst;
+    return GroupSchedule(g.t_steps, f_steps, g.o_steps * o_scale, g.r_steps * r_scale)
+        .worst_completion_h(step_h, od.t_h);
   };
 
   // Largest checkpoint interval whose worst case still fits the deadline —

@@ -13,18 +13,47 @@
 
 namespace sompi {
 
-Plan reference_optimize(const Catalog& catalog, const ExecTimeEstimator& estimator,
-                        const OptimizerConfig& config, const AppProfile& app,
-                        const Market& market, double deadline_h,
-                        const std::vector<std::string>& allowed_types,
-                        const std::vector<std::string>& allowed_zones) {
-  SOMPI_REQUIRE(deadline_h > 0.0);
+double reference_group_worst_h(const GroupSetup& g, int f_steps, double o_scale,
+                               double r_scale, double step_h, double od_t_h) {
+  const GroupSchedule sched(g.t_steps, f_steps, g.o_steps * o_scale, g.r_steps * r_scale);
+  const double w = sched.wall_duration();
+  double worst = w * step_h;
+  for (std::size_t t = 0; t < static_cast<std::size_t>(std::ceil(w)); ++t) {
+    const double candidate =
+        static_cast<double>(t) * step_h + sched.ratio_at(static_cast<double>(t)) * od_t_h;
+    worst = std::max(worst, candidate);
+  }
+  return worst;
+}
+
+int reference_f_guard_max(const GroupSetup& g, double o_scale, double r_scale, double step_h,
+                          double od_t_h, double deadline_h) {
+  const auto fits = [&](int f) {
+    return reference_group_worst_h(g, f, o_scale, r_scale, step_h, od_t_h) <= deadline_h;
+  };
+  if (!fits(1)) return 0;
+  int lo = 1, hi = g.t_steps;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo + 1) / 2;
+    if (fits(mid)) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
+std::vector<GroupSetup> reference_candidates(const Catalog& catalog,
+                                             const ExecTimeEstimator& estimator,
+                                             const OptimizerConfig& config,
+                                             const AppProfile& app, const Market& market,
+                                             double deadline_h,
+                                             const std::vector<std::string>& allowed_types,
+                                             const std::vector<std::string>& allowed_zones) {
   const auto allowed = [](const std::vector<std::string>& names, const std::string& name) {
     return names.empty() || std::find(names.begin(), names.end(), name) != names.end();
   };
-  const OnDemandChoice od =
-      OnDemandSelector(&catalog, &estimator).select(app, deadline_h, config.slack, allowed_types);
-
   // Every allowed (type, zone) whose productive runtime fits the deadline.
   const SetupBuilder builder(&catalog, &estimator);
   std::vector<GroupSetup> candidates;
@@ -35,13 +64,6 @@ Plan reference_optimize(const Catalog& catalog, const ExecTimeEstimator& estimat
     if (estimator.hours(app, type, zone) > deadline_h) continue;
     candidates.push_back(builder.build(app, spec, market, config.setup));
   }
-
-  Plan plan;
-  plan.app = app.name;
-  plan.step_hours = config.setup.step_hours;
-  plan.deadline_h = deadline_h;
-  plan.state_gb = app.state_gb;
-  plan.od = od;
 
   // Keep the max_candidates groups with the lowest expected full-run spot
   // cost at the top bid.
@@ -61,6 +83,26 @@ Plan reference_optimize(const Catalog& catalog, const ExecTimeEstimator& estimat
       kept.push_back(std::move(candidates[order[i]]));
     candidates = std::move(kept);
   }
+  return candidates;
+}
+
+Plan reference_optimize(const Catalog& catalog, const ExecTimeEstimator& estimator,
+                        const OptimizerConfig& config, const AppProfile& app,
+                        const Market& market, double deadline_h,
+                        const std::vector<std::string>& allowed_types,
+                        const std::vector<std::string>& allowed_zones) {
+  SOMPI_REQUIRE(deadline_h > 0.0);
+  const OnDemandChoice od =
+      OnDemandSelector(&catalog, &estimator).select(app, deadline_h, config.slack, allowed_types);
+  std::vector<GroupSetup> candidates = reference_candidates(
+      catalog, estimator, config, app, market, deadline_h, allowed_types, allowed_zones);
+
+  Plan plan;
+  plan.app = app.name;
+  plan.step_hours = config.setup.step_hours;
+  plan.deadline_h = deadline_h;
+  plan.state_gb = app.state_gb;
+  plan.od = od;
 
   // Composite choice c = p · bid_count(g) + b per group.
   std::vector<CkptPolicy> policies = config.ckpt_policies;
@@ -86,40 +128,18 @@ Plan reference_optimize(const Catalog& catalog, const ExecTimeEstimator& estimat
   const CostModel::Config model_cfg{.step_hours = config.setup.step_hours,
                                     .ratio_bins = config.ratio_bins};
   const double step_h = config.setup.step_hours;
-
-  // Worst-case completion of a group killed at its most damaging instant,
-  // recovering on the on-demand tier: max over t of (t + Ratio(t)·T_od).
   const auto group_worst_h = [&](const GroupSetup& g, int f_steps, double o_scale,
                                  double r_scale) {
-    const GroupSchedule sched(g.t_steps, f_steps, g.o_steps * o_scale, g.r_steps * r_scale);
-    const double w = sched.wall_duration();
-    double worst = w * step_h;
-    for (std::size_t t = 0; t < static_cast<std::size_t>(std::ceil(w)); ++t) {
-      const double candidate =
-          static_cast<double>(t) * step_h + sched.ratio_at(static_cast<double>(t)) * od.t_h;
-      worst = std::max(worst, candidate);
-    }
-    return worst;
+    return reference_group_worst_h(g, f_steps, o_scale, r_scale, step_h, od.t_h);
   };
 
-  // Largest interval whose worst case fits the deadline, per (group, policy);
-  // 0 when even F = 1 misses it.
+  // Largest interval whose worst case fits the deadline, per (group, policy).
   std::vector<int> f_guard_max(candidates.size() * n_pol, 0);
   if (config.worst_case_guard) {
     for (std::size_t idx = 0; idx < f_guard_max.size(); ++idx) {
-      const GroupSetup& g = candidates[idx / n_pol];
       const CkptPolicy& pol = policies[idx % n_pol];
-      if (group_worst_h(g, 1, pol.o_scale, pol.r_scale) > deadline_h) continue;
-      int lo = 1, hi = g.t_steps;
-      while (lo < hi) {
-        const int mid = lo + (hi - lo + 1) / 2;
-        if (group_worst_h(g, mid, pol.o_scale, pol.r_scale) <= deadline_h) {
-          lo = mid;
-        } else {
-          hi = mid - 1;
-        }
-      }
-      f_guard_max[idx] = lo;
+      f_guard_max[idx] = reference_f_guard_max(candidates[idx / n_pol], pol.o_scale,
+                                               pol.r_scale, step_h, od.t_h, deadline_h);
     }
   }
 

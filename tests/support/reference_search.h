@@ -8,8 +8,9 @@
 // product's branch-and-bound plans against it is a genuine differential
 // check rather than the search checking itself.
 //
-// The tuple walkers and the bid-only table builder serve the evaluator-level
-// oracles in tests/test_cost_model_fast.cpp.
+// The per-step worst-case scan is the oracle for the optimizer's guard
+// tables (tests/test_guard.cpp). The tuple walkers and the bid-only table
+// builder serve the evaluator-level oracles in tests/test_cost_model_fast.cpp.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +39,30 @@ Plan reference_optimize(const Catalog& catalog, const ExecTimeEstimator& estimat
                         const Market& market, double deadline_h,
                         const std::vector<std::string>& allowed_types = {},
                         const std::vector<std::string>& allowed_zones = {});
+
+/// The candidate groups reference_optimize() searches: every allowed
+/// (type, zone) whose productive runtime fits the deadline, built cold, then
+/// the max_candidates lowest expected full-run spot costs at the top bid.
+std::vector<GroupSetup> reference_candidates(const Catalog& catalog,
+                                             const ExecTimeEstimator& estimator,
+                                             const OptimizerConfig& config,
+                                             const AppProfile& app, const Market& market,
+                                             double deadline_h,
+                                             const std::vector<std::string>& allowed_types = {},
+                                             const std::vector<std::string>& allowed_zones = {});
+
+/// Worst-case completion time, in hours, of group `g` at interval `f_steps`
+/// under the policy scales, killed at its most damaging step and redone on
+/// an on-demand tier taking `od_t_h` hours, by a per-step scan:
+/// max(W·step_h, max over t < ceil(W) of t·step_h + Ratio(t)·od_t_h).
+double reference_group_worst_h(const GroupSetup& g, int f_steps, double o_scale,
+                               double r_scale, double step_h, double od_t_h);
+
+/// Largest interval in [1, T] whose reference worst case fits `deadline_h`
+/// (the worst case is monotone in F, so by binary search); 0 when even
+/// F = 1 misses it.
+int reference_f_guard_max(const GroupSetup& g, double o_scale, double r_scale, double step_h,
+                          double od_t_h, double deadline_h);
 
 /// CostTables with one choice per bid (interval tied via f_of[g][b], unit
 /// O/R scales, policy 0), composed from freshly built per-group blocks.

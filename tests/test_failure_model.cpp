@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "support/oracle_generators.h"
 #include "trace/generator.h"
 
 namespace sompi {
@@ -234,32 +235,6 @@ std::size_t expect_matches_reference(const SpotTrace& trace, const std::vector<d
   return mismatches;
 }
 
-// A random trace over `levels` distinct prices (ties when levels is small;
-// 0.0 is one of the levels, the running max's starting value).
-std::vector<double> tied_prices(std::size_t n, std::size_t levels, Rng& rng) {
-  std::vector<double> level(levels);
-  for (std::size_t k = 0; k < levels; ++k) level[k] = 0.01 * static_cast<double>(k);
-  std::vector<double> prices(n);
-  for (double& p : prices) p = level[rng.uniform_index(levels)];
-  return prices;
-}
-
-// Ascending positive bids: some equal to a price, some duplicated, some
-// between or above every price.
-std::vector<double> random_bids(const std::vector<double>& prices, Rng& rng) {
-  std::vector<double> bids;
-  const std::size_t count = 1 + rng.uniform_index(8);
-  for (std::size_t i = 0; i < count; ++i) {
-    double b = rng.bernoulli(0.5) ? prices[rng.uniform_index(prices.size())]
-                                  : rng.uniform(0.0, 0.06);
-    if (b <= 0.0) b = 0.005;
-    bids.push_back(b);
-    if (rng.bernoulli(0.2)) bids.push_back(b);  // duplicate bid
-  }
-  std::sort(bids.begin(), bids.end());
-  return bids;
-}
-
 TEST(FailureModelOracle, RandomSweepMatchesPerSampleScanBitForBit) {
   Rng rng(0x0AC1E);
   for (int iter = 0; iter < 3000; ++iter) {
@@ -331,13 +306,6 @@ std::size_t model_mismatches(const FailureModel& got, const FailureModel& want) 
       mismatches += got.survival(b, t) != want.survival(b, t);
   }
   return mismatches;
-}
-
-std::vector<double> random_prices(std::size_t n, Rng& rng) {
-  if (rng.bernoulli(0.5)) return tied_prices(n, 1 + rng.uniform_index(4), rng);
-  std::vector<double> prices(n);
-  for (double& p : prices) p = rng.uniform(0.0, 0.05);
-  return prices;
 }
 
 TEST(FailureModelResume, ExtensionChainsMatchFreshModelsBitForBit) {

@@ -8,6 +8,8 @@
 #include "core/optimizer.h"
 #include "core/schedule.h"
 #include "profile/paper_profiles.h"
+#include "service/market_board.h"
+#include "support/reference_search.h"
 
 namespace sompi {
 namespace {
@@ -56,6 +58,67 @@ TEST_F(GuardTest, EveryGuardedPlanIsWorstCaseSafeOrReplicated) {
           << name << " @" << factor << ": worst " << worst << " vs " << deadline;
     }
   }
+}
+
+TEST_F(GuardTest, GuardTablesEqualThePerStepReference) {
+  // The guard tables a warm solve stores with each candidate's artifact:
+  // the clamp f_guard_max per policy and the fits bit per (policy, bid)
+  // choice, against the per-step worst-case scan of tests/support.
+  const MarketBoard board(market_);
+  const MarketSnapshot snap = board.snapshot();
+  std::size_t artifacts = 0, clamps = 0, unfit = 0;
+  for (const bool multilevel : {false, true}) {
+    OptimizerConfig config = fast(true);
+    if (multilevel)
+      config.ckpt_policies = {CkptPolicy::single_s3(), CkptPolicy::cache_s3(),
+                              CkptPolicy::cache_xor_s3()};
+    const SompiOptimizer opt(&catalog_, &est_, config);
+    const std::size_t n_pol = std::max<std::size_t>(config.ckpt_policies.size(), 1);
+    for (const char* name : {"BT", "LU", "FT", "BTIO"}) {
+      const AppProfile app = paper_profile(name);
+      for (const double factor : {1.05, 1.1, 1.3, 1.5}) {
+        const double deadline = selector_.baseline(app).t_h * factor;
+        CostTableStore store;
+        ReplanContext ctx;
+        ctx.store = &store;
+        ctx.scope = "scope";
+        ctx.versions = snap.versions;
+        const Plan plan = opt.optimize(app, *snap.market, deadline, &ctx);
+        const std::uint64_t chash = replan_config_hash(config, app, plan.od, deadline);
+        for (const CircleGroupSpec& spec : catalog_.all_groups()) {
+          const auto art = store.lookup(
+              "scope", spec, snap.versions->at(spec.type_index * catalog_.zones().size() +
+                                               spec.zone_index),
+              chash);
+          if (art == nullptr || !art->has_derived()) continue;
+          ++artifacts;
+          const GroupSetup& g = art->setup;
+          const std::size_t bids = g.failure.bid_count();
+          ASSERT_EQ(art->f_guard_max.size(), n_pol);
+          ASSERT_EQ(art->fits.size(), n_pol * bids);
+          for (std::size_t p = 0; p < n_pol; ++p) {
+            const CkptPolicy pol = multilevel ? config.ckpt_policies[p] : CkptPolicy{};
+            const int want = reference_f_guard_max(g, pol.o_scale, pol.r_scale,
+                                                   plan.step_hours, plan.od.t_h, deadline);
+            ASSERT_EQ(art->f_guard_max[p], want) << name << " @" << factor << " policy " << p;
+            clamps += want > 0 && want < g.t_steps;
+            for (std::size_t b = 0; b < bids; ++b) {
+              const std::size_t c = p * bids + b;
+              const bool fits =
+                  reference_group_worst_h(g, art->f_of[c], pol.o_scale, pol.r_scale,
+                                          plan.step_hours, plan.od.t_h) <= deadline;
+              ASSERT_EQ(art->fits[c] != 0, fits) << name << " @" << factor << " choice " << c;
+              unfit += !fits;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both guard outcomes occur: active clamps and choices that miss.
+  EXPECT_GT(artifacts, 50u);
+  EXPECT_GT(clamps, 0u);
+  EXPECT_GT(unfit, 0u);
 }
 
 TEST_F(GuardTest, SingleGroupPlansCheckpointDenselyUnderPressure) {

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/cost_table_store.h"
 #include "core/ondemand.h"
 #include "core/optimizer.h"
@@ -158,6 +161,161 @@ TEST_F(CostTableStoreTest, ByteCapEvictsColdScopesNeverTheTouchedOne) {
   EXPECT_EQ(store.lookup("a", {0, 0}, 1, 1), nullptr);
   EXPECT_EQ(store.last_plan("a"), nullptr);  // the incumbent dies with its scope
   EXPECT_NE(store.lookup("b", {0, 0}, 1, 1), nullptr);
+}
+
+// The store's bookkeeping with the eviction it had before the LRU list: a
+// scan of every scope for the least recently touched one other than `keep`.
+// Kept as the oracle for the list's victim sequence and byte accounting.
+class ScanEvictionOracle {
+ public:
+  explicit ScanEvictionOracle(std::size_t max_bytes) : max_bytes_(max_bytes) {}
+
+  std::shared_ptr<const GroupArtifact> lookup(const std::string& name,
+                                              const CircleGroupSpec& spec,
+                                              std::uint64_t version, std::uint64_t hash) {
+    const auto sit = scopes_.find(name);
+    if (sit == scopes_.end()) {
+      ++stats.misses;
+      return nullptr;
+    }
+    sit->second.touched = ++tick_;
+    const auto it = sit->second.entries.find({spec.type_index, spec.zone_index});
+    if (it == sit->second.entries.end()) {
+      ++stats.misses;
+      return nullptr;
+    }
+    if (it->second.first != hash || it->second.second->version != version) {
+      ++stats.invalidated;
+      sit->second.bytes -= it->second.second->bytes();
+      stats.bytes -= it->second.second->bytes();
+      sit->second.entries.erase(it);
+      return nullptr;
+    }
+    ++stats.hits;
+    return it->second.second;
+  }
+
+  void store(const std::string& name, const CircleGroupSpec& spec, std::uint64_t hash,
+             std::shared_ptr<const GroupArtifact> artifact) {
+    Scope& s = scopes_[name];
+    s.touched = ++tick_;
+    auto& e = s.entries[{spec.type_index, spec.zone_index}];
+    if (e.second != nullptr) {
+      s.bytes -= e.second->bytes();
+      stats.bytes -= e.second->bytes();
+    }
+    e = {hash, std::move(artifact)};
+    s.bytes += e.second->bytes();
+    stats.bytes += e.second->bytes();
+    while (stats.bytes > max_bytes_ && scopes_.size() > 1) {
+      auto victim = scopes_.end();
+      std::uint64_t oldest = UINT64_MAX;
+      for (auto it = scopes_.begin(); it != scopes_.end(); ++it)
+        if (it->first != name && it->second.touched < oldest) {
+          oldest = it->second.touched;
+          victim = it;
+        }
+      if (victim == scopes_.end()) break;
+      stats.bytes -= victim->second.bytes;
+      scopes_.erase(victim);
+      ++stats.evictions;
+    }
+  }
+
+  void note_plan(const std::string& name, std::shared_ptr<const Plan> plan) {
+    Scope& s = scopes_[name];
+    s.touched = ++tick_;
+    s.last_plan = std::move(plan);
+  }
+
+  std::shared_ptr<const Plan> last_plan(const std::string& name) const {
+    const auto it = scopes_.find(name);
+    return it == scopes_.end() ? nullptr : it->second.last_plan;
+  }
+
+  CostTableStore::Stats snapshot() const {
+    CostTableStore::Stats s = stats;
+    s.scopes = scopes_.size();
+    for (const auto& [name, scope] : scopes_) s.entries += scope.entries.size();
+    return s;
+  }
+
+  CostTableStore::Stats stats;  ///< counters and bytes; sizes filled by snapshot()
+
+ private:
+  struct Scope {
+    std::map<std::pair<std::size_t, std::size_t>,
+             std::pair<std::uint64_t, std::shared_ptr<const GroupArtifact>>>
+        entries;
+    std::shared_ptr<const Plan> last_plan;
+    std::uint64_t touched = 0;
+    std::size_t bytes = 0;
+  };
+  std::size_t max_bytes_;
+  std::map<std::string, Scope> scopes_;
+  std::uint64_t tick_ = 0;
+};
+
+TEST_F(CostTableStoreTest, LruEvictionMatchesTheScanOracleOnRandomTraces) {
+  // Artifacts of several sizes (the derived vectors set their bytes) and
+  // versions; one is larger than the cap, so a store of it evicts every
+  // other scope and leaves the kept scope over the cap.
+  std::vector<std::shared_ptr<GroupArtifact>> arts;
+  for (std::uint64_t version = 1; version <= 3; ++version)
+    for (std::size_t size : {0, 40, 300, 2000}) {
+      auto a = artifact(version);
+      a->f_of.assign(size, 1);
+      arts.push_back(std::move(a));
+    }
+  const std::size_t cap = 4 * arts[2]->bytes();
+  auto huge = artifact(1);
+  huge->f_of.assign(cap, 1);
+  arts.push_back(huge);
+
+  Rng rng(0x57012E);
+  std::uint64_t evictions = 0;
+  for (int trace = 0; trace < 20; ++trace) {
+    CostTableStore store(CostTableStore::Config{cap});
+    ScanEvictionOracle oracle(cap);
+    const std::size_t names = 2 + rng.uniform_index(14);
+    for (int op = 0; op < 2000; ++op) {
+      const std::string name = "s" + std::to_string(rng.uniform_index(names));
+      const CircleGroupSpec spec{rng.uniform_index(3), rng.uniform_index(2)};
+      const std::uint64_t hash = 1 + rng.uniform_index(2);
+      const std::size_t kind = rng.uniform_index(10);
+      if (kind < 4) {
+        const std::uint64_t version = 1 + rng.uniform_index(3);
+        ASSERT_EQ(store.lookup(name, spec, version, hash),
+                  oracle.lookup(name, spec, version, hash))
+            << "trace " << trace << " op " << op;
+      } else if (kind < 8) {
+        const auto& a = rng.bernoulli(0.02) ? arts.back()
+                                            : arts[rng.uniform_index(arts.size() - 1)];
+        store.store(name, spec, hash, a);
+        oracle.store(name, spec, hash, a);
+      } else {
+        const auto plan = std::make_shared<const Plan>();
+        store.note_plan(name, plan);
+        oracle.note_plan(name, plan);
+      }
+      const CostTableStore::Stats got = store.stats();
+      const CostTableStore::Stats want = oracle.snapshot();
+      ASSERT_EQ(got.hits, want.hits) << "trace " << trace << " op " << op;
+      ASSERT_EQ(got.misses, want.misses) << "trace " << trace << " op " << op;
+      ASSERT_EQ(got.invalidated, want.invalidated) << "trace " << trace << " op " << op;
+      ASSERT_EQ(got.evictions, want.evictions) << "trace " << trace << " op " << op;
+      ASSERT_EQ(got.scopes, want.scopes) << "trace " << trace << " op " << op;
+      ASSERT_EQ(got.entries, want.entries) << "trace " << trace << " op " << op;
+      ASSERT_EQ(got.bytes, want.bytes) << "trace " << trace << " op " << op;
+      // last_plan touches nothing: which scopes survive, and with what.
+      for (std::size_t i = 0; i < names; ++i) {
+        const std::string n = "s" + std::to_string(i);
+        ASSERT_EQ(store.last_plan(n), oracle.last_plan(n)) << "trace " << trace << " op " << op;
+      }
+    }
+    evictions += oracle.stats.evictions;
+  }
+  EXPECT_GT(evictions, 1000u);
 }
 
 TEST_F(CostTableStoreTest, ClearDropsScopesButKeepsMonotoneCounters) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 namespace sompi {
 namespace {
@@ -108,6 +112,84 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 5, 24),        // F
                        ::testing::Values(0.0, 0.05, 0.5, 2.0)  // O
                        ));
+
+// ---- Ratio runs: the per-cycle kernel against the per-step oracle -----------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Counts the checkpoints j at which the product j·(F+O) and checkpoints_by's
+// division disagree about an integer step r: j·cycle <= r says checkpoint j
+// is complete by r, floor(r / cycle) < j says it is not (or the reverse).
+// A boundary placed by the product would be one step off there.
+int product_division_disagreements(const GroupSchedule& s) {
+  const double cycle = static_cast<double>(s.f_steps()) + s.o_steps();
+  int n = 0;
+  for (int j = 1; j <= s.checkpoints_full_run(); ++j) {
+    const double r = std::round(j * cycle);
+    n += (j * cycle <= r) != (std::floor(r / cycle) >= j);
+  }
+  return n;
+}
+
+TEST(ScheduleRatioRuns, EqualRatioAtBitForBitAtEveryStep) {
+  // O values whose multiples of F + O come within an ulp of an integer
+  // (decimal fractions and thirds are not binary fractions), exact binary
+  // ones, zero and overheads longer than a step; R below, at and above T.
+  const std::vector<double> overheads = {0.0,  0.1,  0.2,       0.3,       0.7,  1.1,
+                                         0.05, 0.15, 1.0 / 3.0, 2.0 / 3.0, 0.25, 0.5,
+                                         2.5,  7.3,  1e-9};
+  int configs = 0, disagreeing = 0;
+  for (const int t : {1, 2, 3, 5, 7, 10, 16, 33, 64, 100, 257, 1000}) {
+    for (const int f : {1, 2, 3, 4, 5, 7, 10, 16, 33, 100, t / 2, t - 1, t}) {
+      if (f < 1 || f > t) continue;
+      for (const double o : overheads) {
+        for (const double r : {0.0, 0.5, 1.7, 2.0 * t}) {
+          const GroupSchedule s(t, f, o, r);
+          ++configs;
+          disagreeing += product_division_disagreements(s) > 0;
+          const std::size_t n = static_cast<std::size_t>(std::ceil(s.wall_duration())) + 3;
+          std::size_t next = 0, runs = 0;
+          s.for_each_ratio_run(n, [&](std::size_t begin, std::size_t end, double ratio) {
+            ASSERT_EQ(begin, next) << "T=" << t << " F=" << f << " O=" << o;
+            ASSERT_LT(begin, end);
+            for (std::size_t x = begin; x < end; ++x)
+              ASSERT_EQ(bits(ratio), bits(s.ratio_at(static_cast<double>(x))))
+                  << "T=" << t << " F=" << f << " O=" << o << " R=" << r << " t=" << x;
+            next = end;
+            ++runs;
+          });
+          ASSERT_EQ(next, n);
+          // One run per checkpoint count, plus the completed tail.
+          EXPECT_EQ(runs, static_cast<std::size_t>(s.checkpoints_full_run()) + 2);
+
+          // A shorter range cuts the same runs.
+          const std::size_t cut = n / 2;
+          next = 0;
+          s.for_each_ratio_run(cut, [&](std::size_t begin, std::size_t end, double ratio) {
+            ASSERT_EQ(begin, next);
+            ASSERT_LE(end, cut);
+            ASSERT_EQ(bits(ratio), bits(s.ratio_at(static_cast<double>(begin))));
+            next = end;
+          });
+          ASSERT_EQ(next, cut);
+
+          // The worst case reads each run's last step only.
+          for (const double step_h : {0.25, 1.0 / 3.0}) {
+            const double redo_h = 0.37 * t;
+            double worst = s.wall_duration() * step_h;
+            for (std::size_t x = 0; x < n - 3; ++x)
+              worst = std::max(worst, static_cast<double>(x) * step_h +
+                                          s.ratio_at(static_cast<double>(x)) * redo_h);
+            ASSERT_EQ(bits(s.worst_completion_h(step_h, redo_h)), bits(worst))
+                << "T=" << t << " F=" << f << " O=" << o << " R=" << r;
+          }
+        }
+      }
+    }
+  }
+  // The sweep must reach the cases a product-placed boundary gets wrong.
+  EXPECT_GT(disagreeing, 0) << "of " << configs << " configurations";
+}
 
 }  // namespace
 }  // namespace sompi
