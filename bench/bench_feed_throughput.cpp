@@ -1,7 +1,8 @@
 // Feed-pipeline ingestion benchmark (DESIGN.md §10 "Feed pipeline").
 // Streams a replayed market tail through the FeedPipeline three ways — a
-// synchronous single-thread pass, the same pass with windowed re-estimation
-// on every publish, and a 4-producer run through the bounded MPSC queue —
+// synchronous single-thread pass, the same pass reading the windowed
+// estimates (latest_estimates) after every publish, and a 4-producer run
+// through the bounded MPSC queue —
 // and reports sustained ticks/s, the epoch-publication latency percentiles,
 // and the deterministic pipeline counters behind them.
 //
@@ -53,12 +54,11 @@ struct PassResult {
   std::vector<double> publish_ms;  // per-epoch publication latencies
 };
 
-FeedConfig bench_config(bool estimate) {
+FeedConfig bench_config() {
   FeedConfig cfg;
   cfg.window_steps = 96;
   cfg.publish_every = 96;  // one publication per simulated day
   cfg.queue_capacity = 1024;
-  cfg.estimate = estimate;
   cfg.estimation.samples = 256;
   cfg.estimation.horizon_steps = 64;
   return cfg;
@@ -67,13 +67,29 @@ FeedConfig bench_config(bool estimate) {
 PassResult run_sync(const Market& full, std::size_t visible, bool estimate) {
   MarketBoard board(full.window(0, visible));
   BoardFanout fanout({&board});
-  FeedPipeline pipe(&fanout, bench_config(estimate));
+  FeedPipeline pipe(&fanout, bench_config());
   const std::size_t len = full.trace({0, 0}).steps();
   ReplayTickSource source(&full, {}, visible, len - visible);
 
   const auto t0 = std::chrono::steady_clock::now();
-  pipe.ingest(source);
-  pipe.flush();
+  if (estimate) {
+    // Read the estimates once per publication, as their consumer would.
+    std::uint64_t read = 0;
+    const auto read_new = [&] {
+      const std::uint64_t published = pipe.stats().epochs_published;
+      if (published != read) pipe.latest_estimates();
+      read = published;
+    };
+    while (std::optional<feed::Tick> tick = source.next()) {
+      pipe.offer(*tick);
+      read_new();
+    }
+    pipe.flush();
+    read_new();
+  } else {
+    pipe.ingest(source);
+    pipe.flush();
+  }
   PassResult r;
   r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   r.stats = pipe.stats();
@@ -86,7 +102,7 @@ PassResult run_sync(const Market& full, std::size_t visible, bool estimate) {
 PassResult run_mpsc(const Market& full, std::size_t visible, std::size_t producers) {
   MarketBoard board(full.window(0, visible));
   BoardFanout fanout({&board});
-  FeedPipeline pipe(&fanout, bench_config(/*estimate=*/false));
+  FeedPipeline pipe(&fanout, bench_config());
   const std::size_t len = full.trace({0, 0}).steps();
   const std::vector<CircleGroupSpec> all = full.catalog().all_groups();
 
@@ -206,7 +222,7 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(sync_digest));
         ok = false;
       }
-      if (last.queue_max_depth > bench_config(false).queue_capacity) {
+      if (last.queue_max_depth > bench_config().queue_capacity) {
         std::fprintf(stderr, "FAIL mpsc/p4: queue depth %zu exceeded capacity\n",
                      last.queue_max_depth);
         ok = false;

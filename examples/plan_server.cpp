@@ -60,6 +60,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -315,8 +316,9 @@ int main(int argc, char** argv) {
         for (std::size_t t = 0; t < catalog.types().size(); ++t)
           for (std::size_t z = 0; z < catalog.zones().size(); ++z) {
             const CircleGroupSpec group{t, z};
-            const SpotTrace slice = full.trace(group).window(cursor, steps);
-            updates.push_back(PriceUpdate{group, slice.prices()});
+            const std::span<const double> slice =
+                full.trace(group).prices().subspan(cursor, steps);
+            updates.push_back(PriceUpdate{group, {slice.begin(), slice.end()}});
           }
         cursor += steps;
         const std::uint64_t epoch = board.ingest(updates);

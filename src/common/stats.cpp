@@ -80,7 +80,7 @@ void Histogram::add(double x) {
   ++total_;
 }
 
-void Histogram::add_all(const std::vector<double>& xs) {
+void Histogram::add_all(std::span<const double> xs) {
   for (double x : xs) add(x);
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  void add_all(const std::vector<double>& xs);
+  void add_all(std::span<const double> xs);
 
   std::size_t bins() const { return counts_.size(); }
   std::size_t count(std::size_t bin) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -51,7 +52,7 @@ FailureModel::FailureModel(const SpotTrace& history, std::vector<double> bids,
   // Start points come from one sequential stream; the counts are integer
   // sums, so visiting the starts in sorted order changes nothing.
   Rng rng(config.seed);
-  const std::vector<double>& price = history.prices();
+  const std::span<const double> price = history.prices();
   const std::size_t n = price.size();
   std::vector<std::size_t> starts(config.samples);
   for (std::size_t& s : starts) s = rng.uniform_index(n);

@@ -184,7 +184,9 @@ void FeedPipeline::publish_batch_locked() {
   }
   const std::uint64_t epoch = fanout_->ingest(updates);
   ++stats_.epochs_published;
-  if (config_.estimate) estimate_locked(epoch);
+  published_windows_.clear();
+  for (const GroupState& g : groups_) published_windows_.push_back(g.window_trace);
+  estimates_.reset();
 
   PublishRecord record;
   record.epoch = epoch;
@@ -198,21 +200,24 @@ void FeedPipeline::publish_batch_locked() {
   for (const CircleGroupSpec& spec : record.changed_groups)
     mix(group_ordinal(spec, zones_));
   publish_log_.push_back(std::move(record));
+  if (publish_log_.size() > kPublishLogRecords) publish_log_.pop_front();
   rows_in_batch_ = 0;
 }
 
-void FeedPipeline::estimate_locked(std::uint64_t epoch) {
+FeedEstimates FeedPipeline::estimate_locked() {
   FeedEstimates out;
-  out.epoch = epoch;
-  out.window_end_step = base_step_ + stats_.committed_steps;
-  out.groups.reserve(groups_.size());
-  for (const GroupState& g : groups_) {
+  if (publish_log_.empty()) return out;
+  out.epoch = publish_log_.back().epoch;
+  out.window_end_step = publish_log_.back().end_step;
+  out.groups.reserve(published_windows_.size());
+  for (std::size_t ordinal = 0; ordinal < published_windows_.size(); ++ordinal) {
+    const SpotTrace& trace = published_windows_[ordinal];
     GroupEstimate est;
-    est.group = g.group;
-    const std::size_t len = g.window_trace.steps();
+    est.group = groups_[ordinal].group;
+    const std::size_t len = trace.steps();
     const std::size_t want = std::min<std::size_t>(config_.window_steps, len);
     if (want > 0) {
-      const SpotTrace win = g.window_trace.window(len - want, want);
+      const SpotTrace win = trace.window(len - want, want);
       est.window_max_price = win.max_price();
       if (est.window_max_price > 0.0) {
         est.bids = logarithmic_bid_grid(est.window_max_price, config_.estimate_bid_levels);
@@ -228,7 +233,7 @@ void FeedPipeline::estimate_locked(std::uint64_t epoch) {
     }
     out.groups.push_back(std::move(est));
   }
-  estimates_ = std::move(out);
+  return out;
 }
 
 void FeedPipeline::start() {
@@ -329,12 +334,13 @@ std::uint64_t FeedPipeline::commit_digest() const {
 
 std::vector<PublishRecord> FeedPipeline::publish_log() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return publish_log_;
+  return {publish_log_.begin(), publish_log_.end()};
 }
 
-FeedEstimates FeedPipeline::latest_estimates() const {
+FeedEstimates FeedPipeline::latest_estimates() {
   std::lock_guard<std::mutex> lock(mutex_);
-  return estimates_;
+  if (!estimates_) estimates_ = estimate_locked();
+  return *estimates_;
 }
 
 std::uint64_t FeedPipeline::frontier_step() const {

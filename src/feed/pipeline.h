@@ -11,8 +11,10 @@
 //     past it;
 //   * a market row commits when EVERY group has resolved it; every
 //     `publish_every` committed rows the batch is ingested into the
-//     MarketBoard as one atomic epoch bump, and the per-group failure /
-//     expected-price statistics are re-estimated over the trailing window;
+//     MarketBoard as one atomic epoch bump, and each group's trailing
+//     window is snapshotted (a refcount bump); latest_estimates() builds
+//     the failure / expected-price statistics from those snapshots on its
+//     first read of each epoch;
 //   * publication is *delta-precise*: only groups with at least one real
 //     tick in the batch publish their column (all-gap columns are withheld —
 //     a group that heard nothing must not have its board history move, or
@@ -34,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -57,11 +60,9 @@ struct FeedConfig {
   std::size_t late_horizon = 3;
   /// Bounded queue capacity for the concurrent mode.
   std::size_t queue_capacity = 1024;
-  /// Re-estimate failure statistics on every publish.
-  bool estimate = true;
   /// Bid levels of the per-group logarithmic grid used for estimates.
   std::size_t estimate_bid_levels = 6;
-  /// Estimator knobs — deliberately small: this runs on the hot publish path.
+  /// Estimator knobs for latest_estimates().
   FailureEstimationConfig estimation = {.samples = 256, .horizon_steps = 64};
 };
 
@@ -76,7 +77,9 @@ struct FeedStats {
   std::uint64_t gaps_filled = 0;         ///< steps committed by carry-forward
   std::uint64_t committed_steps = 0;     ///< full market rows committed
   std::uint64_t epochs_published = 0;
-  std::uint64_t estimates_computed = 0;  ///< per-group estimate recomputations
+  /// Per-group estimates built by latest_estimates() reads (at most one
+  /// build per group and epoch).
+  std::uint64_t estimates_computed = 0;
   /// All-gap group columns dropped from a batch (the group saw no real tick
   /// in the batch, so its board history must not move).
   std::uint64_t columns_withheld = 0;
@@ -94,12 +97,12 @@ struct PublishRecord {
   /// together with it covers the full catalog (the conservation law the
   /// delta tests assert). Never empty: an empty delta suppresses the batch.
   std::vector<CircleGroupSpec> changed_groups;
-  /// Wall seconds spent in board ingest + re-estimation (monitoring only —
-  /// never part of the commit digest).
+  /// Wall seconds spent in board ingest + window snapshots (monitoring
+  /// only — never part of the commit digest).
   double publish_seconds = 0.0;
 };
 
-/// Windowed failure/price statistics for one group, re-estimated per epoch.
+/// Windowed failure/price statistics for one group at one epoch.
 struct GroupEstimate {
   CircleGroupSpec group;
   double window_max_price = 0.0;       ///< H_i over the trailing window
@@ -116,6 +119,10 @@ struct FeedEstimates {
 
 class FeedPipeline {
  public:
+  /// Publications publish_log() keeps — above any feed test's, bench's or
+  /// fuzz run's epoch count.
+  static constexpr std::size_t kPublishLogRecords = 1024;
+
   /// One pipeline feeds every replica behind `fanout` (borrowed; must
   /// outlive the pipeline) — a single board is a one-replica fan-out,
   /// `BoardFanout fanout({&board})`. Each epoch publication goes through the
@@ -166,8 +173,13 @@ class FeedPipeline {
   /// Order-sensitive digest over every committed (step, group, price) and
   /// every published (epoch, end_step): the determinism gate's fingerprint.
   std::uint64_t commit_digest() const;
+  /// The last kPublishLogRecords publications, oldest first. commit_digest()
+  /// covers every publication.
   std::vector<PublishRecord> publish_log() const;
-  FeedEstimates latest_estimates() const;
+  /// Estimates over each group's trailing window at the latest publication
+  /// (empty before the first). Built on the first call of each epoch and
+  /// memoized until the next publication.
+  FeedEstimates latest_estimates();
   const FeedConfig& config() const { return config_; }
   /// Absolute market steps committed so far (base + committed_steps).
   std::uint64_t frontier_step() const;
@@ -189,7 +201,7 @@ class FeedPipeline {
   void resolve_group_locked(GroupState& g);
   void commit_ready_locked();
   void publish_batch_locked();
-  void estimate_locked(std::uint64_t epoch);
+  FeedEstimates estimate_locked();
   void mix(std::uint64_t value);
 
   BoardFanout* fanout_;
@@ -204,8 +216,11 @@ class FeedPipeline {
   FeedStats stats_;
   std::uint64_t digest_ = 0x5eedf00d9e3779b9ULL;
   std::uint64_t rows_in_batch_ = 0;
-  std::vector<PublishRecord> publish_log_;
-  FeedEstimates estimates_;
+  std::deque<PublishRecord> publish_log_;  ///< at most kPublishLogRecords
+  // Each group's window trace at the latest publication (views sharing the
+  // window buffers); estimates_ memoizes the estimates built from them.
+  std::vector<SpotTrace> published_windows_;
+  std::optional<FeedEstimates> estimates_;
   TickQueue::Stats last_queue_stats_;
 
   std::unique_ptr<TickQueue> queue_;

@@ -35,7 +35,7 @@ struct GroupTrace {
 
 /// The new traces `updates` produce against `base`: one per distinct touched
 /// group (in first-mention order), each the group's trace in `base`
-/// extended (SpotTrace::extended, exact size, same lineage) by all of its
+/// extended (SpotTrace::extended, O(new steps), same lineage) by all of its
 /// updates' prices in order — even when they are all empty. Untouched groups
 /// cost nothing. Throws PreconditionError (and builds nothing) on an unknown
 /// group, an empty base trace or a negative price.

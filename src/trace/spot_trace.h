@@ -3,6 +3,11 @@
 // A trace is a step series: price is constant within a step of fixed length
 // `step_hours`. Amazon updated spot prices periodically; the paper's model
 // likewise discretizes failure times to integer steps (§3.2.1).
+//
+// Storage is append-only and shared: a trace is a view of the first steps()
+// slots of a buffer that its copies and in-place extensions also read. Only
+// the extension that claims its lineage's tip writes, and only past every
+// view's end, so a trace never sees its steps change (DESIGN.md §13).
 #pragma once
 
 #include <atomic>
@@ -10,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,18 +37,29 @@ class SpotTrace {
   };
 
   SpotTrace() = default;
+  // A copy shares the buffer and costs two refcount bumps. There is no
+  // separate move: a moved-from trace would keep a length without a buffer.
+  SpotTrace(const SpotTrace&) = default;
+  SpotTrace& operator=(const SpotTrace&) = default;
 
-  /// Requires step_hours > 0 and all prices >= 0.
+  /// Requires step_hours > 0 and all prices >= 0. Adopts `prices`' buffer
+  /// without copying it.
   SpotTrace(double step_hours, std::vector<double> prices);
 
   /// Appends a single price step — the feed pipeline's per-tick hot path.
   void append(double price);
 
-  /// Appends a batch of price steps.
-  void append(const std::vector<double>& prices);
+  /// Appends a batch of price steps. The one writer: it claims the
+  /// lineage's tip (one CAS) before writing; the winner appends in place,
+  /// growing the buffer geometrically when it is full, and a loser copies
+  /// its steps into a fresh buffer and lineage.
+  void append(std::span<const double> more);
 
-  std::size_t steps() const { return prices_.size(); }
-  bool empty() const { return prices_.empty(); }
+  std::size_t steps() const { return steps_; }
+  bool empty() const { return steps_ == 0; }
+  /// Slots of the shared buffer: >= steps(), at most 2 * steps() (or 16)
+  /// after an extension grew it.
+  std::size_t capacity() const { return capacity_; }
   double step_hours() const { return step_hours_; }
   /// Total trace span in hours.
   double span_hours() const { return step_hours_ * static_cast<double>(steps()); }
@@ -51,7 +68,7 @@ class SpotTrace {
   double price(std::size_t i) const;
   /// Price at absolute time `hours` from the start of the trace.
   double price_at_hours(double hours) const;
-  const std::vector<double>& prices() const { return prices_; }
+  std::span<const double> prices() const { return {data_.get(), steps_}; }
 
   /// Highest price seen — the paper's H_i, the upper bound of the bid range.
   /// O(1): kept up to date by construction and every append.
@@ -96,9 +113,11 @@ class SpotTrace {
   /// Appends another trace recorded with the same step size.
   void append(const SpotTrace& more);
 
-  /// This trace followed by `more`, built at its final size
-  /// (prices().capacity() == steps()). The result stays in this trace's
-  /// lineage unless another extension of this trace claimed it first.
+  /// This trace followed by `more`, in O(more.size()) amortized. The result
+  /// stays in this trace's lineage, and writes `more` into the shared
+  /// buffer's spare slots, unless another extension of this trace claimed
+  /// the lineage first; then it copies into a fresh buffer and lineage.
+  /// Concurrent calls on one trace are safe.
   SpotTrace extended(const std::vector<double>& more) const;
 
   /// Lineage id: two traces with the same id agree on every step the shorter
@@ -112,21 +131,26 @@ class SpotTrace {
 
  private:
   // Shared by every trace of one lineage. `tip` is the step count of its
-  // longest member; every member is a prefix of that one.
+  // longest member; every member is a prefix of that one. Every buffer
+  // belongs to one lineage, and no slot at or past `tip` has been written.
   struct Lineage {
     Lineage(std::uint64_t id, std::size_t tip) : id(id), tip(tip) {}
     const std::uint64_t id;
     std::atomic<std::size_t> tip;
   };
 
+  // Smallest buffer an extension grows into.
+  static constexpr std::size_t kMinCapacity = 16;
+
   void note_extremes(double p);
-  // Called after this trace grew from `from` to steps() steps: keeps the
-  // lineage when `from` was its tip (one CAS), forks a fresh one otherwise.
-  void claim(std::size_t from);
 
   double step_hours_ = 1.0;
-  std::vector<double> prices_;
-  // Running extremes of prices_; meaningless (and never read) while empty.
+  // Slots [0, steps_) of data_ are this trace's prices; capacity_ is the
+  // buffer's size.
+  std::shared_ptr<double[]> data_;
+  std::size_t steps_ = 0;
+  std::size_t capacity_ = 0;
+  // Running extremes of the prices; meaningless (and never read) while empty.
   double max_price_ = -std::numeric_limits<double>::infinity();
   double min_price_ = std::numeric_limits<double>::infinity();
   std::shared_ptr<Lineage> lineage_;

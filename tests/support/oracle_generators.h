@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,7 +26,7 @@ inline std::vector<double> tied_prices(std::size_t n, std::size_t levels, Rng& r
 
 /// Ascending positive bids: some equal to a price, some duplicated, some
 /// between or above every price.
-inline std::vector<double> random_bids(const std::vector<double>& prices, Rng& rng) {
+inline std::vector<double> random_bids(std::span<const double> prices, Rng& rng) {
   std::vector<double> bids;
   const std::size_t count = 1 + rng.uniform_index(8);
   for (std::size_t i = 0; i < count; ++i) {

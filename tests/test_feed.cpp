@@ -5,6 +5,7 @@
 // so the TSan CI slice picks them up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/adaptive.h"
+#include "core/failure_model.h"
 #include "faultinject/fault_plan.h"
 #include "faultinject/injector.h"
 #include "feed/board_oracle.h"
@@ -266,7 +268,6 @@ struct TinyWorld {
     c.window_steps = 4;
     c.publish_every = 2;
     c.late_horizon = 3;
-    c.estimate = false;
     return c;
   }
 };
@@ -364,12 +365,14 @@ TEST(FeedPipeline, PublishesEpochBatchesAndReEstimates) {
     for (std::size_t i = 0; i < len; ++i)
       ASSERT_EQ(snap.market->trace(g).price(i), full.trace(g).price(i));
 
-  // Re-estimation ran for every group at the final epoch, over the window.
+  // Publication builds no estimate; the read builds one per group for the
+  // final epoch, over the window.
+  EXPECT_EQ(s.estimates_computed, 0u);
   const feed::FeedEstimates est = pipe.latest_estimates();
   EXPECT_EQ(est.epoch, board.epoch());
   EXPECT_EQ(est.window_end_step, len);
   ASSERT_EQ(est.groups.size(), catalog.all_groups().size());
-  EXPECT_EQ(s.estimates_computed, batches * est.groups.size());
+  EXPECT_EQ(pipe.stats().estimates_computed, est.groups.size());
   for (const feed::GroupEstimate& e : est.groups) {
     const SpotTrace win = snap.market->trace(e.group).window(len - cfg.window_steps,
                                                              cfg.window_steps);
@@ -379,6 +382,111 @@ TEST(FeedPipeline, PublishesEpochBatchesAndReEstimates) {
     for (std::size_t b = 0; b < e.bids.size(); ++b)
       EXPECT_EQ(e.expected_price[b], win.mean_below(e.bids[b]));
   }
+}
+
+// The estimates as publication used to build them: each group's trailing
+// window of the board's history at that epoch, estimated right away.
+feed::FeedEstimates eager_estimates(const MarketSnapshot& snap, std::uint64_t end_step,
+                                    const FeedConfig& cfg) {
+  feed::FeedEstimates out;
+  out.epoch = snap.epoch;
+  out.window_end_step = end_step;
+  for (const CircleGroupSpec& g : snap.market->catalog().all_groups()) {
+    feed::GroupEstimate est;
+    est.group = g;
+    const SpotTrace& trace = snap.market->trace(g);
+    const std::size_t want = std::min(cfg.window_steps, trace.steps());
+    const SpotTrace win = trace.window(trace.steps() - want, want);
+    est.window_max_price = win.max_price();
+    est.bids = logarithmic_bid_grid(est.window_max_price, cfg.estimate_bid_levels);
+    const FailureModel model(win, est.bids, cfg.estimation);
+    for (std::size_t b = 0; b < est.bids.size(); ++b) {
+      est.expected_price.push_back(model.expected_price(b));
+      est.mtbf_steps.push_back(model.mtbf(b));
+    }
+    out.groups.push_back(std::move(est));
+  }
+  return out;
+}
+
+TEST(FeedPipeline, EstimatesReadAfterEachPublicationMatchTheEagerOnes) {
+  const Catalog catalog = paper_catalog();
+  const Market full =
+      generate_market(catalog, paper_market_profile(catalog), 1.0, 0.25, 23);
+  const std::size_t len = full.trace({0, 0}).steps();
+  const std::size_t visible = len / 2;
+  MarketBoard board(full.window(0, visible));
+  FeedConfig cfg;
+  cfg.window_steps = 20;
+  cfg.publish_every = 7;  // the last, partial batch publishes in flush()
+  cfg.estimation.samples = 64;
+  cfg.estimation.horizon_steps = 16;
+  BoardFanout fanout({&board});
+  FeedPipeline pipe(&fanout, cfg);
+  EXPECT_TRUE(pipe.latest_estimates().groups.empty());  // nothing published yet
+
+  std::uint64_t checked = 0;
+  const auto check_new_epoch = [&] {
+    const FeedStats before = pipe.stats();
+    if (before.epochs_published == checked) return;
+    checked = before.epochs_published;
+    const feed::FeedEstimates got = pipe.latest_estimates();
+    const feed::FeedEstimates want =
+        eager_estimates(board.snapshot(), pipe.frontier_step(), cfg);
+    EXPECT_EQ(got.epoch, want.epoch);
+    EXPECT_EQ(got.window_end_step, want.window_end_step);
+    ASSERT_EQ(got.groups.size(), want.groups.size());
+    for (std::size_t i = 0; i < want.groups.size(); ++i) {
+      const feed::GroupEstimate& g = got.groups[i];
+      const feed::GroupEstimate& w = want.groups[i];
+      EXPECT_EQ(g.group, w.group);
+      EXPECT_EQ(g.window_max_price, w.window_max_price);
+      EXPECT_EQ(g.bids, w.bids);
+      EXPECT_EQ(g.expected_price, w.expected_price);
+      EXPECT_EQ(g.mtbf_steps, w.mtbf_steps);
+    }
+    EXPECT_EQ(pipe.stats().estimates_computed,
+              before.estimates_computed + want.groups.size());
+    // A second read of the same epoch builds nothing and returns the same.
+    const feed::FeedEstimates again = pipe.latest_estimates();
+    EXPECT_EQ(pipe.stats().estimates_computed,
+              before.estimates_computed + want.groups.size());
+    ASSERT_EQ(again.groups.size(), got.groups.size());
+    EXPECT_EQ(again.epoch, got.epoch);
+    for (std::size_t i = 0; i < got.groups.size(); ++i)
+      EXPECT_EQ(again.groups[i].expected_price, got.groups[i].expected_price);
+  };
+  ReplayTickSource source(&full, {}, visible, len - visible);
+  while (std::optional<Tick> tick = source.next()) {
+    pipe.offer(*tick);
+    check_new_epoch();
+  }
+  pipe.flush();
+  check_new_epoch();
+  EXPECT_EQ(checked, (len - visible + cfg.publish_every - 1) / cfg.publish_every);
+  EXPECT_EQ(pipe.stats().gaps_filled, 0u);  // every window is the board's tail
+}
+
+TEST(FeedPipeline, PublishLogKeepsTheLastRecordsInOrder) {
+  TinyWorld w;
+  FeedPipeline pipe(&w.fanout, w.config());
+  const std::uint64_t epochs = FeedPipeline::kPublishLogRecords + 5;
+  std::uint64_t step = 2;  // the first step after the primed board
+  for (std::uint64_t e = 0; e < epochs; ++e)
+    for (std::size_t r = 0; r < w.config().publish_every; ++r, ++step)
+      pipe.offer(w.tick(step, 1.0 + static_cast<double>(step % 5)));
+  pipe.flush();
+  EXPECT_EQ(pipe.stats().epochs_published, epochs);
+  const std::vector<feed::PublishRecord> log = pipe.publish_log();
+  ASSERT_EQ(log.size(), FeedPipeline::kPublishLogRecords);
+  // The board started at epoch 1, so publication e (from 1) bumped it to
+  // e + 1; the oldest records were dropped.
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const std::uint64_t publication = epochs - log.size() + 1 + i;
+    EXPECT_EQ(log[i].epoch, publication + 1) << i;
+    EXPECT_EQ(log[i].end_step, 2 + publication * w.config().publish_every) << i;
+  }
+  EXPECT_EQ(log.back().epoch, w.board.epoch());
 }
 
 // --- Determinism gate: producer count and queueing are invisible. -----------
@@ -444,7 +552,6 @@ TEST(FeedStressPipeline, ChaosDecoratedShardsStayDeterministic) {
   FeedConfig cfg;
   cfg.window_steps = 24;
   cfg.publish_every = 8;
-  cfg.estimate = false;
   const std::vector<CircleGroupSpec> all = catalog.all_groups();
 
   std::uint64_t first_digest = 0;
@@ -515,7 +622,6 @@ TEST(FeedService, EpochPublicationInvalidatesThePlanCache) {
   // so the cached plan silently stops matching — no explicit invalidation.
   FeedConfig fcfg;
   fcfg.publish_every = 8;
-  fcfg.estimate = false;
   BoardFanout fanout({&board});
   FeedPipeline pipe(&fanout, fcfg);
   ReplayTickSource source(&full, {}, visible, len - visible);
@@ -568,7 +674,6 @@ TEST(FeedService, FeedDrivenAdaptiveMatchesTraceReplayBitwise) {
   MarketBoard board(full.window(0, visible));
   FeedConfig fcfg;
   fcfg.publish_every = 1;
-  fcfg.estimate = false;
   BoardFanout fanout({&board});
   FeedPipeline pipe(&fanout, fcfg);
   ReplayTickSource source(&full, {}, visible, len - visible);

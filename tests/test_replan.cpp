@@ -525,7 +525,6 @@ TEST(FeedDeltaConservation, ChangedAndWithheldColumnsPartitionEveryBatch) {
   cfg.window_steps = 4;
   cfg.publish_every = 2;
   cfg.late_horizon = 3;
-  cfg.estimate = false;
   BoardFanout fanout({&board});
   feed::FeedPipeline pipe(&fanout, cfg);
 

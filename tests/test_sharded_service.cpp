@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,7 +190,7 @@ TEST_F(SharedTraceTest, FanoutIngestSharesTouchedTracesAndKeepsUntouchedOnes) {
     for (const CircleGroupSpec& g : touched) {
       const SpotTrace& old = snap.market->trace(g);
       ASSERT_EQ(old.steps(), market_.trace(g).steps());
-      EXPECT_EQ(old.prices(), market_.trace(g).prices());
+      EXPECT_TRUE(std::ranges::equal(old.prices(), market_.trace(g).prices()));
       EXPECT_EQ(old.max_price(), market_.trace(g).max_price());
     }
   }
@@ -278,7 +280,8 @@ TEST_F(SharedTraceTest, CopiesShareALineageAndOnlyTheFirstExtenderKeepsIt) {
   // Fresh traces, windows and tails never share one.
   EXPECT_NE(base.window(0, base.steps()).lineage(), base.lineage());
   EXPECT_NE(base.tail_hours(1.0).lineage(), base.lineage());
-  EXPECT_NE(SpotTrace(0.25, base.prices()).lineage(), base.lineage());
+  EXPECT_NE(SpotTrace(0.25, {base.prices().begin(), base.prices().end()}).lineage(),
+            base.lineage());
 }
 
 TEST_F(SharedTraceTest, ConcurrentExtendersOfOneBaseLeaveExactlyOneInItsLineage) {
@@ -295,22 +298,109 @@ TEST_F(SharedTraceTest, ConcurrentExtendersOfOneBaseLeaveExactlyOneInItsLineage)
       return t.lineage() == shared.lineage();
     });
     EXPECT_EQ(keepers, 1) << "round " << round;
+    // Every extender, in place or forked, holds the base and its own step.
+    for (int i = 0; i < kThreads; ++i) {
+      ASSERT_EQ(out[i].steps(), shared.steps() + 1);
+      EXPECT_TRUE(std::ranges::equal(out[i].prices().first(shared.steps()), shared.prices()));
+      EXPECT_EQ(out[i].price(shared.steps()), 0.001 * (i + 1)) << "round " << round;
+    }
   }
 }
 
-TEST_F(SharedTraceTest, ExtendedTracesAreBuiltAtTheirFinalSize) {
-  const SpotTrace& base = market_.trace({2, 0});
-  const SpotTrace next = base.extended({0.5, 0.25});
-  EXPECT_EQ(next.steps(), base.steps() + 2);
-  EXPECT_EQ(next.prices().capacity(), next.steps());
-  EXPECT_EQ(next.price(base.steps()), 0.5);
-  EXPECT_EQ(next.max_price(), std::max(0.5, base.max_price()));
-  EXPECT_THROW(base.extended({0.1, -1.0}), PreconditionError);
+// Storage: a trace is a view of an append-only buffer. The extension that
+// keeps the lineage writes into the buffer's spare slots; older views keep
+// reading their unchanged prefix.
 
+std::vector<double> contents(const SpotTrace& t) { return {t.prices().begin(), t.prices().end()}; }
+
+TEST_F(SharedTraceTest, TipExtensionsShareTheBaseBufferAndLeaveItsViewUnchanged) {
+  // The market's trace is exactly its vector; its first extension grows.
+  const SpotTrace& adopted = market_.trace({2, 0});
+  EXPECT_EQ(adopted.capacity(), adopted.steps());
+  const SpotTrace base = adopted.extended({0.3});
+  EXPECT_GT(base.capacity(), base.steps());
+  const std::vector<double> before = contents(base);
+
+  // A rejected extension claims nothing, so the next one is still the tip's.
+  EXPECT_THROW(base.extended({0.1, -1.0}), PreconditionError);
+  const SpotTrace next = base.extended({0.5, 0.25});
+  EXPECT_EQ(next.lineage(), base.lineage());
+  EXPECT_EQ(next.prices().data(), base.prices().data());
+  ASSERT_EQ(next.steps(), base.steps() + 2);
+  EXPECT_EQ(next.price(base.steps()), 0.5);
+  EXPECT_EQ(next.price(base.steps() + 1), 0.25);
+  EXPECT_EQ(next.max_price(), std::max(0.5, base.max_price()));
+  EXPECT_EQ(contents(base), before);
+  EXPECT_EQ(base.max_price(), *std::max_element(before.begin(), before.end()));
+
+  // Board ingests extend the installed trace the same way.
   MarketBoard board(market_);
   board.ingest({PriceUpdate{{2, 0}, {0.1}}});
-  const SpotTrace& installed = board.snapshot().market->trace({2, 0});
-  EXPECT_EQ(installed.prices().capacity(), installed.steps());
+  const MarketSnapshot first = board.snapshot();
+  board.ingest({PriceUpdate{{2, 0}, {0.2}}});
+  const SpotTrace& once = first.market->trace({2, 0});
+  const SpotTrace& twice = board.snapshot().market->trace({2, 0});
+  EXPECT_EQ(twice.prices().data(), once.prices().data());
+  ASSERT_EQ(once.steps(), adopted.steps() + 1);
+  EXPECT_EQ(once.price(once.steps() - 1), 0.1);
+  EXPECT_EQ(twice.price(twice.steps() - 1), 0.2);
+}
+
+TEST_F(SharedTraceTest, ASecondExtensionOfOneBaseCopiesForksAndLeavesTheFirstIntact) {
+  const SpotTrace base = market_.trace({2, 0}).extended({0.3});
+  const SpotTrace first = base.extended({0.5});
+  const SpotTrace second = base.extended({0.7, 0.8});
+  EXPECT_EQ(first.prices().data(), base.prices().data());
+  EXPECT_NE(second.prices().data(), base.prices().data());
+  EXPECT_EQ(first.lineage(), base.lineage());
+  EXPECT_NE(second.lineage(), base.lineage());
+
+  std::vector<double> want = contents(base);
+  want.push_back(0.5);
+  EXPECT_EQ(contents(first), want);
+  want.back() = 0.7;
+  want.push_back(0.8);
+  EXPECT_EQ(contents(second), want);
+  EXPECT_EQ(second.max_price(), std::max(0.8, base.max_price()));
+
+  // The fork is the tip of its own lineage and extends in place from now on;
+  // the first extension goes on in its buffer, untouched by the fork.
+  const SpotTrace second_next = second.extended({0.9});
+  EXPECT_EQ(second_next.prices().data(), second.prices().data());
+  EXPECT_EQ(second_next.lineage(), second.lineage());
+  const SpotTrace first_next = first.extended({0.6});
+  EXPECT_EQ(first_next.prices().data(), first.prices().data());
+  EXPECT_EQ(first.price(first.steps() - 1), 0.5);
+  EXPECT_EQ(first_next.price(first.steps()), 0.6);
+}
+
+TEST_F(SharedTraceTest, SingleStepTipExtensionsGrowTheBufferGeometrically) {
+  constexpr std::size_t kBase = 100;
+  constexpr std::size_t kSteps = 1000;
+  std::vector<double> want(kBase, 0.1);
+  SpotTrace trace(0.25, want);
+  std::vector<SpotTrace> views;  // every 100th version, read again at the end
+  std::size_t reallocations = 0;
+  for (std::size_t i = 0; i < kSteps; ++i) {
+    const double* data = trace.prices().data();
+    want.push_back(0.001 * static_cast<double>(i % 37));
+    trace = i % 2 == 0 ? trace.extended({want.back()}) : [&] {
+      SpotTrace copy = trace;  // an in-place append of the tip keeps it too
+      copy.append(want.back());
+      return copy;
+    }();
+    if (trace.prices().data() != data) ++reallocations;
+    EXPECT_LE(trace.capacity(), 2 * trace.steps() + 16) << i;
+    if (i % 100 == 0) views.push_back(trace);
+  }
+  const double doublings =
+      std::ceil(std::log2(static_cast<double>(kBase + kSteps) / static_cast<double>(kBase)));
+  EXPECT_LE(static_cast<double>(reallocations), doublings);
+  EXPECT_EQ(contents(trace), want);
+  for (const SpotTrace& view : views) {
+    EXPECT_TRUE(std::ranges::equal(view.prices(), std::span(want).first(view.steps())));
+    EXPECT_EQ(view.lineage(), trace.lineage());
+  }
 }
 
 TEST_F(SharedTraceTest, AppendedTracesConcatenateUpdatesInOrderAndBumpEmptyOnes) {
@@ -330,7 +420,7 @@ TEST_F(SharedTraceTest, AppendedTracesConcatenateUpdatesInOrderAndBumpEmptyOnes)
   EXPECT_EQ(t00.lineage(), old00.lineage());
   // The empty-only group still gets a new trace object, same content.
   EXPECT_NE(traces[1].trace, market_.shared_trace({1, 2}));
-  EXPECT_EQ(traces[1].trace->prices(), market_.trace({1, 2}).prices());
+  EXPECT_TRUE(std::ranges::equal(traces[1].trace->prices(), market_.trace({1, 2}).prices()));
   EXPECT_EQ(traces[1].trace->lineage(), market_.trace({1, 2}).lineage());
 
   // On a board, both groups' versions move; no other group's does.
