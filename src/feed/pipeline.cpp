@@ -134,12 +134,6 @@ void FeedPipeline::commit_ready_locked() {
         ++stats_.committed_values;
         ++g.accum_real;
       }
-      g.window_trace.append(price);
-      // Amortized trim: rebuild to the trailing window only when the trace
-      // has doubled, keeping the per-commit append O(1) amortized.
-      if (g.window_trace.steps() > 2 * config_.window_steps)
-        g.window_trace = g.window_trace.window(
-            g.window_trace.steps() - config_.window_steps, config_.window_steps);
       g.publish_accum.push_back(price);
       mix(step);
       mix(ordinal);
@@ -166,6 +160,13 @@ void FeedPipeline::publish_batch_locked() {
   updates.reserve(groups_.size());
   for (GroupState& g : groups_) {
     if (g.accum_real > 0) {
+      // The estimation window follows the board: it takes exactly the
+      // columns the board takes. Amortized trim: rebuild to the trailing
+      // window only when the trace has doubled.
+      g.window_trace.append(g.publish_accum);
+      if (g.window_trace.steps() > 2 * config_.window_steps)
+        g.window_trace = g.window_trace.window(
+            g.window_trace.steps() - config_.window_steps, config_.window_steps);
       changed.push_back(g.group);
       updates.push_back(PriceUpdate{g.group, std::move(g.publish_accum)});
     } else {

@@ -467,6 +467,50 @@ TEST(FeedPipeline, EstimatesReadAfterEachPublicationMatchTheEagerOnes) {
   EXPECT_EQ(pipe.stats().gaps_filled, 0u);  // every window is the board's tail
 }
 
+TEST(FeedPipeline, WithheldColumnsStayOutOfTheEstimationWindow) {
+  // Zone 1 hears nothing for three batches: its columns are all-gap carry
+  // (2.0) and withheld from the board, so its window must stay the board's
+  // last 3 steps {1, 9, 2}, not the carry the board never received.
+  const Catalog catalog{{InstanceType{.name = "t1", .ondemand_usd_h = 10.0}},
+                        {Zone{"z0"}, Zone{"z1"}}};
+  MarketBoard board{
+      Market(&catalog, {SpotTrace(1.0, {1.0, 9.0, 2.0}), SpotTrace(1.0, {1.0, 9.0, 2.0})})};
+  BoardFanout fanout{{&board}};
+  FeedConfig cfg;
+  cfg.window_steps = 3;
+  cfg.publish_every = 2;
+  cfg.late_horizon = 1;
+  cfg.estimation.samples = 16;
+  cfg.estimation.horizon_steps = 2;
+  FeedPipeline pipe(&fanout, cfg);
+  const auto tick = [](std::size_t zone, std::uint64_t step, double price) {
+    Tick t;
+    t.group = CircleGroupSpec{0, zone};
+    t.step = step;
+    t.seq = 2 * step + zone;
+    t.price = price;
+    return t;
+  };
+  pipe.offer(tick(1, 9, 5.0));  // zone 1's steps 3..8 are lost
+  for (std::uint64_t step = 3; step < 9; ++step) pipe.offer(tick(0, step, 1.0));
+
+  const FeedStats s = pipe.stats();
+  ASSERT_EQ(s.epochs_published, 3u);
+  EXPECT_EQ(s.columns_withheld, 3u);
+  const MarketSnapshot snap = board.snapshot();
+  ASSERT_EQ(snap.market->trace({0, 1}).steps(), 3u);
+  const feed::FeedEstimates got = pipe.latest_estimates();
+  ASSERT_EQ(got.groups.size(), 2u);
+  EXPECT_EQ(got.groups[0].window_max_price, 1.0);
+  EXPECT_EQ(got.groups[1].window_max_price, 9.0);
+  const feed::FeedEstimates want = eager_estimates(snap, pipe.frontier_step(), cfg);
+  for (std::size_t i = 0; i < want.groups.size(); ++i) {
+    EXPECT_EQ(got.groups[i].window_max_price, want.groups[i].window_max_price);
+    EXPECT_EQ(got.groups[i].expected_price, want.groups[i].expected_price);
+    EXPECT_EQ(got.groups[i].mtbf_steps, want.groups[i].mtbf_steps);
+  }
+}
+
 TEST(FeedPipeline, PublishLogKeepsTheLastRecordsInOrder) {
   TinyWorld w;
   FeedPipeline pipe(&w.fanout, w.config());
