@@ -52,6 +52,16 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   }
 }
 
+void Rng::uniform_indices(std::uint64_t n, std::span<std::size_t> out) {
+  SOMPI_REQUIRE(n > 0);
+  const std::uint64_t threshold = (0 - n) % n;
+  for (std::size_t& x : out) {
+    std::uint64_t r = (*this)();
+    while (r < threshold) r = (*this)();
+    x = static_cast<std::size_t>(r % n);
+  }
+}
+
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   SOMPI_REQUIRE(lo <= hi);
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;

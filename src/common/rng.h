@@ -5,7 +5,9 @@
 // of relying on implementation-defined std::*_distribution behaviour.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -37,6 +39,11 @@ class Rng {
 
   /// Uniform integer in [0, n). Requires n > 0. Uses rejection to avoid bias.
   std::uint64_t uniform_index(std::uint64_t n);
+
+  /// Fills `out` with uniform integers in [0, n): the same stream as
+  /// out.size() uniform_index(n) calls, with the rejection threshold
+  /// computed once.
+  void uniform_indices(std::uint64_t n, std::span<std::size_t> out);
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);

@@ -55,7 +55,7 @@ FailureModel::FailureModel(const SpotTrace& history, std::vector<double> bids,
   const std::span<const double> price = history.prices();
   const std::size_t n = price.size();
   std::vector<std::size_t> starts(config.samples);
-  for (std::size_t& s : starts) s = rng.uniform_index(n);
+  rng.uniform_indices(n, starts);
   std::sort(starts.begin(), starts.end());
 
   // Record chains (DESIGN.md §5.2), distinct starts from highest to lowest:

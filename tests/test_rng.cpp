@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 namespace sompi {
 namespace {
@@ -56,6 +57,34 @@ TEST(RngGolden, UniformIndexRejectionSamplingIsStable) {
   const std::uint64_t expected_big[] = {571221054, 513289293, 130136654,
                                         807993844, 671173952, 654409057};
   for (std::uint64_t e : expected_big) EXPECT_EQ(big.uniform_index(1000000007ULL), e);
+}
+
+TEST(RngGolden, UniformIndicesReproduceTheUniformIndexGoldens) {
+  Rng r(7);
+  std::vector<std::size_t> got(10);
+  r.uniform_indices(10, got);
+  EXPECT_EQ(got, (std::vector<std::size_t>{4, 4, 8, 4, 4, 1, 6, 6, 8, 9}));
+
+  Rng big(123);
+  got.resize(6);
+  big.uniform_indices(1000000007ULL, got);
+  EXPECT_EQ(got, (std::vector<std::size_t>{571221054, 513289293, 130136654, 807993844,
+                                           671173952, 654409057}));
+}
+
+TEST(Rng, UniformIndicesEqualRepeatedUniformIndexCalls) {
+  // n = 2^63 + 1 rejects almost half of the raw draws, so the batch must
+  // consume exactly as many as the calls do for the streams to stay aligned.
+  for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{1000},
+                                (std::uint64_t{1} << 63) + 1}) {
+    Rng one(99), batch(99);
+    std::vector<std::size_t> got(257);
+    batch.uniform_indices(n, got);
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], one.uniform_index(n)) << "n " << n << " draw " << i;
+    EXPECT_EQ(batch(), one()) << "n " << n;
+  }
+  EXPECT_THROW(Rng(1).uniform_indices(0, {}), PreconditionError);
 }
 
 TEST(RngGolden, UniformDoublesAreStable) {
