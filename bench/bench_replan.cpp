@@ -19,13 +19,19 @@
 // scopes share its failure-model cache. After each epoch's d dirty groups
 // every tenant re-plans, and the tenants' PlanStats::failure_models_built
 // must sum to exactly d — one model per dirty group for all of them, not
-// T·d — with their price_steps_read summing to d as well.
+// T·d — with their price_steps_read summing to d as well. The cost-table
+// blocks are shared the same way (TableBlockMemo): a tenant whose app and
+// on-demand choice an earlier tenant of the epoch already re-planned takes
+// every block it rebuilds from the memo (PlanStats::tables_shared ==
+// tables_built), and any other tenant derives all of them (tables_shared
+// == 0), so the blocks derived per epoch and the ones shared are exact.
 //
 // Acceptance gates: exactly K candidates kept; exact counters and zero
 // fingerprint divergence on every iteration; and the headline —
 // single-group-delta warm re-plans are ≥ 5× faster than cold solves (p50).
 // --check compares the deterministic counters (kept, delta, tables_*,
-// store_*, price_steps_*, models_*, divergence) against the committed baseline
+// store_*, price_steps_*, models_*, table_share_errors, divergence) against
+// the committed baseline
 // (bench/BENCH_replan.json) exact-equality; wall-clock ratios are printed
 // and gated in-process but never compared across machines.
 #include <algorithm>
@@ -191,6 +197,9 @@ int main(int argc, char** argv) {
     std::uint64_t model_build_errors = 0;
     std::uint64_t price_steps = 0;
     std::uint64_t price_steps_errors = 0;
+    std::uint64_t tables_shared = 0;
+    std::uint64_t tables_computed = 0;
+    std::uint64_t table_share_errors = 0;
     std::uint64_t divergence = 0;
   };
   std::vector<PlanRequest> tenants;
@@ -232,7 +241,9 @@ int main(int argc, char** argv) {
       }
       tenant_board.ingest(updates);
       const MarketSnapshot snap = tenant_board.snapshot();
-      std::uint64_t built = 0, steps = 0;
+      std::uint64_t built = 0, steps = 0, shared = 0, computed = 0;
+      bool shares_exact = true;
+      std::vector<std::pair<std::string, std::size_t>> replanned;  // (app, od type)
       double epoch_s = 0.0;
       for (const PlanRequest& t : tenants) {
         const auto t_warm = Clock::now();
@@ -246,10 +257,21 @@ int main(int argc, char** argv) {
         }
         built += warm.plan->stats.failure_models_built;
         steps += warm.plan->stats.price_steps_read;
+        const PlanStats& st = warm.plan->stats;
+        const std::pair<std::string, std::size_t> slot{t.app.name, warm.plan->od.type_index};
+        const bool seen =
+            std::find(replanned.begin(), replanned.end(), slot) != replanned.end();
+        shares_exact = shares_exact && st.tables_shared == (seen ? st.tables_built : 0);
+        if (!seen) replanned.push_back(slot);
+        shared += st.tables_shared;
+        computed += st.tables_built - st.tables_shared;
       }
       s.epoch_s.push_back(epoch_s);
       s.models_built += built;
       s.price_steps += steps;
+      s.tables_shared += shared;
+      s.tables_computed += computed;
+      if (!shares_exact) ++s.table_share_errors;
       if (built != delta) ++s.model_build_errors;
       if (steps != delta) ++s.price_steps_errors;
     }
@@ -299,17 +321,21 @@ int main(int argc, char** argv) {
                         {"cold_p50_ms", cold_ms},
                         {"speedup_p50", ratio}}});
   }
-  std::uint64_t model_build_errors = 0;
+  std::uint64_t model_build_errors = 0, table_share_errors = 0;
   for (const TenantSeries& s : tenant_series) {
-    const double per_epoch = static_cast<double>(s.models_built) /
-                             static_cast<double>(s.epoch_s.size());
+    const double epochs = static_cast<double>(s.epoch_s.size());
+    const double per_epoch = static_cast<double>(s.models_built) / epochs;
     model_build_errors += s.model_build_errors;
+    table_share_errors += s.table_share_errors;
     price_steps_errors += s.price_steps_errors;
     divergence += s.divergence;
     std::printf("tenants:  %zu scopes, delta %zu: %5.2f failure models built per epoch "
                 "(%zu without the shared cache)  |  epoch re-plans p50 %7.3f ms\n",
                 tenants.size(), s.delta, per_epoch, tenants.size() * s.delta,
                 p50(s.epoch_s) * 1e3);
+    std::printf("          table blocks per epoch: %5.2f derived, %5.2f shared\n",
+                static_cast<double>(s.tables_computed) / epochs,
+                static_cast<double>(s.tables_shared) / epochs);
     results.push_back({"replan_tenants_delta_" + std::to_string(s.delta), s.epoch_s.size(),
                        std::accumulate(s.epoch_s.begin(), s.epoch_s.end(), 0.0) /
                            static_cast<double>(s.epoch_s.size()) * 1e3,
@@ -323,6 +349,10 @@ int main(int argc, char** argv) {
                          static_cast<double>(s.price_steps) /
                              static_cast<double>(s.epoch_s.size())},
                         {"price_steps_errors", static_cast<double>(s.price_steps_errors)},
+                        {"tables_computed_per_epoch",
+                         static_cast<double>(s.tables_computed) / epochs},
+                        {"tables_shared_per_epoch", static_cast<double>(s.tables_shared) / epochs},
+                        {"table_share_errors", static_cast<double>(s.table_share_errors)},
                         {"divergence", static_cast<double>(s.divergence)}}});
   }
   const ServiceStats stats = service.stats();
@@ -345,12 +375,17 @@ int main(int argc, char** argv) {
        price_steps_errors == 0);
   gate("exact shared model work on every epoch (failure models built across T tenants = d)",
        model_build_errors == 0);
+  gate("exact shared block work on every epoch (a tenant whose app and on-demand choice "
+       "re-planned earlier in the epoch shares every block it rebuilds; any other derives "
+       "all)",
+       table_share_errors == 0);
   std::printf("  [%s] single-group-delta warm re-plan >= 5x faster than cold "
               "(p50 %.1fx)\n",
               speedup_1 >= 5.0 ? "PASS" : "FAIL", speedup_1);
 
   bool ok = kept_ok && counter_errors == 0 && divergence == 0 && store_miss_errors == 0 &&
-            price_steps_errors == 0 && model_build_errors == 0 && speedup_1 >= 5.0;
+            price_steps_errors == 0 && model_build_errors == 0 && table_share_errors == 0 &&
+            speedup_1 >= 5.0;
 
   if (!check_path.empty()) {
     std::ifstream in(check_path);

@@ -4,12 +4,39 @@
 
 namespace sompi {
 
+namespace {
+
+// Allocator bookkeeping the charges add: a red-black tree node's colour and
+// links, a std::list node's links, a make_shared control block's counters.
+constexpr std::size_t kTreeNode = 4 * sizeof(void*);
+constexpr std::size_t kListNode = 2 * sizeof(void*);
+constexpr std::size_t kControlBlock = 2 * sizeof(void*);
+
+/// Heap bytes of a string, 0 while it fits its inline buffer.
+std::size_t heap_bytes(const std::string& s) {
+  return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+}
+
+}  // namespace
+
 std::size_t GroupArtifact::bytes() const {
-  std::size_t n = sizeof(GroupArtifact);
-  n += f_of.capacity() * sizeof(int);
-  n += f_guard_max.capacity() * sizeof(int);
-  n += fits.capacity() + surv_ok.capacity();
-  if (table) n += table->bytes();
+  return sizeof(GroupArtifact) + f_guard_max.capacity() * sizeof(int) + fits.capacity() +
+         surv_ok.capacity();
+}
+
+std::size_t CostTableStore::entry_bytes(const GroupArtifact& artifact) {
+  return artifact.bytes() + kControlBlock + kTreeNode + sizeof(std::pair<const SpecKey, Entry>);
+}
+
+std::size_t CostTableStore::scope_bytes(const std::string& name) {
+  return kTreeNode + sizeof(std::pair<const std::string, Scope>) + heap_bytes(name) +
+         kListNode + sizeof(const std::string*);
+}
+
+std::size_t CostTableStore::plan_bytes(const Plan& plan) {
+  std::size_t n = kControlBlock + sizeof(Plan) + heap_bytes(plan.app) +
+                  plan.groups.capacity() * sizeof(GroupPlan);
+  for (const GroupPlan& g : plan.groups) n += heap_bytes(g.name) + heap_bytes(g.ckpt_policy);
   return n;
 }
 
@@ -21,7 +48,11 @@ CostTableStore::CostTableStore(Config config, std::shared_ptr<FailureModelCache>
 
 CostTableStore::Scope& CostTableStore::scope_locked(const std::string& name) {
   const auto [it, fresh] = scopes_.try_emplace(name);
-  if (fresh) it->second.lru = lru_.insert(lru_.end(), &it->first);
+  if (fresh) {
+    it->second.lru = lru_.insert(lru_.end(), &it->first);
+    it->second.bytes = scope_bytes(name);
+    total_bytes_ += it->second.bytes;
+  }
   return it->second;
 }
 
@@ -31,7 +62,7 @@ void CostTableStore::touch_locked(Scope& scope) {
 
 void CostTableStore::drop_entry_locked(Scope& scope,
                                        std::map<SpecKey, Entry>::iterator it) {
-  const std::size_t b = it->second.artifact->bytes();
+  const std::size_t b = entry_bytes(*it->second.artifact);
   scope.bytes -= b;
   total_bytes_ -= b;
   scope.entries.erase(it);
@@ -89,13 +120,13 @@ void CostTableStore::store(const std::string& scope, const CircleGroupSpec& spec
   touch_locked(s);
   Entry& e = s.entries[SpecKey{spec.type_index, spec.zone_index}];
   if (e.artifact != nullptr) {
-    const std::size_t b = e.artifact->bytes();
+    const std::size_t b = entry_bytes(*e.artifact);
     s.bytes -= b;
     total_bytes_ -= b;
   }
   e.config_hash = config_hash;
   e.artifact = std::move(artifact);
-  const std::size_t b = e.artifact->bytes();
+  const std::size_t b = entry_bytes(*e.artifact);
   s.bytes += b;
   total_bytes_ += b;
   evict_locked(scope);
@@ -111,6 +142,10 @@ void CostTableStore::note_plan(const std::string& scope, std::shared_ptr<const P
   std::lock_guard<std::mutex> lock(mutex_);
   Scope& s = scope_locked(scope);
   touch_locked(s);
+  const std::size_t was = s.last_plan != nullptr ? plan_bytes(*s.last_plan) : 0;
+  const std::size_t now = plan != nullptr ? plan_bytes(*plan) : 0;
+  s.bytes = s.bytes - was + now;
+  total_bytes_ = total_bytes_ - was + now;
   s.last_plan = std::move(plan);
 }
 

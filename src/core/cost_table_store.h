@@ -22,11 +22,19 @@
 // market group, shared by every scope (tenant and deadline) of the store and
 // by every store handed the same cache (the shards of one tier). A rebuilt
 // setup therefore costs a Monte-Carlo estimation only when no other scope
-// has already estimated that group's new history.
+// has already estimated that group's new history. Likewise the table blocks
+// (φ intervals included) come from the cache's TableBlockMemo, which keys
+// them by everything they read and nothing else: a scope rebuilding a group
+// derives the block only when no scope has derived it for that model, app
+// setup and on-demand choice yet. Only the deadline-dependent guard tables
+// are the scope's own.
 //
 // Memory is bounded by a byte cap with scope-granularity LRU eviction: a
 // scope's artifacts live and die together (partial scopes would only
-// re-miss), and the scope just touched is never the victim.
+// re-miss), and the scope just touched is never the victim. The cap charges
+// what the store holds: each artifact (its shared model and block as
+// handles) with its map node and control block, and each scope's name,
+// nodes and last plan.
 //
 // Thread-safe; artifacts are immutable and handed out by shared_ptr, so
 // readers never block on a concurrent solve's store-backs.
@@ -54,7 +62,7 @@ namespace sompi {
 /// artifact (has_derived() == false) carries just the GroupSetup — enough to
 /// skip the Monte-Carlo failure estimation — and is enriched to a full
 /// artifact the first time the group survives candidate pruning inside a
-/// search; a full artifact always carries its `table` block.
+/// search.
 struct GroupArtifact {
   /// FailureModel (inside GroupSetup) has no default state, so an artifact
   /// is born setup-only and enriched by assigning the derived fields.
@@ -64,20 +72,19 @@ struct GroupArtifact {
   /// Group history version (MarketBoard::group_versions()) at build time.
   std::uint64_t version = 0;
   GroupSetup setup;
-  /// φ-tied checkpoint interval per composite (policy, bid) choice.
-  std::vector<int> f_of;
+  /// Per-choice cost table block; its cells carry the φ-tied interval of
+  /// each composite (policy, bid) choice. Shared through the TableBlockMemo.
+  std::shared_ptr<const GroupCostTable> table;
   /// Guard-clamped max interval per policy (g·n_pol row of the solve).
   std::vector<int> f_guard_max;
   /// Per-choice guard bits: worst case fits the deadline / survival >= 0.5.
   std::vector<unsigned char> fits;
   std::vector<unsigned char> surv_ok;
-  /// Per-choice cost table block; non-null whenever has_derived().
-  std::shared_ptr<const GroupCostTable> table;
 
-  bool has_derived() const { return !f_of.empty(); }
+  bool has_derived() const { return table != nullptr; }
   /// Approximate footprint for the store's byte accounting. The failure
-  /// model counts as its handle: its tables are shared, and the model
-  /// cache accounts for them.
+  /// model and the table block count as their handles: both are shared, and
+  /// the model cache and the block memo account for them.
   std::size_t bytes() const;
 };
 
@@ -125,6 +132,12 @@ class CostTableStore {
 
   /// Drops every scope. Counters survive (they are monotone).
   void clear();
+
+  /// The byte-cap charges: an artifact held in a scope; a scope named `name`
+  /// with no artifacts and no plan; a scope's last plan.
+  static std::size_t entry_bytes(const GroupArtifact& artifact);
+  static std::size_t scope_bytes(const std::string& name);
+  static std::size_t plan_bytes(const Plan& plan);
 
   Stats stats() const;
   const Config& config() const { return config_; }

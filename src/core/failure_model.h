@@ -120,6 +120,9 @@ class FailureModel {
   /// Approximate footprint of the shared tables.
   std::size_t table_bytes() const;
 
+  /// The shared tables' identity: owner-equal for every view of one build.
+  std::weak_ptr<const void> tables_identity() const { return tables_; }
+
  private:
   struct Tables {
     std::vector<double> bids;

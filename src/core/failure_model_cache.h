@@ -22,6 +22,9 @@
 // Entries are replaced, never accumulated, so there is at most one per key.
 // The map's lock is held only to find a key's entry; builds and waits use
 // that entry's own lock.
+//
+// The cache also keeps the TableBlockMemo of the cost-table blocks derived
+// from its models, so every store handed the cache shares both.
 #pragma once
 
 #include <atomic>
@@ -37,6 +40,7 @@
 
 #include "cloud/catalog.h"
 #include "core/failure_model.h"
+#include "core/table_block_memo.h"
 
 namespace sompi {
 
@@ -58,7 +62,7 @@ class FailureModelCache {
     std::size_t bytes = 0;       ///< the entries' shared tables
   };
 
-  FailureModelCache() = default;
+  explicit FailureModelCache(TableBlockMemo::Config blocks = {}) : blocks_(blocks) {}
   FailureModelCache(const FailureModelCache&) = delete;
   FailureModelCache& operator=(const FailureModelCache&) = delete;
 
@@ -71,6 +75,9 @@ class FailureModelCache {
                    FailureModelTally* tally = nullptr);
 
   Stats stats() const;
+
+  /// The blocks derived from this cache's models (warm solves only).
+  TableBlockMemo& blocks() { return blocks_; }
 
  private:
   // (type, zone, grid tag, samples, seed, wrap)
@@ -97,6 +104,7 @@ class FailureModelCache {
   std::atomic<std::uint64_t> builds_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> uncached_{0};
+  TableBlockMemo blocks_;
 };
 
 }  // namespace sompi

@@ -222,20 +222,13 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
   const auto choice_count = [&](std::size_t g) {
     return n_pol * candidates[g].failure.bid_count();
   };
-  const auto decode = [&](std::size_t g, std::size_t c,
-                          const std::vector<std::vector<int>>& f_of) {
-    const std::size_t bids = candidates[g].failure.bid_count();
-    const std::size_t p = c / bids;
-    return GroupDecision{c % bids, f_of[g][c], policies[p].o_scale,
-                         policies[p].r_scale, p};
-  };
 
   // Warm start (DESIGN.md §14): resolve each kept candidate's cached
   // artifact. A hit whose shape matches the current composite choice space
-  // lets every derived table below — φ intervals, guard tables and the
-  // GroupCostTable block — be reused bit-identically instead of recomputed;
-  // everything else is computed as on the cold path and stored back for the
-  // next epoch.
+  // lets every derived table below — the GroupCostTable block with its φ
+  // intervals, and the guard tables — be reused bit-identically instead of
+  // recomputed; everything else is computed as on the cold path and stored
+  // back for the next epoch.
   const bool warm = ctx != nullptr && ctx->usable();
   const std::size_t zone_count = catalog_->zones().size();
   const auto version_of = [&](const CircleGroupSpec& spec) {
@@ -248,35 +241,68 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
                                    version_of(candidates[g].spec), chash);
   const auto derived_ok = [&](std::size_t g) {
     const auto& a = arts[g];
-    return a != nullptr && a->has_derived() && a->f_of.size() == choice_count(g) &&
+    return a != nullptr && a->has_derived() && a->table->choice_count() == choice_count(g) &&
            a->f_guard_max.size() == n_pol && a->fits.size() == choice_count(g) &&
            a->surv_ok.size() == choice_count(g);
   };
+  /// What the search actually did (Plan::stats; fingerprint-excluded).
+  PlanStats stats;
 
   // Dimension reduction: F_i = φ_i(P_i), precomputed per composite
-  // (group, policy, bid) choice — φ sees the policy's effective O/R. One
-  // call per (group, bid) serves every policy.
+  // (group, policy, bid) choice — φ sees the policy's effective O/R; one
+  // call per (group, bid) serves every policy. Each group's choices, with
+  // their tied intervals, make its GroupCostTable block: the per-(group,
+  // choice) kernels of the search (DESIGN.md "Optimizer fast path"). Neither
+  // reads the deadline, so on the warm path a block no artifact of this
+  // scope holds comes from the tier's TableBlockMemo when any solve has
+  // derived it for the same model, app setup and on-demand choice.
   CheckpointPlanner::Config phi_cfg;
   phi_cfg.mode = config_.phi_mode;
   phi_cfg.step_hours = config_.setup.step_hours;
   phi_cfg.ratio_bins = config_.ratio_bins;
   const CheckpointPlanner phi(phi_cfg);
-  std::vector<std::vector<int>> f_of(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (warm && derived_ok(i)) {
-      f_of[i] = arts[i]->f_of;
-      continue;
-    }
-    const std::size_t bids = candidates[i].failure.bid_count();
-    f_of[i].resize(n_pol * bids);
-    for (std::size_t b = 0; b < bids; ++b) {
-      const std::vector<int> f = phi.choose(candidates[i], b, od, policies);
-      for (std::size_t p = 0; p < n_pol; ++p) f_of[i][p * bids + b] = f[p];
-    }
-  }
-
   const CostModel::Config model_cfg{.step_hours = config_.setup.step_hours,
                                     .ratio_bins = config_.ratio_bins};
+  const auto derive = [&](const GroupSetup& grp) {
+    const std::size_t bids = grp.failure.bid_count();
+    std::vector<ChoiceSpec> choices(n_pol * bids);
+    for (std::size_t b = 0; b < bids; ++b) {
+      const std::vector<int> f = phi.choose(grp, b, od, policies);
+      for (std::size_t p = 0; p < n_pol; ++p)
+        choices[p * bids + b] =
+            ChoiceSpec{b, f[p], policies[p].o_scale, policies[p].r_scale, p};
+    }
+    return std::make_shared<const GroupCostTable>(grp, od, model_cfg, choices);
+  };
+  std::vector<std::shared_ptr<const GroupCostTable>> blocks(candidates.size());
+  for (std::size_t g = 0; g < candidates.size(); ++g) {
+    if (warm && derived_ok(g)) {
+      blocks[g] = arts[g]->table;
+      ++stats.tables_reused;
+      continue;
+    }
+    ++stats.tables_built;
+    if (!warm) {
+      blocks[g] = derive(candidates[g]);
+      continue;
+    }
+    TableBlockMemo& memo = ctx->store->models().blocks();
+    const TableBlockMemo::Key key =
+        TableBlockMemo::key_of(candidates[g], od, policies, phi_cfg, model_cfg);
+    blocks[g] = memo.find(key, candidates[g].failure);
+    if (blocks[g] != nullptr) {
+      ++stats.tables_shared;
+      continue;
+    }
+    blocks[g] = derive(candidates[g]);
+    memo.install(key, candidates[g].failure, blocks[g]);
+  }
+  const auto f_of = [&](std::size_t g, std::size_t c) { return blocks[g]->cell(c).f_steps; };
+  const auto decode = [&](std::size_t g, std::size_t c) {
+    const ChoiceSpec& ch = blocks[g]->cell(c).choice;
+    return GroupDecision{ch.bid_index, ch.f_steps, ch.o_scale, ch.r_scale, ch.policy_index};
+  };
+
   const double step_h = config_.setup.step_hours;
 
   // Worst-case completion time of a group killed at its most damaging
@@ -336,8 +362,6 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
   /// Logical evaluation count of the exhaustive scan — invariant under
   /// pruning and warm starts, feeds Plan::model_evaluations (fingerprint).
   std::size_t evaluations = 0;
-  /// What the search actually did (Plan::stats; fingerprint-excluded).
-  PlanStats stats;
 
   // Per-(group, composite-choice) guard tables, hoisted out of the tuple
   // loop instead of an O(wall) group_worst_h scan per tuple per group: both
@@ -360,11 +384,10 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
       const std::size_t bids = grp.failure.bid_count();
       for (std::size_t c = 0; c < choice_count(g); ++c) {
         const CkptPolicy& pol = policies[c / bids];
-        const GroupSchedule sched(grp.t_steps, f_of[g][c],
-                                  grp.o_steps * pol.o_scale,
+        const GroupSchedule sched(grp.t_steps, f_of(g, c), grp.o_steps * pol.o_scale,
                                   grp.r_steps * pol.r_scale);
         fits[choice_off[g] + c] =
-            group_worst_h(grp, f_of[g][c], pol.o_scale, pol.r_scale) <= deadline_h;
+            group_worst_h(grp, f_of(g, c), pol.o_scale, pol.r_scale) <= deadline_h;
         surv_ok[choice_off[g] + c] =
             !(grp.failure.survival_at(c % bids, sched.wall_duration()) < 0.5);
       }
@@ -424,42 +447,11 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
       const std::size_t bids = candidates[g].failure.bid_count();
       for (std::size_t c = 0; c < choice_count(g); ++c) {
         const int clamp = f_guard_max[g * n_pol + c / bids];
-        n += clamp >= 1 && clamp < f_of[g][c];
+        n += clamp >= 1 && clamp < f_of(g, c);
       }
     }
     return n;
   };
-
-  // --- The search (DESIGN.md "Optimizer fast path"). ---
-  // Per-(group, bid) kernels precomputed once over the full candidate list;
-  // per-subset searches walk a lex-order odometer with per-prefix cached
-  // fold state and cut subtrees whose admissible cost bound exceeds the
-  // cross-subset incumbent. Plans are bit-identical to the exhaustive scan
-  // (the oracle in tests/support/reference_search.h).
-  std::optional<CostTables> tables;
-  if (!candidates.empty()) {
-    // Per-group table blocks: a warm artifact's block is adopted as-is (it
-    // is a pure function of inputs the version + config hash pin), the rest
-    // are built exactly as on the cold path.
-    std::vector<std::shared_ptr<const GroupCostTable>> blocks(candidates.size());
-    for (std::size_t g = 0; g < candidates.size(); ++g) {
-      if (warm && derived_ok(g)) {
-        blocks[g] = arts[g]->table;
-        ++stats.tables_reused;
-        continue;
-      }
-      const std::size_t bids = candidates[g].failure.bid_count();
-      std::vector<ChoiceSpec> choices(choice_count(g));
-      for (std::size_t c = 0; c < choices.size(); ++c) {
-        const std::size_t p = c / bids;
-        choices[c] = ChoiceSpec{c % bids, f_of[g][c], policies[p].o_scale,
-                                policies[p].r_scale, p};
-      }
-      blocks[g] = std::make_shared<const GroupCostTable>(candidates[g], od, model_cfg, choices);
-      ++stats.tables_built;
-    }
-    tables.emplace(candidates, od, model_cfg, std::move(blocks));
-  }
 
   // Store back every artifact this solve had to (re)build, table block
   // included, so the next epoch's clean groups start fully warm.
@@ -467,17 +459,25 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
     for (std::size_t g = 0; g < candidates.size(); ++g) {
       if (derived_ok(g)) continue;
       auto art = std::make_shared<GroupArtifact>(version_of(candidates[g].spec), candidates[g]);
-      art->f_of = f_of[g];
+      art->table = blocks[g];
       art->f_guard_max.assign(f_guard_max.begin() + static_cast<std::ptrdiff_t>(g * n_pol),
                               f_guard_max.begin() + static_cast<std::ptrdiff_t>((g + 1) * n_pol));
       art->fits.assign(fits.begin() + static_cast<std::ptrdiff_t>(choice_off[g]),
                        fits.begin() + static_cast<std::ptrdiff_t>(choice_off[g + 1]));
       art->surv_ok.assign(surv_ok.begin() + static_cast<std::ptrdiff_t>(choice_off[g]),
                           surv_ok.begin() + static_cast<std::ptrdiff_t>(choice_off[g + 1]));
-      art->table = tables->block(g);
       ctx->store->store(ctx->scope, candidates[g].spec, chash, std::move(art));
     }
   }
+
+  // --- The search (DESIGN.md "Optimizer fast path"). ---
+  // The blocks' per-(group, choice) kernels over the full candidate list;
+  // per-subset searches walk a lex-order odometer with per-prefix cached
+  // fold state and cut subtrees whose admissible cost bound exceeds the
+  // cross-subset incumbent. Plans are bit-identical to the exhaustive scan
+  // (the oracle in tests/support/reference_search.h).
+  std::optional<CostTables> tables;
+  if (!candidates.empty()) tables.emplace(candidates, od, model_cfg, blocks);
 
   // Lowest accepted cost seen so far, in any subset. Any accepted
   // candidate's cost upper-bounds the final plan cost, so pruning strictly
@@ -530,7 +530,7 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
       // tables, or its cost could undercut every real tuple and prune the
       // true winner.
       if (p == n_pol || b == bids || g.instances != gp.instances ||
-          g.t_steps != gp.t_steps || f_of[ci][p * bids + b] != gp.f_steps ||
+          g.t_steps != gp.t_steps || f_of(ci, p * bids + b) != gp.f_steps ||
           g.o_steps * policies[p].o_scale != gp.o_steps ||
           g.r_steps * policies[p].r_scale != gp.r_steps) {
         ok = false;
@@ -649,7 +649,7 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
       ++stats.tuples_visited;
 
       for (std::size_t i = 0; i < k; ++i)
-        decisions[i] = decode(subset[i], bids[i], f_of);
+        decisions[i] = decode(subset[i], bids[i]);
 
       const Guard gd = guard(subset, bids);
       if (!gd.reject) {

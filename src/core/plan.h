@@ -44,12 +44,15 @@ struct PlanStats {
   std::size_t subsets_pruned = 0;    ///< whole subsets skipped by their bound
   std::size_t subsets_searched = 0;  ///< subsets actually enumerated
   // Warm-start accounting (DESIGN.md §14): how many per-group cost-table
-  // blocks this solve reused from a CostTableStore vs built fresh, and
+  // blocks this solve reused from its scope's CostTableStore artifacts vs
+  // had to obtain otherwise (tables_built), how many of the latter came from
+  // the tier's TableBlockMemo instead of being derived (tables_shared), and
   // whether the previous plan seeded the B&B incumbent.
   // Like the prune counters these never enter the plan fingerprint — a warm
   // plan is bit-identical to a cold one, only its work accounting differs.
   std::size_t tables_reused = 0;
   std::size_t tables_built = 0;
+  std::size_t tables_shared = 0;
   std::size_t warm_seeds = 0;
   /// Failure models the candidate setups built (0 from optimize_over): one
   /// per candidate on the cold path; on the warm path only those no scope

@@ -262,9 +262,13 @@ TEST(FailureModelCache, ArtifactsChargeTheModelHandleNotItsTables) {
   CostTableStore store;
   const GroupSetup setup = SetupBuilder(&catalog, &est).build(
       paper_profile("BT"), {0, 0}, market, tiny_config().setup, &store.models());
-  store.store("a", {0, 0}, 1, std::make_shared<GroupArtifact>(1, setup));
-  store.store("b", {0, 0}, 1, std::make_shared<GroupArtifact>(1, setup));
-  EXPECT_EQ(store.stats().bytes, 2 * sizeof(GroupArtifact));
+  const GroupArtifact artifact(1, setup);
+  ASSERT_EQ(artifact.bytes(), sizeof(GroupArtifact));
+  store.store("a", {0, 0}, 1, std::make_shared<GroupArtifact>(artifact));
+  store.store("b", {0, 0}, 1, std::make_shared<GroupArtifact>(artifact));
+  EXPECT_EQ(store.stats().bytes, 2 * CostTableStore::entry_bytes(artifact) +
+                                     CostTableStore::scope_bytes("a") +
+                                     CostTableStore::scope_bytes("b"));
   EXPECT_EQ(store.models().stats().entries, 1u);
   EXPECT_EQ(store.models().stats().bytes, setup.failure.table_bytes());
 }

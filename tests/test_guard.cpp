@@ -105,7 +105,7 @@ TEST_F(GuardTest, GuardTablesEqualThePerStepReference) {
             for (std::size_t b = 0; b < bids; ++b) {
               const std::size_t c = p * bids + b;
               const bool fits =
-                  reference_group_worst_h(g, art->f_of[c], pol.o_scale, pol.r_scale,
+                  reference_group_worst_h(g, art->table->cell(c).f_steps, pol.o_scale, pol.r_scale,
                                           plan.step_hours, plan.od.t_h) <= deadline;
               ASSERT_EQ(art->fits[c] != 0, fits) << name << " @" << factor << " choice " << c;
               unfit += !fits;

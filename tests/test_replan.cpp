@@ -129,7 +129,7 @@ TEST_F(CostTableStoreTest, ExactVersionMatchRequiredInBothDirections) {
   CostTableStore::Stats s = store.stats();
   EXPECT_EQ(s.invalidated, 1u);
   EXPECT_EQ(s.entries, 0u);  // mismatch drops the entry and releases its bytes
-  EXPECT_EQ(s.bytes, 0u);
+  EXPECT_EQ(s.bytes, CostTableStore::scope_bytes("scope"));  // the empty scope's own
   store.store("scope", spec, 7, artifact(6));
   EXPECT_EQ(store.lookup("scope", spec, 5, 7), nullptr);
   EXPECT_EQ(store.stats().invalidated, 2u);
@@ -186,8 +186,8 @@ class ScanEvictionOracle {
     }
     if (it->second.first != hash || it->second.second->version != version) {
       ++stats.invalidated;
-      sit->second.bytes -= it->second.second->bytes();
-      stats.bytes -= it->second.second->bytes();
+      sit->second.bytes -= CostTableStore::entry_bytes(*it->second.second);
+      stats.bytes -= CostTableStore::entry_bytes(*it->second.second);
       sit->second.entries.erase(it);
       return nullptr;
     }
@@ -197,16 +197,16 @@ class ScanEvictionOracle {
 
   void store(const std::string& name, const CircleGroupSpec& spec, std::uint64_t hash,
              std::shared_ptr<const GroupArtifact> artifact) {
-    Scope& s = scopes_[name];
+    Scope& s = scope(name);
     s.touched = ++tick_;
     auto& e = s.entries[{spec.type_index, spec.zone_index}];
     if (e.second != nullptr) {
-      s.bytes -= e.second->bytes();
-      stats.bytes -= e.second->bytes();
+      s.bytes -= CostTableStore::entry_bytes(*e.second);
+      stats.bytes -= CostTableStore::entry_bytes(*e.second);
     }
     e = {hash, std::move(artifact)};
-    s.bytes += e.second->bytes();
-    stats.bytes += e.second->bytes();
+    s.bytes += CostTableStore::entry_bytes(*e.second);
+    stats.bytes += CostTableStore::entry_bytes(*e.second);
     while (stats.bytes > max_bytes_ && scopes_.size() > 1) {
       auto victim = scopes_.end();
       std::uint64_t oldest = UINT64_MAX;
@@ -223,8 +223,12 @@ class ScanEvictionOracle {
   }
 
   void note_plan(const std::string& name, std::shared_ptr<const Plan> plan) {
-    Scope& s = scopes_[name];
+    Scope& s = scope(name);
     s.touched = ++tick_;
+    const std::size_t was = s.last_plan ? CostTableStore::plan_bytes(*s.last_plan) : 0;
+    const std::size_t now = plan ? CostTableStore::plan_bytes(*plan) : 0;
+    s.bytes = s.bytes - was + now;
+    stats.bytes = stats.bytes - was + now;
     s.last_plan = std::move(plan);
   }
 
@@ -243,6 +247,17 @@ class ScanEvictionOracle {
   CostTableStore::Stats stats;  ///< counters and bytes; sizes filled by snapshot()
 
  private:
+  struct Scope;
+  /// The scope named `name`, created (and charged) if absent.
+  Scope& scope(const std::string& name) {
+    const auto [it, fresh] = scopes_.try_emplace(name);
+    if (fresh) {
+      it->second.bytes = CostTableStore::scope_bytes(name);
+      stats.bytes += it->second.bytes;
+    }
+    return it->second;
+  }
+
   struct Scope {
     std::map<std::pair<std::size_t, std::size_t>,
              std::pair<std::uint64_t, std::shared_ptr<const GroupArtifact>>>
@@ -264,12 +279,12 @@ TEST_F(CostTableStoreTest, LruEvictionMatchesTheScanOracleOnRandomTraces) {
   for (std::uint64_t version = 1; version <= 3; ++version)
     for (std::size_t size : {0, 40, 300, 2000}) {
       auto a = artifact(version);
-      a->f_of.assign(size, 1);
+      a->f_guard_max.assign(size, 1);
       arts.push_back(std::move(a));
     }
   const std::size_t cap = 4 * arts[2]->bytes();
   auto huge = artifact(1);
-  huge->f_of.assign(cap, 1);
+  huge->f_guard_max.assign(cap, 1);
   arts.push_back(huge);
 
   Rng rng(0x57012E);
