@@ -349,9 +349,8 @@ int main(int argc, char** argv) {
                          static_cast<double>(s.price_steps) /
                              static_cast<double>(s.epoch_s.size())},
                         {"price_steps_errors", static_cast<double>(s.price_steps_errors)},
-                        {"tables_computed_per_epoch",
-                         static_cast<double>(s.tables_computed) / epochs},
-                        {"tables_shared_per_epoch", static_cast<double>(s.tables_shared) / epochs},
+                        {"tables_computed", static_cast<double>(s.tables_computed)},
+                        {"tables_shared", static_cast<double>(s.tables_shared)},
                         {"table_share_errors", static_cast<double>(s.table_share_errors)},
                         {"divergence", static_cast<double>(s.divergence)}}});
   }
