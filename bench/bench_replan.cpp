@@ -20,9 +20,9 @@
 // every tenant re-plans, and the tenants' PlanStats::failure_models_built
 // must sum to exactly d — one model per dirty group for all of them, not
 // T·d — with their price_steps_read summing to d as well. The cost-table
-// blocks are shared the same way (TableBlockMemo): a tenant whose app and
-// on-demand choice an earlier tenant of the epoch already re-planned takes
-// every block it rebuilds from the memo (PlanStats::tables_shared ==
+// blocks are shared the same way (FailureModelCache::block): a tenant whose
+// app and on-demand choice an earlier tenant of the epoch already re-planned
+// takes every block it rebuilds from the cache (PlanStats::tables_shared ==
 // tables_built), and any other tenant derives all of them (tables_shared
 // == 0), so the blocks derived per epoch and the ones shared are exact.
 //

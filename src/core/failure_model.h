@@ -120,8 +120,8 @@ class FailureModel {
   /// Approximate footprint of the shared tables.
   std::size_t table_bytes() const;
 
-  /// The shared tables' identity: owner-equal for every view of one build.
-  std::weak_ptr<const void> tables_identity() const { return tables_; }
+  /// True when both read one build's shared tables (at any horizons).
+  bool same_tables(const FailureModel& other) const { return tables_ == other.tables_; }
 
  private:
   struct Tables {

@@ -23,10 +23,15 @@
 // The map's lock is held only to find a key's entry; builds and waits use
 // that entry's own lock.
 //
-// The cache also keeps the TableBlockMemo of the cost-table blocks derived
-// from its models, so every store handed the cache shares both.
+// Each entry also keeps the cost-table blocks warm solves derived from its
+// model (block()): a block and its φ intervals read the model, the app
+// setup, the on-demand choice, the policies and the φ / cost-model knobs —
+// never the deadline or the scope — so every scope and shard handed the
+// cache shares them. They are dropped with the model they came from, and the
+// least recently used go first once all entries' blocks pass kMaxBlockBytes.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -36,11 +41,14 @@
 #include <mutex>
 #include <optional>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cloud/catalog.h"
+#include "core/ckpt_interval.h"
+#include "core/cost_model.h"
 #include "core/failure_model.h"
-#include "core/table_block_memo.h"
 
 namespace sompi {
 
@@ -49,6 +57,34 @@ namespace sompi {
 struct FailureModelTally {
   std::size_t built = 0;
   std::size_t price_steps_read = 0;
+};
+
+/// Every input of a group's GroupCostTable block, its φ intervals included,
+/// except the failure model's tables: the app setup (T, O, R, instances), the
+/// horizon the model is read through, the on-demand choice's rate and
+/// runtime, the φ and cost-model knobs and the policy scales, bit for bit.
+/// A solve builds one key from its own inputs and points it at each group in
+/// turn (for_group), so a lookup allocates nothing; the hash is computed
+/// there once.
+class TableBlockKey {
+ public:
+  TableBlockKey(const OnDemandChoice& od, const std::vector<CkptPolicy>& policies,
+                const CheckpointPlanner::Config& phi, const CostModel::Config& model);
+
+  /// Points the key at `group`'s app setup and model horizon.
+  TableBlockKey& for_group(const GroupSetup& group);
+
+  bool operator==(const TableBlockKey&) const = default;
+  std::size_t hash() const { return hash_; }
+  /// Heap bytes a stored copy holds.
+  std::size_t heap_bytes() const { return policies_.capacity() * sizeof(std::uint64_t); }
+
+ private:
+  static constexpr std::size_t kGroupFields = 5;
+  /// The group's fields first, then the solve's.
+  std::array<std::uint64_t, kGroupFields + 8> fields_{};
+  std::vector<std::uint64_t> policies_;  ///< (o_scale, r_scale) per policy
+  std::size_t hash_ = 0;
 };
 
 class FailureModelCache {
@@ -60,9 +96,17 @@ class FailureModelCache {
     std::uint64_t uncached = 0;  ///< builds for a history older than the entry's
     std::size_t entries = 0;
     std::size_t bytes = 0;       ///< the entries' shared tables
+    std::uint64_t blocks_shared = 0;   ///< block() calls served a stored block
+    std::uint64_t blocks_derived = 0;  ///< block() calls that derived theirs
+    std::uint64_t blocks_evicted = 0;  ///< stored blocks dropped by the byte cap
+    std::size_t blocks = 0;            ///< stored blocks
+    std::size_t block_bytes = 0;       ///< their charge against kMaxBlockBytes
   };
 
-  explicit FailureModelCache(TableBlockMemo::Config blocks = {}) : blocks_(blocks) {}
+  /// The cap on the stored blocks' bytes, over all entries.
+  static constexpr std::size_t kMaxBlockBytes = 32ull << 20;
+
+  FailureModelCache() = default;
   FailureModelCache(const FailureModelCache&) = delete;
   FailureModelCache& operator=(const FailureModelCache&) = delete;
 
@@ -74,15 +118,44 @@ class FailureModelCache {
                    const std::vector<double>& bids, const FailureEstimationConfig& config,
                    FailureModelTally* tally = nullptr);
 
-  Stats stats() const;
+  /// The block of `model` under `key`: the one a call with the same
+  /// arguments stored, or `derive()`'s, which is stored when `model` reads
+  /// the tables of the entry that get(spec, grid, ..., config) serves. A
+  /// model the entry has moved past, or that never came from it, gets its
+  /// block derived and not stored. `*shared` (when non-null) says whether
+  /// the block was a stored one. Two calls deriving one block at once make
+  /// bit-identical blocks, so they do not wait for each other.
+  template <class Derive>
+  std::shared_ptr<const GroupCostTable> block(const CircleGroupSpec& spec, std::uint64_t grid,
+                                              const FailureEstimationConfig& config,
+                                              const FailureModel& model,
+                                              const TableBlockKey& key, Derive&& derive,
+                                              bool* shared = nullptr) {
+    Entry& e = entry_for(key_of(spec, grid, config));
+    std::shared_ptr<const GroupCostTable> block = find_block(e, model, key);
+    if (shared != nullptr) *shared = block != nullptr;
+    if (block == nullptr) {
+      block = derive();
+      store_block(e, model, key, block);
+    }
+    return block;
+  }
 
-  /// The blocks derived from this cache's models (warm solves only).
-  TableBlockMemo& blocks() { return blocks_; }
+  Stats stats() const;
 
  private:
   // (type, zone, grid tag, samples, seed, wrap)
   using Key = std::tuple<std::size_t, std::size_t, std::uint64_t, std::size_t, std::uint64_t,
                          bool>;
+  struct KeyHash {
+    std::size_t operator()(const TableBlockKey& key) const { return key.hash(); }
+  };
+  struct Block {
+    std::shared_ptr<const GroupCostTable> table;
+    std::size_t bytes = 0;
+    std::uint64_t used = 0;  ///< block_clock_ at its last find or store
+  };
+  using Blocks = std::unordered_map<TableBlockKey, Block, KeyHash>;
   struct Entry {
     mutable std::mutex mutex;
     std::condition_variable built;
@@ -95,16 +168,32 @@ class FailureModelCache {
     std::size_t build_steps = 0;
     std::size_t build_horizon = 0;
     std::vector<double> build_bids;
+    /// Blocks derived from `model`; cleared when it is replaced.
+    Blocks blocks;
   };
 
+  static Key key_of(const CircleGroupSpec& spec, std::uint64_t grid,
+                    const FailureEstimationConfig& config);
   Entry& entry_for(const Key& key);
+  std::shared_ptr<const GroupCostTable> find_block(Entry& e, const FailureModel& model,
+                                                   const TableBlockKey& key);
+  void store_block(Entry& e, const FailureModel& model, const TableBlockKey& key,
+                   std::shared_ptr<const GroupCostTable> table);
+  /// Drops `e`'s blocks; e.mutex held.
+  void drop_blocks_locked(Entry& e);
+  /// Drops the least recently used blocks until their bytes fit the cap.
+  void evict_blocks();
 
   mutable std::mutex mutex_;  ///< guards the map only
   std::map<Key, Entry> entries_;
   std::atomic<std::uint64_t> builds_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> uncached_{0};
-  TableBlockMemo blocks_;
+  std::atomic<std::uint64_t> block_clock_{0};
+  std::atomic<std::size_t> block_bytes_{0};
+  std::atomic<std::uint64_t> blocks_shared_{0};
+  std::atomic<std::uint64_t> blocks_derived_{0};
+  std::atomic<std::uint64_t> blocks_evicted_{0};
 };
 
 }  // namespace sompi

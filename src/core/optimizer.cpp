@@ -254,8 +254,8 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
   // their tied intervals, make its GroupCostTable block: the per-(group,
   // choice) kernels of the search (DESIGN.md "Optimizer fast path"). Neither
   // reads the deadline, so on the warm path a block no artifact of this
-  // scope holds comes from the tier's TableBlockMemo when any solve has
-  // derived it for the same model, app setup and on-demand choice.
+  // scope holds comes from the FailureModelCache entry of its model when
+  // any solve has derived it for the same app setup and on-demand choice.
   CheckpointPlanner::Config phi_cfg;
   phi_cfg.mode = config_.phi_mode;
   phi_cfg.step_hours = config_.setup.step_hours;
@@ -275,6 +275,7 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
     return std::make_shared<const GroupCostTable>(grp, od, model_cfg, choices);
   };
   std::vector<std::shared_ptr<const GroupCostTable>> blocks(candidates.size());
+  std::optional<TableBlockKey> block_key;
   for (std::size_t g = 0; g < candidates.size(); ++g) {
     if (warm && derived_ok(g)) {
       blocks[g] = arts[g]->table;
@@ -282,20 +283,17 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
       continue;
     }
     ++stats.tables_built;
+    const GroupSetup& grp = candidates[g];
     if (!warm) {
-      blocks[g] = derive(candidates[g]);
+      blocks[g] = derive(grp);
       continue;
     }
-    TableBlockMemo& memo = ctx->store->models().blocks();
-    const TableBlockMemo::Key key =
-        TableBlockMemo::key_of(candidates[g], od, policies, phi_cfg, model_cfg);
-    blocks[g] = memo.find(key, candidates[g].failure);
-    if (blocks[g] != nullptr) {
-      ++stats.tables_shared;
-      continue;
-    }
-    blocks[g] = derive(candidates[g]);
-    memo.install(key, candidates[g].failure, blocks[g]);
+    if (!block_key) block_key.emplace(od, policies, phi_cfg, model_cfg);
+    bool shared = false;
+    blocks[g] = ctx->store->models().block(
+        grp.spec, bid_grid_tag(config_.setup), config_.setup.failure, grp.failure,
+        block_key->for_group(grp), [&] { return derive(grp); }, &shared);
+    stats.tables_shared += shared;
   }
   const auto f_of = [&](std::size_t g, std::size_t c) { return blocks[g]->cell(c).f_steps; };
   const auto decode = [&](std::size_t g, std::size_t c) {

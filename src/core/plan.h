@@ -46,7 +46,7 @@ struct PlanStats {
   // Warm-start accounting (DESIGN.md §14): how many per-group cost-table
   // blocks this solve reused from its scope's CostTableStore artifacts vs
   // had to obtain otherwise (tables_built), how many of the latter came from
-  // the tier's TableBlockMemo instead of being derived (tables_shared), and
+  // the FailureModelCache instead of being derived (tables_shared), and
   // whether the previous plan seeded the B&B incumbent.
   // Like the prune counters these never enter the plan fingerprint — a warm
   // plan is bit-identical to a cold one, only its work accounting differs.

@@ -8,20 +8,13 @@
 
 namespace sompi {
 
-namespace {
-
-/// Tags the knobs a bid grid is derived from; the cache keys entries by it.
-/// A collision only makes two grids share one entry, never a wrong model:
-/// the cache matches bids exactly.
-std::uint64_t grid_tag(const SetupConfig& config) {
+std::uint64_t bid_grid_tag(const SetupConfig& config) {
   std::uint64_t tag = 0;
   std::memcpy(&tag, &config.max_bid_over_ondemand, sizeof(tag));
   const bool log = config.bid_grid == BidGridKind::kLogarithmic;
   return tag ^ (static_cast<std::uint64_t>(log ? config.log_levels : config.uniform_points) << 1) ^
          (log ? 0 : 1);
 }
-
-}  // namespace
 
 SetupBuilder::SetupBuilder(const Catalog* catalog, const ExecTimeEstimator* estimator)
     : catalog_(catalog), estimator_(estimator) {
@@ -74,7 +67,7 @@ GroupSetup SetupBuilder::assemble(const AppProfile& app, const CircleGroupSpec& 
 
   const SpotTrace& trace = history.trace(spec);
   const auto model = [&] {
-    if (models != nullptr) return models->get(spec, grid_tag(config), trace, bids, fec, tally);
+    if (models != nullptr) return models->get(spec, bid_grid_tag(config), trace, bids, fec, tally);
     FailureModel m(trace, std::move(bids), fec);
     if (tally != nullptr) {
       ++tally->built;

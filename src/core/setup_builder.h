@@ -3,6 +3,7 @@
 // optimizer and every baseline so they all see the same problem.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "cloud/catalog.h"
@@ -32,6 +33,11 @@ struct SetupConfig {
   double max_bid_over_ondemand = 1.0;
   FailureEstimationConfig failure;
 };
+
+/// Tags the knobs a bid grid is derived from; FailureModelCache keys its
+/// entries by it. A collision only makes two grids share one entry, never a
+/// wrong model: the cache matches bids exactly.
+std::uint64_t bid_grid_tag(const SetupConfig& config);
 
 class SetupBuilder {
  public:

@@ -29,7 +29,7 @@
 //
 // The shards share one FailureModelCache: a market group's failure model is
 // built once per history for the whole tier, whichever shard's tenants ask,
-// and so is each cost-table block derived from it (TableBlockMemo).
+// and so is each cost-table block derived from it (FailureModelCache::block).
 //
 // The solve ledger that proves the last law is built in: every shard's
 // solve hook is wrapped to record (shard, key, epoch) in a tier-level map,
@@ -126,8 +126,6 @@ class ShardedPlanService {
   const ShardRouter& router() const { return router_; }
   /// The tier's failure-model cache, shared by every shard's warm path.
   FailureModelCache::Stats model_cache_stats() const { return models_->stats(); }
-  /// The tier's table-block memo, shared the same way.
-  TableBlockMemo::Stats table_block_stats() const { return models_->blocks().stats(); }
 
   /// Sum of per-shard stale sweeps.
   std::size_t invalidate_stale();

@@ -1,11 +1,12 @@
-// TableBlockMemo tests (DESIGN.md §14): blocks a warm solve takes from the
-// memo equal a fresh φ and GroupCostTable bit for bit across a deadline
-// sweep; one generation per slot, replaced by a newer model and kept against
-// an older snapshot; the byte cap over a stream of distinct apps and
-// deadlines; store artifacts charged the block's handle; cold solves
-// never reaching the memo; and a 4-shard tier whose tenants, one app at
-// eight deadlines, derive each block once.
-#include "core/table_block_memo.h"
+// Tests of the cost-table blocks a FailureModelCache shares (DESIGN.md §14):
+// blocks a warm solve takes from the cache equal a fresh φ and
+// GroupCostTable bit for bit across a deadline sweep; blocks are stored only
+// for the entry's own model and leave with it; the byte cap over a stream of
+// distinct apps and deadlines, least recently used first; store artifacts
+// charged the block's handle; cold solves never reaching the blocks; and a
+// 4-shard tier whose tenants, one app at eight deadlines, derive each block
+// once.
+#include "core/failure_model_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -184,102 +185,163 @@ struct Slotted {
   std::shared_ptr<const GroupCostTable> block;
 };
 
-Slotted slotted(const SpotTrace& history, std::size_t horizon, const OnDemandChoice& od) {
+FailureEstimationConfig slotted_estimation(std::size_t horizon) {
   FailureEstimationConfig fec;
   fec.samples = 50;
   fec.horizon_steps = horizon;
+  return fec;
+}
+
+/// The group over `model`, with a block of `choices` (the first two bids
+/// at F = 2 and 3 when empty).
+Slotted slotted(FailureModel model, const OnDemandChoice& od,
+                std::vector<ChoiceSpec> choices = {{0, 2}, {1, 3}}) {
   Slotted s{GroupSetup{.spec = {0, 0},
                        .instances = 4,
                        .t_steps = 6,
                        .o_steps = 0.5,
                        .r_steps = 0.5,
-                       .failure = FailureModel(history, {0.02, 0.04}, fec)},
+                       .failure = std::move(model)},
             nullptr};
   s.block = std::make_shared<const GroupCostTable>(
-      s.group, od, CostModel::Config{.step_hours = 0.25, .ratio_bins = 16},
-      std::vector<ChoiceSpec>{{0, 2}, {1, 3}});
+      s.group, od, CostModel::Config{.step_hours = 0.25, .ratio_bins = 16}, choices);
   return s;
 }
 
-TEST(TableBlockMemo, ANewerModelReplacesTheSlotAndAnOlderSnapshotDoesNot) {
+Slotted slotted(const SpotTrace& history, std::size_t horizon, const OnDemandChoice& od) {
+  return slotted(FailureModel(history, {0.02, 0.04}, slotted_estimation(horizon)), od);
+}
+
+TableBlockKey slotted_key(const OnDemandChoice& od) {
+  return TableBlockKey(od, {CkptPolicy{}}, CheckpointPlanner::Config{}, CostModel::Config{});
+}
+
+TEST(TableBlockMemo, BlocksLeaveWithTheModelTheyCameFrom) {
   const OnDemandChoice od{.type_index = 0, .t_h = 2.0, .instances = 4, .rate_usd_h = 1.0};
+  const CircleGroupSpec spec{0, 0};
+  const std::vector<double> bids = {0.02, 0.04};
+  const FailureEstimationConfig fec = slotted_estimation(12);
   Rng rng(0x5107);
   const SpotTrace old_history(0.25, random_prices(64, rng));
   const SpotTrace new_history = old_history.extended({0.03, 0.01});
-  const Slotted older = slotted(old_history, 12, od);
-  const Slotted newer = slotted(new_history, 12, od);
-  const TableBlockMemo::Key key = TableBlockMemo::key_of(
-      older.group, od, {CkptPolicy{}}, CheckpointPlanner::Config{}, CostModel::Config{});
-  ASSERT_EQ(key, TableBlockMemo::key_of(newer.group, od, {CkptPolicy{}},
-                                        CheckpointPlanner::Config{}, CostModel::Config{}));
+  FailureModelCache cache;
+  const Slotted older = slotted(cache.get(spec, 0, old_history, bids, fec), od);
+  TableBlockKey key = slotted_key(od);
+  key.for_group(older.group);
 
-  TableBlockMemo memo;
-  EXPECT_EQ(memo.find(key, older.group.failure), nullptr);
-  memo.install(key, older.group.failure, older.block);
-  EXPECT_EQ(memo.find(key, older.group.failure), older.block);
-  // A copy or a view at the same horizon is the same model; another horizon
-  // of it, or a model of the same history built again, is not.
-  EXPECT_EQ(memo.find(key, older.group.failure.view(12)), older.block);
-  EXPECT_EQ(memo.find(key, older.group.failure.view(11)), nullptr);
-  EXPECT_EQ(memo.find(key, slotted(old_history, 12, od).group.failure), nullptr);
-  const std::size_t one_slot = memo.stats().bytes;
+  // `block` through the cache; the derivation returns `made` and counts.
+  std::size_t derived = 0;
+  const auto block = [&](const FailureModel& model, const TableBlockKey& k,
+                         const std::shared_ptr<const GroupCostTable>& made) {
+    const std::size_t before = derived;
+    bool shared = false;
+    const auto got = cache.block(
+        spec, 0, fec, model, k,
+        [&] {
+          ++derived;
+          return made;
+        },
+        &shared);
+    EXPECT_EQ(shared, derived == before);
+    return got;
+  };
+  // A model of the same history built outside the cache derives its own
+  // block and stores nothing.
+  const Slotted outside = slotted(old_history, 12, od);
+  EXPECT_EQ(block(outside.group.failure, key, outside.block), outside.block);
+  EXPECT_EQ(derived, 1u);
+  EXPECT_EQ(cache.stats().blocks, 0u);
+  // The entry's model stores its block; a copy or another view of that
+  // model at the same horizon shares it.
+  EXPECT_EQ(block(older.group.failure, key, older.block), older.block);
+  EXPECT_EQ(derived, 2u);
+  const Slotted other = slotted(older.group.failure, od);
+  EXPECT_EQ(block(older.group.failure.view(12), key, other.block), older.block);
+  EXPECT_EQ(derived, 2u);
+  // Another horizon is another key.
+  TableBlockKey shorter = slotted_key(od);
+  shorter.for_group(slotted(older.group.failure.view(11), od).group);
+  EXPECT_FALSE(shorter == key);
+  FailureModelCache::Stats s = cache.stats();
+  EXPECT_EQ(s.blocks, 1u);
+  EXPECT_EQ(s.blocks_shared, 1u);
+  EXPECT_EQ(s.blocks_derived, 2u);
 
-  memo.install(key, newer.group.failure, newer.block);
-  TableBlockMemo::Stats s = memo.stats();
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.replaced, 1u);
-  EXPECT_EQ(s.bytes, one_slot);  // the old block's bytes left with it
-  EXPECT_EQ(memo.find(key, older.group.failure), nullptr);
-  EXPECT_EQ(memo.find(key, newer.group.failure), newer.block);
+  // A newer history replaces the entry's model, and its blocks go with it.
+  const Slotted newer = slotted(cache.get(spec, 0, new_history, bids, fec), od);
+  s = cache.stats();
+  EXPECT_EQ(s.blocks, 0u);
+  EXPECT_EQ(s.block_bytes, 0u);
+  // A solve of the older snapshot derives its block and stores nothing.
+  EXPECT_EQ(block(older.group.failure, key, older.block), older.block);
+  EXPECT_EQ(derived, 3u);
+  EXPECT_EQ(cache.stats().blocks, 0u);
+  EXPECT_EQ(block(newer.group.failure, key, newer.block), newer.block);
+  EXPECT_EQ(derived, 4u);
+  EXPECT_EQ(block(newer.group.failure, key, other.block), newer.block);
+  EXPECT_EQ(cache.stats().blocks, 1u);
 
-  // A solve of the older snapshot derives its block but leaves the slot.
-  memo.install(key, older.group.failure, older.block);
-  EXPECT_EQ(memo.find(key, newer.group.failure), newer.block);
-  EXPECT_EQ(memo.stats().replaced, 1u);
-
-  // Another on-demand choice is another slot.
-  OnDemandChoice other = od;
-  other.rate_usd_h = 1.5;
-  EXPECT_NE(TableBlockMemo::key_of(newer.group, other, {CkptPolicy{}},
-                                   CheckpointPlanner::Config{}, CostModel::Config{}),
-            key);
+  // Another on-demand choice, or another app setup, is another key.
+  OnDemandChoice dearer = od;
+  dearer.rate_usd_h = 1.5;
+  EXPECT_FALSE(slotted_key(dearer).for_group(newer.group) == key);
+  GroupSetup wider = newer.group;
+  wider.instances = 8;
+  EXPECT_FALSE(slotted_key(od).for_group(wider) == key);
+  EXPECT_TRUE(slotted_key(od).for_group(newer.group) == key);
 }
 
 TEST(TableBlockMemo, StaysUnderItsCapOverDistinctAppsAndDeadlines) {
-  const Catalog catalog = paper_catalog();
-  const ExecTimeEstimator est;
-  const Market market =
-      generate_market(catalog, paper_market_profile(catalog), 1.0, 0.25, /*seed=*/31);
-  const auto versions =
-      std::make_shared<const std::vector<std::uint64_t>>(catalog.all_groups().size(), 0);
-  const OptimizerConfig config = tiny_config();
-  const SompiOptimizer opt(&catalog, &est, config);
-  std::vector<AppProfile> apps = paper_profiles();
-  apps.push_back(lammps_profile(32));
-
-  for (const std::size_t cap : {std::size_t{24} << 10, std::size_t{96} << 10}) {
-    auto models = std::make_shared<FailureModelCache>(TableBlockMemo::Config{cap});
-    CostTableStore store({}, models);
-    std::size_t shared = 0;
-    for (const AppProfile& app : apps) {
-      for (const double factor : {1.2, 1.5, 2.0, 3.0, 5.0}) {
-        const double deadline = OnDemandSelector(&catalog, &est).baseline(app).t_h * factor;
-        ReplanContext ctx;
-        ctx.store = &store;
-        ctx.scope = app.name + "@" + std::to_string(factor);
-        ctx.versions = versions;
-        const Plan warm = opt.optimize(app, market, deadline, &ctx);
-        shared += warm.stats.tables_shared;
-        ASSERT_LE(models->blocks().stats().bytes, cap) << ctx.scope;
-        ASSERT_EQ(plan_fingerprint(warm), plan_fingerprint(opt.optimize(app, market, deadline)))
-            << ctx.scope;
-      }
-    }
-    const TableBlockMemo::Stats s = models->blocks().stats();
-    EXPECT_GT(s.evictions, 0u);
-    EXPECT_GT(s.entries, 0u);
-    EXPECT_EQ(s.hits, shared);
+  // One large block stored under a stream of distinct keys — on-demand
+  // choices (what a deadline changes) and app sizes — for two groups; each
+  // key is charged the block's bytes, so the stream passes the cap.
+  const OnDemandChoice od{.type_index = 0, .t_h = 2.0, .instances = 4, .rate_usd_h = 1.0};
+  const std::vector<double> bids = {0.02, 0.04};
+  const FailureEstimationConfig fec = slotted_estimation(12);
+  Rng rng(0xCA9);
+  FailureModelCache cache;
+  std::vector<Slotted> groups;
+  for (std::size_t zone = 0; zone < 2; ++zone) {
+    const SpotTrace history(0.25, random_prices(64, rng));
+    const FailureModel model = cache.get({0, zone}, 0, history, bids, fec);
+    std::vector<ChoiceSpec> choices;
+    for (int i = 0; i < 3000; ++i) choices.push_back({std::size_t(i % 2), 1 + i % 6});
+    groups.push_back(slotted(model, od, choices));
   }
+  const std::size_t block_bytes = groups[0].block->bytes();
+  ASSERT_GT(block_bytes, 64u << 10);
+  const std::size_t fit = FailureModelCache::kMaxBlockBytes / block_bytes;
+
+  const auto put = [&](std::size_t i) {
+    OnDemandChoice deadline = od;
+    deadline.rate_usd_h = 1.0 + 0.01 * static_cast<double>(i / 2);
+    GroupSetup app = groups[i % 2].group;
+    app.instances = 4 + static_cast<int>(i % 5);
+    bool shared = false;
+    (void)cache.block({0, i % 2}, 0, fec, app.failure, slotted_key(deadline).for_group(app),
+                      [&] { return groups[i % 2].block; }, &shared);
+    return shared;
+  };
+  std::size_t stored = 0;
+  for (std::size_t i = 0; i < 3 * fit; ++i) {
+    EXPECT_FALSE(put(i)) << i;
+    ++stored;
+    // Keep the first key in use: the eviction takes the least recently
+    // used block of either group, never the one just touched.
+    if (i > 0) {
+      EXPECT_TRUE(put(0)) << i;
+    }
+    const FailureModelCache::Stats s = cache.stats();
+    ASSERT_LE(s.block_bytes, FailureModelCache::kMaxBlockBytes) << i;
+    ASSERT_LE(s.blocks, fit) << i;
+  }
+  const FailureModelCache::Stats s = cache.stats();
+  EXPECT_EQ(s.blocks_evicted + s.blocks, stored);
+  EXPECT_GE(s.blocks_evicted, 2 * fit);
+  EXPECT_GT(s.blocks, fit / 2);
+  EXPECT_TRUE(put(0));
+  EXPECT_TRUE(put(3 * fit - 1));  // the newest stays
+  EXPECT_FALSE(put(1));           // an early one went
 }
 
 TEST(TableBlockMemo, ArtifactsChargeTheBlockHandleNotItsTables) {
@@ -310,13 +372,13 @@ TEST(TableBlockMemo, ColdSolvesNeverReachTheMemo) {
   const PlanRequest request = canonicalized(request_for(catalog, est, paper_profile("BT"), 2.0));
   const Plan cold = service.solve(request, *board.snapshot().market);
   EXPECT_EQ(cold.stats.tables_shared, 0u);
-  TableBlockMemo::Stats s = models->blocks().stats();
-  EXPECT_EQ(s.hits + s.misses + s.entries, 0u);
+  FailureModelCache::Stats s = models->stats();
+  EXPECT_EQ(s.blocks_shared + s.blocks_derived + s.blocks, 0u);
   // The warm path of the same request does use it.
   ASSERT_NE(service.serve(request).plan, nullptr);
-  s = models->blocks().stats();
-  EXPECT_GT(s.misses, 0u);
-  EXPECT_GT(s.entries, 0u);
+  s = models->stats();
+  EXPECT_GT(s.blocks_derived, 0u);
+  EXPECT_GT(s.blocks, 0u);
 }
 
 TEST(TableBlockMemoTier, OneAppAtEightDeadlinesOnFourShardsDerivesEachBlockOnce) {
@@ -379,8 +441,7 @@ TEST(TableBlockMemoTier, OneAppAtEightDeadlinesOnFourShardsDerivesEachBlockOnce)
     const auto [built, shared] = serve_all();
     EXPECT_LE(shared, built) << "epoch " << epoch;
   }
-  const TableBlockMemo::Stats s = tier.table_block_stats();
-  EXPECT_LE(s.entries, groups.size());
+  EXPECT_LE(tier.model_cache_stats().blocks, groups.size());
 
   // One tenant at a time, every group dirty: the first tenant derives its
   // blocks, every later one takes all of them from the memo.
