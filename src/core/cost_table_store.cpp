@@ -147,6 +147,7 @@ void CostTableStore::note_plan(const std::string& scope, std::shared_ptr<const P
   s.bytes = s.bytes - was + now;
   total_bytes_ = total_bytes_ - was + now;
   s.last_plan = std::move(plan);
+  evict_locked(scope);
 }
 
 void CostTableStore::clear() {

@@ -23,11 +23,10 @@
 // by every store handed the same cache (the shards of one tier). A rebuilt
 // setup therefore costs a Monte-Carlo estimation only when no other scope
 // has already estimated that group's new history. Likewise the table blocks
-// (φ intervals included) come from the cache's TableBlockMemo, which keys
-// them by everything they read and nothing else: a scope rebuilding a group
-// derives the block only when no scope has derived it for that model, app
-// setup and on-demand choice yet. Only the deadline-dependent guard tables
-// are the scope's own.
+// (φ intervals included) come from the cache's entry of their model, keyed
+// by everything else they read: a scope rebuilding a group derives the block
+// only when no scope has derived it for that model, app setup and on-demand
+// choice yet. Only the deadline-dependent guard tables are the scope's own.
 //
 // Memory is bounded by a byte cap with scope-granularity LRU eviction: a
 // scope's artifacts live and die together (partial scopes would only
@@ -73,7 +72,7 @@ struct GroupArtifact {
   std::uint64_t version = 0;
   GroupSetup setup;
   /// Per-choice cost table block; its cells carry the φ-tied interval of
-  /// each composite (policy, bid) choice. Shared through the TableBlockMemo.
+  /// each composite (policy, bid) choice. Shared through the FailureModelCache.
   std::shared_ptr<const GroupCostTable> table;
   /// Guard-clamped max interval per policy (g·n_pol row of the solve).
   std::vector<int> f_guard_max;
@@ -128,6 +127,8 @@ class CostTableStore {
   /// The last plan note_plan()ed for this scope — the warm incumbent seed.
   /// Null until a plan lands or after the scope was evicted.
   std::shared_ptr<const Plan> last_plan(const std::string& scope) const;
+  /// Sets the scope's last plan (creating the scope if absent), then
+  /// enforces the byte cap like store().
   void note_plan(const std::string& scope, std::shared_ptr<const Plan> plan);
 
   /// Drops every scope. Counters survive (they are monotone).
