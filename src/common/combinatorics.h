@@ -48,9 +48,15 @@ void for_each_combination(std::size_t n, std::size_t k, Fn&& fn) {
 /// [0, level] with the current one — the branch-and-bound subtree cut.
 class TupleOdometer {
  public:
-  explicit TupleOdometer(std::vector<std::size_t> radices)
-      : radices_(std::move(radices)), digits_(radices_.size(), 0) {
-    for (std::size_t r : radices_) SOMPI_REQUIRE(r >= 1);
+  TupleOdometer() = default;
+  explicit TupleOdometer(const std::vector<std::size_t>& radices) { reset(radices); }
+
+  /// Restarts at the all-zero tuple over `radices`, reusing the buffers.
+  void reset(const std::vector<std::size_t>& radices) {
+    for (std::size_t r : radices) SOMPI_REQUIRE(r >= 1);
+    radices_.assign(radices.begin(), radices.end());
+    digits_.assign(radices_.size(), 0);
+    done_ = false;
   }
 
   std::size_t size() const { return radices_.size(); }

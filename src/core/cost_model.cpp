@@ -283,34 +283,49 @@ std::size_t CostTables::bid_count(std::size_t g) const {
   return (*groups_)[g].failure.bid_count();
 }
 
-SubsetEvaluator::SubsetEvaluator(const CostTables& tables, std::vector<std::size_t> members)
-    : tables_(&tables), members_(std::move(members)) {
-  SOMPI_REQUIRE(!members_.empty());
+SubsetEvaluator::SubsetEvaluator(const CostTables& tables,
+                                 const std::vector<std::size_t>& members)
+    : tables_(&tables) {
+  reset(members);
+}
+
+void SubsetEvaluator::reset(const std::vector<std::size_t>& members) {
+  SOMPI_REQUIRE(!members.empty());
+  const CostTables& tables = *tables_;
+  members_.assign(members.begin(), members.end());
   const std::size_t k = members_.size();
   const std::size_t bins = tables.config().ratio_bins;
+  grid_len_ = 0;
   for (std::size_t g : members_) {
     SOMPI_REQUIRE(g < tables.group_count());
     grid_len_ = std::max(grid_len_, tables.max_w_ceil(g));
   }
   // Level 0 holds the fold identities; the naive evaluator starts from the
   // same values (all-ones CDF/CCDF grids, zero spot cost, unit all-fail).
-  life_state_.assign((k + 1) * grid_len_, 1.0);
-  ratio_state_.assign((k + 1) * bins, 1.0);
-  spot_sum_.assign(k + 1, 0.0);
-  all_fail_.assign(k + 1, 1.0);
+  // evaluate() resumes at level valid_ = 0 and writes level i + 1 from level
+  // i, so the levels above 0 are never read before they are written.
+  life_state_.resize((k + 1) * grid_len_);
+  std::fill_n(life_state_.begin(), grid_len_, 1.0);
+  ratio_state_.resize((k + 1) * bins);
+  std::fill_n(ratio_state_.begin(), bins, 1.0);
+  spot_sum_.resize(k + 1);
+  spot_sum_[0] = 0.0;
+  all_fail_.resize(k + 1);
+  all_fail_[0] = 1.0;
+  valid_ = 0;
 
   // Subset-level admissible bound: min spot terms folded in group order,
   // plus the on-demand floor from the per-bin min tails — the same
   // association order evaluate() uses, so rounding monotonicity applies.
   double spot_lb = 0.0;
   for (std::size_t g : members_) spot_lb += tables.min_spot_term(g);
-  std::vector<double> ccdf_lb(bins, 1.0);
+  ccdf_lb_.assign(bins, 1.0);
   for (std::size_t g : members_) {
     const double* mt = tables.min_ratio_tail(g);
-    for (std::size_t j = 0; j < bins; ++j) ccdf_lb[j] *= mt[j];
+    for (std::size_t j = 0; j < bins; ++j) ccdf_lb_[j] *= mt[j];
   }
   double ratio_lb = 0.0;
-  for (std::size_t j = 0; j < bins; ++j) ratio_lb += ccdf_lb[j];
+  for (std::size_t j = 0; j < bins; ++j) ratio_lb += ccdf_lb_[j];
   ratio_lb /= static_cast<double>(bins);
   od_floor_ = tables.od().rate_usd_h * tables.od().t_h * ratio_lb;
   subset_bound_ = spot_lb + od_floor_;

@@ -219,11 +219,17 @@ class CostTables {
 /// fold state after every group position so that re-evaluating a tuple whose
 /// digits changed only from index c re-runs the fold from level c, not from
 /// scratch — bit-identical to CostModel::evaluate by construction (see the
-/// contract above). Not thread-safe; one instance per subset search.
+/// contract above). Not thread-safe; one instance per solve, reset() to each
+/// subset in turn.
 class SubsetEvaluator {
  public:
   /// `members` indexes into the tables' candidate list, in subset order.
-  SubsetEvaluator(const CostTables& tables, std::vector<std::size_t> members);
+  SubsetEvaluator(const CostTables& tables, const std::vector<std::size_t>& members);
+
+  /// Re-targets the evaluator at another subset of the same tables, as if
+  /// freshly constructed, reusing its buffers. Only fold level 0 is filled:
+  /// evaluate() writes every level above it before reading it.
+  void reset(const std::vector<std::size_t>& members);
 
   std::size_t size() const { return members_.size(); }
 
@@ -248,7 +254,7 @@ class SubsetEvaluator {
 
   /// Rigorous lower bound on the cost of every tuple of this subset: min
   /// spot terms plus the irreducible on-demand floor (min-Ratio tails folded
-  /// from the per-group bid minima). Computed once at construction.
+  /// from the per-group bid minima). Computed once per reset().
   double subset_cost_bound() const { return subset_bound_; }
 
  private:
@@ -262,6 +268,7 @@ class SubsetEvaluator {
   std::vector<double> ratio_state_;  ///< (k+1) × ratio_bins
   std::vector<double> spot_sum_;     ///< (k+1)
   std::vector<double> all_fail_;     ///< (k+1)
+  std::vector<double> ccdf_lb_;      ///< reset()'s min-tail fold, ratio_bins
   double od_floor_ = 0.0;      ///< on-demand floor from per-group min tails
   double subset_bound_ = 0.0;
   Expectation scratch_;

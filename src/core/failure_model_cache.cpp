@@ -58,6 +58,24 @@ FailureModel FailureModelCache::get(const CircleGroupSpec& spec, std::uint64_t g
                                     const SpotTrace& history, const std::vector<double>& bids,
                                     const FailureEstimationConfig& config,
                                     FailureModelTally* tally) {
+  return *get_or_defer(spec, grid, history, bids, config, tally, /*wait=*/true);
+}
+
+std::optional<FailureModel> FailureModelCache::try_get(const CircleGroupSpec& spec,
+                                                       std::uint64_t grid,
+                                                       const SpotTrace& history,
+                                                       const std::vector<double>& bids,
+                                                       const FailureEstimationConfig& config,
+                                                       FailureModelTally* tally) {
+  return get_or_defer(spec, grid, history, bids, config, tally, /*wait=*/false);
+}
+
+std::optional<FailureModel> FailureModelCache::get_or_defer(const CircleGroupSpec& spec,
+                                                            std::uint64_t grid,
+                                                            const SpotTrace& history,
+                                                            const std::vector<double>& bids,
+                                                            const FailureEstimationConfig& config,
+                                                            FailureModelTally* tally, bool wait) {
   const std::size_t h = config.horizon_steps;
   SOMPI_REQUIRE(!history.empty() && h > 0);
   const std::uint64_t lineage = history.lineage();
@@ -77,7 +95,7 @@ FailureModel FailureModelCache::get(const CircleGroupSpec& spec, std::uint64_t g
     return e.model->history_lineage() == lineage && e.model->history_steps() == steps &&
            e.model->bids() == bids;
   };
-  for (;;) {
+  for (bool waited = false;; waited = true) {
     if (e.model && entry_is_ours() && e.model->built_horizon() >= h) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return e.model->view(h);
@@ -85,6 +103,11 @@ FailureModel FailureModelCache::get(const CircleGroupSpec& spec, std::uint64_t g
     if (!(e.building && e.build_lineage == lineage && e.build_steps == steps &&
           e.build_horizon >= h && e.build_bids == bids))
       break;
+    if (!wait) {
+      deferred_.fetch_add(1, std::memory_order_relaxed);
+      return std::nullopt;
+    }
+    if (!waited) build_waits_.fetch_add(1, std::memory_order_relaxed);
     e.built.wait(lock);
   }
 
@@ -210,6 +233,8 @@ FailureModelCache::Stats FailureModelCache::stats() const {
   s.builds = builds_.load(std::memory_order_relaxed);
   s.hits = hits_.load(std::memory_order_relaxed);
   s.uncached = uncached_.load(std::memory_order_relaxed);
+  s.build_waits = build_waits_.load(std::memory_order_relaxed);
+  s.deferred = deferred_.load(std::memory_order_relaxed);
   s.blocks_shared = blocks_shared_.load(std::memory_order_relaxed);
   s.blocks_derived = blocks_derived_.load(std::memory_order_relaxed);
   s.blocks_evicted = blocks_evicted_.load(std::memory_order_relaxed);

@@ -12,7 +12,9 @@
 //   * a caller whose history, bids and horizon the entry covers gets a view;
 //   * a caller that finds a build of its history and bids already running at
 //     a horizon >= its own waits for that build, so a key builds once per
-//     history;
+//     history — or, through try_get(), is told so and waits later, after it
+//     has set up its other groups (SompiOptimizer::optimize's help-first
+//     pass);
 //   * any other caller builds outside every lock at max(its horizon, the
 //     entry's horizon), resuming the expected-price sums of the entry's
 //     model (FailureModel's prefix rule), and installs the result;
@@ -94,6 +96,8 @@ class FailureModelCache {
     std::uint64_t builds = 0;    ///< models built, uncached builds included
     std::uint64_t hits = 0;      ///< requests served a view of an entry
     std::uint64_t uncached = 0;  ///< builds for a history older than the entry's
+    std::uint64_t build_waits = 0;  ///< get() calls that slept on another caller's build
+    std::uint64_t deferred = 0;     ///< try_get() calls that found such a build running
     std::size_t entries = 0;
     std::size_t bytes = 0;       ///< the entries' shared tables
     std::uint64_t blocks_shared = 0;   ///< block() calls served a stored block
@@ -117,6 +121,16 @@ class FailureModelCache {
   FailureModel get(const CircleGroupSpec& spec, std::uint64_t grid, const SpotTrace& history,
                    const std::vector<double>& bids, const FailureEstimationConfig& config,
                    FailureModelTally* tally = nullptr);
+
+  /// get() that never sleeps: when another caller's build already covers
+  /// this history, bids and horizon, returns nothing instead of waiting for
+  /// it — a later get() is then served that build's model. Every other call
+  /// is served, or builds, exactly as get() would, so a history still builds
+  /// once.
+  std::optional<FailureModel> try_get(const CircleGroupSpec& spec, std::uint64_t grid,
+                                      const SpotTrace& history, const std::vector<double>& bids,
+                                      const FailureEstimationConfig& config,
+                                      FailureModelTally* tally = nullptr);
 
   /// The block of `model` under `key`: the one a call with the same
   /// arguments stored, or `derive()`'s, which is stored when `model` reads
@@ -174,6 +188,12 @@ class FailureModelCache {
 
   static Key key_of(const CircleGroupSpec& spec, std::uint64_t grid,
                     const FailureEstimationConfig& config);
+  /// get() when `wait`, else try_get().
+  std::optional<FailureModel> get_or_defer(const CircleGroupSpec& spec, std::uint64_t grid,
+                                           const SpotTrace& history,
+                                           const std::vector<double>& bids,
+                                           const FailureEstimationConfig& config,
+                                           FailureModelTally* tally, bool wait);
   Entry& entry_for(const Key& key);
   std::shared_ptr<const GroupCostTable> find_block(Entry& e, const FailureModel& model,
                                                    const TableBlockKey& key);
@@ -189,6 +209,8 @@ class FailureModelCache {
   std::atomic<std::uint64_t> builds_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> uncached_{0};
+  std::atomic<std::uint64_t> build_waits_{0};
+  std::atomic<std::uint64_t> deferred_{0};
   std::atomic<std::uint64_t> block_clock_{0};
   std::atomic<std::size_t> block_bytes_{0};
   std::atomic<std::uint64_t> blocks_shared_{0};

@@ -123,17 +123,31 @@ Plan SompiOptimizer::optimize(const AppProfile& app, const Market& history, doub
   // The candidate groups: every allowed (type, zone) whose productive
   // runtime fits the deadline, in catalog order, each built through the warm
   // store. Filtering before building is what lets a constrained scope skip
-  // disallowed groups' Monte-Carlo.
+  // disallowed groups' Monte-Carlo. Help first: a group whose model another
+  // caller is building right now is left empty by the first pass and filled
+  // by the second, so this caller sets up its other groups meanwhile instead
+  // of sleeping on that build. A lone caller never leaves one.
   const auto t_setup = std::chrono::steady_clock::now();
   const std::uint64_t chash = warm_config_hash(ctx, config_, app, od, deadline_h);
-  std::vector<GroupSetup> candidates;
+  std::vector<CircleGroupSpec> specs;
+  std::vector<std::optional<GroupSetup>> slots;
   FailureModelTally models;
   for (const CircleGroupSpec& spec : catalog_->all_groups()) {
     const InstanceType& type = catalog_->type(spec.type_index);
     const std::string& zone = catalog_->zone(spec.zone_index).name;
     if (!allowed(allowed_types, type.name) || !allowed(allowed_zones, zone)) continue;
     if (estimator_->hours(app, type, zone) > deadline_h) continue;  // cannot finish in time
-    candidates.push_back(setup_with(app, spec, history, chash, ctx, &models));
+    specs.push_back(spec);
+    if (const auto art = stored_setup(spec, chash, ctx))
+      slots.emplace_back(art->setup);
+    else
+      slots.push_back(build_setup(app, spec, history, chash, ctx, &models, /*wait=*/false));
+  }
+  std::vector<GroupSetup> candidates;
+  candidates.reserve(slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (!slots[i]) slots[i] = build_setup(app, specs[i], history, chash, ctx, &models, true);
+    candidates.push_back(*std::move(slots[i]));
   }
   const auto t_search = std::chrono::steady_clock::now();
 
@@ -151,25 +165,39 @@ GroupSetup SompiOptimizer::setup_for(const AppProfile& app, const CircleGroupSpe
                                      double deadline_h, ReplanContext* ctx,
                                      FailureModelTally* tally) const {
   const std::uint64_t chash = warm_config_hash(ctx, config_, app, od, deadline_h);
-  return setup_with(app, spec, history, chash, ctx, tally);
+  if (const auto art = stored_setup(spec, chash, ctx)) return art->setup;
+  return *build_setup(app, spec, history, chash, ctx, tally, /*wait=*/true);
 }
 
-GroupSetup SompiOptimizer::setup_with(const AppProfile& app, const CircleGroupSpec& spec,
-                                      const Market& history, std::uint64_t chash,
-                                      ReplanContext* ctx, FailureModelTally* tally) const {
+std::shared_ptr<const GroupArtifact> SompiOptimizer::stored_setup(const CircleGroupSpec& spec,
+                                                                  std::uint64_t chash,
+                                                                  ReplanContext* ctx) const {
+  if (ctx == nullptr || !ctx->usable()) return nullptr;
+  const std::size_t zones = catalog_->zones().size();
+  const std::uint64_t version = ctx->versions->at(spec.type_index * zones + spec.zone_index);
+  return ctx->store->lookup(ctx->scope, spec, version, chash);
+}
+
+std::optional<GroupSetup> SompiOptimizer::build_setup(const AppProfile& app,
+                                                      const CircleGroupSpec& spec,
+                                                      const Market& history, std::uint64_t chash,
+                                                      ReplanContext* ctx,
+                                                      FailureModelTally* tally,
+                                                      bool wait) const {
   const SetupBuilder builder(catalog_, estimator_);
   if (ctx == nullptr || !ctx->usable())
     return builder.build(app, spec, history, config_.setup, nullptr, tally);
   const std::size_t zones = catalog_->zones().size();
   const std::uint64_t version = ctx->versions->at(spec.type_index * zones + spec.zone_index);
-  if (const auto art = ctx->store->lookup(ctx->scope, spec, version, chash)) return art->setup;
-
-  GroupSetup setup =
-      builder.build(app, spec, history, config_.setup, &ctx->store->models(), tally);
+  FailureModelCache& models = ctx->store->models();
+  std::optional<GroupSetup> setup =
+      wait ? builder.build(app, spec, history, config_.setup, &models, tally)
+           : builder.try_build(app, spec, history, config_.setup, models, tally);
   // Store a setup-only artifact immediately: even if this group is pruned
   // from the search below max_candidates, the next epoch skips its
   // Monte-Carlo failure estimation, the bulk of per-group setup.
-  ctx->store->store(ctx->scope, spec, chash, std::make_shared<GroupArtifact>(version, setup));
+  if (setup)
+    ctx->store->store(ctx->scope, spec, chash, std::make_shared<GroupArtifact>(version, *setup));
   return setup;
 }
 
@@ -482,6 +510,16 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
   // above it is safe.
   double incumbent = std::numeric_limits<double>::infinity();
 
+  // One evaluator for the whole solve, reset to each subset in turn.
+  std::optional<SubsetEvaluator> evaluator;
+  const auto evaluator_for = [&](const std::vector<std::size_t>& members) -> SubsetEvaluator& {
+    if (evaluator)
+      evaluator->reset(members);
+    else
+      evaluator.emplace(*tables, members);
+    return *evaluator;
+  };
+
   // Incumbent seeding: re-cost the previous epoch's winning plan under the
   // CURRENT tables and, if it is still an acceptable tuple of the current
   // search space, start the incumbent there instead of at infinity. Safe by
@@ -551,8 +589,7 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
       // evaluate.
       const Guard gd = guard(members, digits);
       if (!gd.reject) {
-        SubsetEvaluator seed_ev(*tables, members);
-        const Expectation& e = seed_ev.evaluate(digits);
+        const Expectation& e = evaluator_for(members).evaluate(digits);
         const bool miss = gd.branch && 1.0 - e.p_complete_on_spot > kMissTolerance;
         if (!miss && e.time_h <= deadline_h) {
           incumbent = e.cost_usd;
@@ -562,13 +599,17 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
     }
   }
 
+  // Per-subset scratch, sized anew by each eval_subset call.
+  std::vector<std::size_t> radices;
+  std::vector<std::uint64_t> colex_w;
+  std::vector<GroupDecision> decisions;
+  TupleOdometer odo;
   const auto eval_subset = [&](const std::vector<std::size_t>& subset) {
     const std::size_t k = subset.size();
     SubsetBest best;
     evaluations += logical_evaluations(subset);
 
-    std::vector<std::size_t> radices;
-    radices.reserve(k);
+    radices.clear();
     std::size_t total_tuples = 1;
     for (std::size_t g : subset) {
       radices.push_back(choice_count(g));
@@ -580,7 +621,7 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
     // with the lowest colex rank. The odometer visits in lex order; breaking
     // cost ties by colex rank reproduces the scan's winner exactly
     // instead of relying on costs never tying.
-    std::vector<std::uint64_t> colex_w(k);
+    colex_w.resize(k);
     std::uint64_t w = 1;
     for (std::size_t i = 0; i < k; ++i) {
       colex_w[i] = w;
@@ -599,7 +640,7 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
     // O(bid_count) tuples) are searched unpruned.
     const bool prune = k >= 2;
 
-    SubsetEvaluator ev(*tables, subset);
+    SubsetEvaluator& ev = evaluator_for(subset);
     if (prune && incumbent < std::numeric_limits<double>::infinity() &&
         ev.subset_cost_bound() > incumbent) {
       ++stats.subsets_pruned;
@@ -609,7 +650,7 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
     ++stats.subsets_searched;
 
     std::optional<CostModel> clamp_model;  // lazy; k == 1 second shots only
-    std::vector<GroupDecision> decisions(k);
+    decisions.resize(k);
     const auto accept = [&](const Expectation& e, const std::vector<GroupDecision>& d,
                             std::uint64_t rank) {
       if (!(e.time_h <= deadline_h)) return;
@@ -623,7 +664,7 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
       }
     };
 
-    TupleOdometer odo(radices);
+    odo.reset(radices);
     std::size_t changed = 0;
     while (!odo.done()) {
       const std::vector<std::size_t>& bids = odo.digits();

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -136,11 +137,19 @@ class SompiOptimizer {
                        ReplanContext* ctx, FailureModelTally* tally = nullptr) const;
 
  private:
-  /// setup_for() and optimize_over() with the call's replan_config_hash
-  /// already computed (0 on the cold path).
-  GroupSetup setup_with(const AppProfile& app, const CircleGroupSpec& spec,
-                        const Market& history, std::uint64_t config_hash, ReplanContext* ctx,
-                        FailureModelTally* tally) const;
+  /// The two halves of setup_for(), with the call's replan_config_hash
+  /// already computed (0 on the cold path): the artifact `ctx` holds for
+  /// `spec` at its current history version, if any...
+  std::shared_ptr<const GroupArtifact> stored_setup(const CircleGroupSpec& spec,
+                                                    std::uint64_t config_hash,
+                                                    ReplanContext* ctx) const;
+  /// ...and the setup built without it, stored as a setup-only artifact.
+  /// Unless `wait`, returns nothing when the group's failure model is being
+  /// built for another caller (FailureModelCache::try_get).
+  std::optional<GroupSetup> build_setup(const AppProfile& app, const CircleGroupSpec& spec,
+                                        const Market& history, std::uint64_t config_hash,
+                                        ReplanContext* ctx, FailureModelTally* tally,
+                                        bool wait) const;
   Plan optimize_with(const AppProfile& app, std::vector<GroupSetup> candidates,
                      const OnDemandChoice& od, double deadline_h, ReplanContext* ctx,
                      std::uint64_t config_hash) const;

@@ -21,30 +21,48 @@ SetupBuilder::SetupBuilder(const Catalog* catalog, const ExecTimeEstimator* esti
   SOMPI_REQUIRE(catalog_ != nullptr && estimator_ != nullptr);
 }
 
-GroupSetup SetupBuilder::build(const AppProfile& app, const CircleGroupSpec& spec,
-                               const Market& history, const SetupConfig& config,
-                               FailureModelCache* models, FailureModelTally* tally) const {
-  const SpotTrace& trace = history.trace(spec);
+std::vector<double> SetupBuilder::grid_bids(const CircleGroupSpec& spec, const Market& history,
+                                            const SetupConfig& config) const {
   SOMPI_REQUIRE(config.max_bid_over_ondemand > 0.0);
   const double ceiling =
       catalog_->type(spec.type_index).ondemand_usd_h * config.max_bid_over_ondemand;
-  const double top = std::min(trace.max_price(), ceiling);
-  std::vector<double> bids = config.bid_grid == BidGridKind::kLogarithmic
-                                 ? logarithmic_bid_grid(top, config.log_levels)
-                                 : uniform_bid_grid(top, config.uniform_points);
-  return assemble(app, spec, history, config, std::move(bids), models, tally);
+  const double top = std::min(history.trace(spec).max_price(), ceiling);
+  return config.bid_grid == BidGridKind::kLogarithmic
+             ? logarithmic_bid_grid(top, config.log_levels)
+             : uniform_bid_grid(top, config.uniform_points);
+}
+
+GroupSetup SetupBuilder::build(const AppProfile& app, const CircleGroupSpec& spec,
+                               const Market& history, const SetupConfig& config,
+                               FailureModelCache* models, FailureModelTally* tally) const {
+  return *assemble(app, spec, history, config, grid_bids(spec, history, config), models, tally,
+                   /*wait=*/true);
+}
+
+std::optional<GroupSetup> SetupBuilder::try_build(const AppProfile& app,
+                                                  const CircleGroupSpec& spec,
+                                                  const Market& history,
+                                                  const SetupConfig& config,
+                                                  FailureModelCache& models,
+                                                  FailureModelTally* tally) const {
+  return assemble(app, spec, history, config, grid_bids(spec, history, config), &models, tally,
+                  /*wait=*/false);
 }
 
 GroupSetup SetupBuilder::build_with_bids(const AppProfile& app, const CircleGroupSpec& spec,
                                          const Market& history, const SetupConfig& config,
                                          std::vector<double> bids) const {
-  return assemble(app, spec, history, config, std::move(bids), nullptr, nullptr);
+  return *assemble(app, spec, history, config, std::move(bids), nullptr, nullptr,
+                   /*wait=*/true);
 }
 
-GroupSetup SetupBuilder::assemble(const AppProfile& app, const CircleGroupSpec& spec,
-                                  const Market& history, const SetupConfig& config,
-                                  std::vector<double> bids, FailureModelCache* models,
-                                  FailureModelTally* tally) const {
+std::optional<GroupSetup> SetupBuilder::assemble(const AppProfile& app,
+                                                 const CircleGroupSpec& spec,
+                                                 const Market& history,
+                                                 const SetupConfig& config,
+                                                 std::vector<double> bids,
+                                                 FailureModelCache* models,
+                                                 FailureModelTally* tally, bool wait) const {
   SOMPI_REQUIRE(config.step_hours > 0.0);
   const InstanceType& type = catalog_->type(spec.type_index);
   // Zone-qualified estimates: with a platform-aware estimator the group's
@@ -66,22 +84,26 @@ GroupSetup SetupBuilder::assemble(const AppProfile& app, const CircleGroupSpec& 
       std::ceil(static_cast<double>(t_steps) * (1.0 + o_steps))) + 2;
 
   const SpotTrace& trace = history.trace(spec);
-  const auto model = [&] {
-    if (models != nullptr) return models->get(spec, bid_grid_tag(config), trace, bids, fec, tally);
-    FailureModel m(trace, std::move(bids), fec);
+  std::optional<FailureModel> model;
+  if (models == nullptr) {
+    model.emplace(trace, std::move(bids), fec);
     if (tally != nullptr) {
       ++tally->built;
-      tally->price_steps_read += m.price_steps_read();
+      tally->price_steps_read += model->price_steps_read();
     }
-    return m;
-  };
+  } else if (wait) {
+    model = models->get(spec, bid_grid_tag(config), trace, bids, fec, tally);
+  } else {
+    model = models->try_get(spec, bid_grid_tag(config), trace, bids, fec, tally);
+    if (!model) return std::nullopt;
+  }
   return GroupSetup{
       .spec = spec,
       .instances = catalog_->instances_for(spec.type_index, app.processes),
       .t_steps = t_steps,
       .o_steps = o_steps,
       .r_steps = r_steps,
-      .failure = model(),
+      .failure = *std::move(model),
   };
 }
 

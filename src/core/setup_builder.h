@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cloud/catalog.h"
@@ -52,6 +53,13 @@ class SetupBuilder {
                    const SetupConfig& config, FailureModelCache* models = nullptr,
                    FailureModelTally* tally = nullptr) const;
 
+  /// Like build() from `models`, but returns nothing when another caller is
+  /// building this group's model right now (FailureModelCache::try_get).
+  std::optional<GroupSetup> try_build(const AppProfile& app, const CircleGroupSpec& spec,
+                                      const Market& history, const SetupConfig& config,
+                                      FailureModelCache& models,
+                                      FailureModelTally* tally = nullptr) const;
+
   /// Like build(), but over an explicit bid grid (baselines that fix the bid
   /// by policy — e.g. "the on-demand price" — rather than by search).
   GroupSetup build_with_bids(const AppProfile& app, const CircleGroupSpec& spec,
@@ -62,10 +70,15 @@ class SetupBuilder {
   const ExecTimeEstimator& estimator() const { return *estimator_; }
 
  private:
-  GroupSetup assemble(const AppProfile& app, const CircleGroupSpec& spec,
-                      const Market& history, const SetupConfig& config,
-                      std::vector<double> bids, FailureModelCache* models,
-                      FailureModelTally* tally) const;
+  /// The bids of build()'s grid over `spec`'s history.
+  std::vector<double> grid_bids(const CircleGroupSpec& spec, const Market& history,
+                                const SetupConfig& config) const;
+  /// Nothing only when `wait` is false and `models` is building this
+  /// group's model for another caller.
+  std::optional<GroupSetup> assemble(const AppProfile& app, const CircleGroupSpec& spec,
+                                     const Market& history, const SetupConfig& config,
+                                     std::vector<double> bids, FailureModelCache* models,
+                                     FailureModelTally* tally, bool wait) const;
 
   const Catalog* catalog_;
   const ExecTimeEstimator* estimator_;

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -216,6 +218,80 @@ TEST(SubsetEvaluatorOracle, BoundsAreAdmissible) {
         EXPECT_LE(ev.cost_lower_bound(bids, level), cost) << "level " << level;
     });
   }
+}
+
+TEST(SubsetEvaluatorOracle, ResetReusesStateBitIdentically) {
+  // One evaluator reset across random subsets, as a solve resets its one
+  // evaluator per subset: short-wall and long-wall groups alternate, so the
+  // common lifetime grid shrinks and grows between resets and the fold
+  // levels above 0 hold whatever the last subset left there.
+  const CostModel::Config cfg{.step_hours = 0.25, .ratio_bins = 40};
+  std::vector<GroupSetup> groups;
+  for (std::uint64_t g = 0; g < 6; ++g) {
+    GroupSetup grp = random_group(4242 + g);
+    grp.t_steps = g % 2 == 0 ? 4 : 60;
+    groups.push_back(std::move(grp));
+  }
+  const OnDemandChoice od = make_od();
+  const auto f_of = synthetic_f_of(groups, 4242);
+  const CostTables tables = bid_only_tables(groups, od, cfg, f_of);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto longest_wall = [&](const std::vector<std::size_t>& subset) {
+    std::size_t w = 0;
+    for (std::size_t g : subset) w = std::max(w, tables.max_w_ceil(g));
+    return w;
+  };
+
+  std::mt19937_64 rng(2718);
+  std::optional<SubsetEvaluator> reused;
+  std::size_t last_wall = 0;
+  bool grew = false, shrank = false;
+  for (int round = 0; round < 80; ++round) {
+    std::vector<std::size_t> subset(groups.size());
+    std::iota(subset.begin(), subset.end(), std::size_t{0});
+    std::shuffle(subset.begin(), subset.end(), rng);
+    subset.resize(1 + rng() % 3);
+    const std::size_t k = subset.size();
+    const std::size_t wall = longest_wall(subset);
+    grew = grew || (reused && wall > last_wall);
+    shrank = shrank || (reused && wall < last_wall);
+    last_wall = wall;
+
+    if (reused)
+      reused->reset(subset);
+    else
+      reused.emplace(tables, subset);
+    SubsetEvaluator fresh(tables, subset);
+    ASSERT_EQ(reused->size(), k);
+    EXPECT_EQ(bits(reused->subset_cost_bound()), bits(fresh.subset_cost_bound()))
+        << "round " << round;
+
+    std::vector<const GroupSetup*> view;
+    for (std::size_t g : subset) view.push_back(&groups[g]);
+    const CostModel naive(view, od, cfg);
+    std::vector<std::size_t> bids(k, 0);
+    std::vector<GroupDecision> decisions(k);
+    for (int step = 0; step < 12; ++step) {
+      // The first tuple after a reset claims nothing changed: the reset
+      // itself must send the fold back to level 0.
+      const std::size_t change = step == 0 ? k : rng() % k;
+      for (std::size_t i = step == 0 ? 0 : change; i < k; ++i)
+        bids[i] = rng() % tables.choice_count(subset[i]);
+      reused->note_change(change);
+      fresh.note_change(change);
+      const Expectation got = reused->evaluate(bids);
+      expect_bit_equal(got, fresh.evaluate(bids), "reset vs fresh");
+      for (std::size_t i = 0; i < k; ++i)
+        decisions[i] = {bids[i], f_of[subset[i]][bids[i]]};
+      expect_bit_equal(got, naive.evaluate(decisions), "reset vs naive");
+      for (std::size_t level = 0; level < k; ++level)
+        EXPECT_EQ(bits(reused->cost_lower_bound(bids, level)),
+                  bits(fresh.cost_lower_bound(bids, level)))
+            << "round " << round << " level " << level;
+    }
+  }
+  EXPECT_TRUE(grew);
+  EXPECT_TRUE(shrank);
 }
 
 // --- End-to-end plan identity: branch-and-bound vs the exhaustive scan. ---

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -183,6 +184,95 @@ TEST(FailureModelCache, ConcurrentCallersAtMixedHorizonsBuildEachHistoryOnce) {
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
+TEST(FailureModelCache, TryGetDefersOnlyToACoveringBuildAndEachHistoryBuildsOnce) {
+  // Each attempt: a fresh cache whose groups were primed at the longest
+  // horizon, then an epoch's new steps; four callers probe every group (two
+  // in one order, two in another) at their own horizons, as optimize()'s
+  // help-first pass does, and fill what they deferred with get().
+  constexpr std::size_t kGroups = 6;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kLongest = 40;
+  std::vector<CircleGroupSpec> specs;
+  std::vector<SpotTrace> base, next;
+  std::vector<std::vector<double>> bids;
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    specs.push_back({g, 0});
+    base.push_back(spiky_trace(300, 30 + g));
+    bids.push_back(logarithmic_bid_grid(base[g].max_price(), 5));
+  }
+  for (std::size_t g = 0; g < kGroups; ++g)
+    next.push_back(base[g].extended({base[g].min_price(), base[g].price(g)}));
+  const auto horizon = [](std::size_t thread) { return 10 + 10 * thread; };
+
+  struct Slot {
+    std::optional<FailureModel> got;
+    bool deferred = false;
+    FailureModelTally probe, fill;
+  };
+  std::size_t deferrals = 0;
+  for (int attempt = 0; attempt < 30; ++attempt) {
+    FailureModelCache cache;
+    for (std::size_t g = 0; g < kGroups; ++g)
+      (void)cache.get(specs[g], kGrid, base[g], bids[g], estimator(kLongest));
+    const std::uint64_t primed = cache.stats().builds;
+
+    std::vector<std::vector<Slot>> slots(kThreads, std::vector<Slot>(kGroups));
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kThreads; ++i)
+      threads.emplace_back([&, i] {
+        const FailureEstimationConfig cfg = estimator(horizon(i));
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (std::size_t n = 0; n < kGroups; ++n) {
+          const std::size_t g = (n + i / 2) % kGroups;
+          Slot& slot = slots[i][g];
+          slot.got = cache.try_get(specs[g], kGrid, next[g], bids[g], cfg, &slot.probe);
+          slot.deferred = !slot.got;
+        }
+        for (std::size_t g = 0; g < kGroups; ++g)
+          if (slots[i][g].deferred)
+            slots[i][g].got = cache.get(specs[g], kGrid, next[g], bids[g], cfg, &slots[i][g].fill);
+      });
+    for (std::thread& t : threads) t.join();
+
+    const FailureModelCache::Stats s = cache.stats();
+    ASSERT_EQ(s.builds - primed, kGroups) << "attempt " << attempt;
+    std::size_t deferred = 0;
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      std::size_t built = 0;
+      for (std::size_t i = 0; i < kThreads; ++i) {
+        const Slot& slot = slots[i][g];
+        built += slot.probe.built + slot.fill.built;
+        // A deferral means another caller's build of this history covered
+        // this horizon: the fill is served that build, never a build of its own.
+        if (slot.deferred) {
+          ++deferred;
+          EXPECT_EQ(slot.probe.built, 0u);
+          EXPECT_EQ(slot.fill.built, 0u) << "attempt " << attempt << " group " << g;
+        }
+        ASSERT_TRUE(slot.got.has_value());
+        ASSERT_EQ(slot.got->horizon(), horizon(i));
+        ASSERT_TRUE(equals_fresh(*slot.got, next[g], bids[g], estimator(kLongest)))
+            << "attempt " << attempt << " thread " << i << " group " << g;
+      }
+      EXPECT_EQ(built, 1u) << "attempt " << attempt << " group " << g;
+    }
+    EXPECT_EQ(s.deferred, deferred);
+    // Only a deferred caller's fill can find the build still running.
+    EXPECT_LE(s.build_waits, deferred);
+    deferrals += deferred;
+
+    // With no build running, a probe is served like get().
+    for (std::size_t g = 0; g < kGroups; ++g)
+      EXPECT_TRUE(cache.try_get(specs[g], kGrid, next[g], bids[g], estimator(kLongest)));
+    EXPECT_EQ(cache.stats().deferred, deferred);
+    EXPECT_EQ(cache.stats().builds, s.builds);
+  }
+  std::printf("[ probe    ] %zu of %zu probes deferred\n", deferrals,
+              std::size_t{30} * kThreads * kGroups);
+}
+
 // ---------------------------------------------------------------------------
 // Through the services.
 
@@ -304,7 +394,9 @@ TEST(FailureModelCacheTier, SixteenTenantsOnFourShardsBuildOneModelPerDirtyGroup
   }
   ASSERT_GE(used.size(), 4u);
 
-  // Serves every tenant from 4 threads; returns the summed build counters.
+  // Serves every tenant from 4 threads; returns the summed build counters
+  // and, per tenant, the fingerprint of its plan (empty when it got none).
+  std::vector<std::string> served(tenants.size());
   const auto serve_all = [&] {
     std::atomic<std::size_t> next{0}, built{0}, read{0}, missing{0};
     std::vector<std::thread> threads;
@@ -312,6 +404,7 @@ TEST(FailureModelCacheTier, SixteenTenantsOnFourShardsBuildOneModelPerDirtyGroup
       threads.emplace_back([&] {
         for (std::size_t i; (i = next.fetch_add(1)) < tenants.size();) {
           const PlanResponse r = tier.serve(tenants[i]);
+          served[i] = r.plan == nullptr ? std::string() : plan_fingerprint(*r.plan);
           if (r.plan == nullptr) {
             missing.fetch_add(1);
             continue;
@@ -324,6 +417,17 @@ TEST(FailureModelCacheTier, SixteenTenantsOnFourShardsBuildOneModelPerDirtyGroup
     EXPECT_EQ(missing.load(), 0u);
     return std::make_pair(built.load(), read.load());
   };
+  // Every warm plan of the last serve_all() equals the cold solve of its
+  // shard at the current epoch.
+  const auto expect_warm_equals_cold = [&](std::size_t epoch) {
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+      const std::size_t shard = tier.home_shard(tenants[i]);
+      const MarketSnapshot snap = tier.board(shard).snapshot();
+      EXPECT_EQ(served[i],
+                plan_fingerprint(tier.shard(shard).solve(canonicalized(tenants[i]), *snap.market)))
+          << "epoch " << epoch << " tenant " << i;
+    }
+  };
   (void)serve_all();  // fill: every tenant's first solve
 
   Rng rng(24);
@@ -334,20 +438,17 @@ TEST(FailureModelCacheTier, SixteenTenantsOnFourShardsBuildOneModelPerDirtyGroup
     tier.fanout().ingest(one_step_each(*tier.board(0).snapshot().market, dirty, rng));
     const std::uint64_t before = tier.stats().total.failure_models_built;
     const auto [built, read] = serve_all();
+    // Help-first setup (concurrent tenants defer a group whose model another
+    // one is building) leaves the model work exact and the plans cold-equal.
     EXPECT_EQ(built, d) << "epoch " << epoch;
     EXPECT_EQ(read, d) << "epoch " << epoch;
     EXPECT_EQ(tier.stats().total.failure_models_built - before, d);
+    expect_warm_equals_cold(epoch);
   }
-  // Every shard's warm plan still equals the cold solve at the final epoch.
-  for (const PlanRequest& t : tenants) {
-    const PlanResponse warm = tier.serve(t);
-    const MarketSnapshot snap = tier.board(tier.home_shard(t)).snapshot();
-    ASSERT_NE(warm.plan, nullptr);
-    EXPECT_EQ(plan_fingerprint(*warm.plan),
-              plan_fingerprint(tier.shard(tier.home_shard(t)).solve(canonicalized(t),
-                                                                     *snap.market)));
-  }
-  EXPECT_LE(tier.model_cache_stats().entries, catalog.all_groups().size());
+  const FailureModelCache::Stats models = tier.model_cache_stats();
+  EXPECT_LE(models.entries, catalog.all_groups().size());
+  // Only a deferred group's second-pass get() can wait on a build.
+  EXPECT_LE(models.build_waits, models.deferred);
 }
 
 }  // namespace
