@@ -115,7 +115,7 @@ PlanRequest request_for(const Catalog& catalog, const ExecTimeEstimator& est,
   return r;
 }
 
-TEST(TableBlockMemoOracle, SharedBlocksEqualFreshPhiAndTablesAcrossADeadlineSweep) {
+TEST(FailureModelCacheBlockOracle, SharedBlocksEqualFreshPhiAndTablesAcrossADeadlineSweep) {
   const Catalog catalog = paper_catalog();
   const ExecTimeEstimator est;
   const OnDemandSelector selector(&catalog, &est);
@@ -216,7 +216,7 @@ TableBlockKey slotted_key(const OnDemandChoice& od) {
   return TableBlockKey(od, {CkptPolicy{}}, CheckpointPlanner::Config{}, CostModel::Config{});
 }
 
-TEST(TableBlockMemo, BlocksLeaveWithTheModelTheyCameFrom) {
+TEST(FailureModelCacheBlock, BlocksLeaveWithTheModelTheyCameFrom) {
   const OnDemandChoice od{.type_index = 0, .t_h = 2.0, .instances = 4, .rate_usd_h = 1.0};
   const CircleGroupSpec spec{0, 0};
   const std::vector<double> bids = {0.02, 0.04};
@@ -291,7 +291,7 @@ TEST(TableBlockMemo, BlocksLeaveWithTheModelTheyCameFrom) {
   EXPECT_TRUE(slotted_key(od).for_group(newer.group) == key);
 }
 
-TEST(TableBlockMemo, StaysUnderItsCapOverDistinctAppsAndDeadlines) {
+TEST(FailureModelCacheBlock, StaysUnderItsCapOverDistinctAppsAndDeadlines) {
   // One large block stored under a stream of distinct keys — on-demand
   // choices (what a deadline changes) and app sizes — for two groups; each
   // key is charged the block's bytes, so the stream passes the cap.
@@ -344,7 +344,7 @@ TEST(TableBlockMemo, StaysUnderItsCapOverDistinctAppsAndDeadlines) {
   EXPECT_FALSE(put(1));           // an early one went
 }
 
-TEST(TableBlockMemo, ArtifactsChargeTheBlockHandleNotItsTables) {
+TEST(FailureModelCacheBlock, ArtifactsChargeTheBlockHandleNotItsTables) {
   const OnDemandChoice od{.type_index = 0, .t_h = 2.0, .instances = 4, .rate_usd_h = 1.0};
   Rng rng(0xB10C);
   const Slotted s = slotted(SpotTrace(0.25, random_prices(64, rng)), 12, od);
@@ -361,7 +361,7 @@ TEST(TableBlockMemo, ArtifactsChargeTheBlockHandleNotItsTables) {
   EXPECT_LT(CostTableStore::entry_bytes(*art), s.block->bytes());
 }
 
-TEST(TableBlockMemo, ColdSolvesNeverReachTheMemo) {
+TEST(FailureModelCacheBlock, ColdSolvesNeverReachTheBlocks) {
   const Catalog catalog = paper_catalog();
   const ExecTimeEstimator est;
   MarketBoard board(generate_market(catalog, paper_market_profile(catalog), 1.0, 0.25, 33));
@@ -381,7 +381,7 @@ TEST(TableBlockMemo, ColdSolvesNeverReachTheMemo) {
   EXPECT_GT(s.blocks, 0u);
 }
 
-TEST(TableBlockMemoTier, OneAppAtEightDeadlinesOnFourShardsDerivesEachBlockOnce) {
+TEST(FailureModelCacheBlockTier, OneAppAtEightDeadlinesOnFourShardsDerivesEachBlockOnce) {
   const Catalog catalog = paper_catalog();
   const ExecTimeEstimator est;
   const Market initial =
@@ -444,7 +444,7 @@ TEST(TableBlockMemoTier, OneAppAtEightDeadlinesOnFourShardsDerivesEachBlockOnce)
   EXPECT_LE(tier.model_cache_stats().blocks, groups.size());
 
   // One tenant at a time, every group dirty: the first tenant derives its
-  // blocks, every later one takes all of them from the memo.
+  // blocks, every later one takes all of them from the cache.
   dirty_epoch(6, groups.size());
   std::size_t first_built = 0;
   std::set<std::size_t> od_types;
