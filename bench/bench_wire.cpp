@@ -19,10 +19,10 @@
 // both shard counts, routed forwards == 0, spray forwards exact and > 0,
 // and warm-hit wire p50 ≤ 1.5× the in-process batch p50 (per request,
 // amortized over the batch). --check compares the deterministic counters
-// (requests, solves, hits, divergence, forwards, rejects) against the
-// committed baseline (bench/BENCH_wire.json) exact-equality; wall-clock
-// numbers are printed and gated in-process but never compared across
-// machines.
+// (requests, solves, hits, divergence, forwards, rejects, and the bytes the
+// scripted stream put on the wire in each direction) against the committed
+// baseline (bench/BENCH_wire.json) exact-equality; wall-clock numbers are
+// printed and gated in-process but never compared across machines.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -101,6 +101,10 @@ struct ShardRun {
   std::uint64_t duplicate_solves = 0;
   std::uint64_t frames_rejected = 0;
   std::uint64_t wire_errors = 0;
+  /// Frame bytes of the scripted stream, as each side's decoder consumed
+  /// them: fixed by the wire layout alone.
+  std::uint64_t bytes_to_server = 0;
+  std::uint64_t bytes_to_client = 0;
   std::vector<double> wire_s;    ///< per-request warm-hit seconds, wire batch
   std::vector<double> inproc_s;  ///< same, through AsyncBatchService
 };
@@ -172,6 +176,8 @@ int main(int argc, char** argv) {
       run.duplicate_solves = stats.duplicate_solves;
       run.frames_rejected = stats.frames_rejected;
       run.wire_errors = stats.wire_errors;
+      run.bytes_to_server = server.codec_stats().bytes_consumed;
+      run.bytes_to_client = client.codec_stats().bytes_consumed;
     }
 
     // --- Warm-hit latency: every stream key is cached at the live epoch ---
@@ -270,6 +276,8 @@ int main(int argc, char** argv) {
           {"duplicate_solves", static_cast<double>(run.duplicate_solves)},
           {"frames_rejected", static_cast<double>(run.frames_rejected)},
           {"wire_errors", static_cast<double>(run.wire_errors)},
+          {"bytes_to_server", static_cast<double>(run.bytes_to_server)},
+          {"bytes_to_client", static_cast<double>(run.bytes_to_client)},
           {"inproc_p50_ms", inproc_ms},
           {"wire_over_inproc", ratio}}});
   }

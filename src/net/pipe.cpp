@@ -9,7 +9,7 @@ bool ByteChannel::write(std::string_view bytes) {
   // Admission is all-or-nothing per write: wait for the level to fall below
   // capacity, then append the whole chunk (a bounded overshoot of one write,
   // which keeps writes atomic — no interleaving of two writers' bytes).
-  writable_.wait(lock, [&] { return closed_ || buffer_.size() < capacity_; });
+  writable_.wait(lock, [&] { return closed_ || level() < capacity_; });
   return append(bytes);
 }
 
@@ -20,33 +20,47 @@ bool ByteChannel::write_unbounded(std::string_view bytes) {
 
 bool ByteChannel::append(std::string_view bytes) {
   if (closed_) return false;
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  size_.store(buffer_.size(), std::memory_order_release);
+  if (head_ != 0 && head_ >= level()) {
+    buffer_.erase(0, head_);
+    head_ = 0;
+  }
+  buffer_.append(bytes);
+  size_.store(level(), std::memory_order_release);
   readable_.notify_all();
   return true;
 }
 
 std::string ByteChannel::read(std::size_t max_bytes) {
   std::unique_lock<std::mutex> lock(mutex_);
-  readable_.wait(lock, [&] { return closed_ || !buffer_.empty(); });
-  if (buffer_.empty()) return {};  // closed and drained
+  readable_.wait(lock, [&] { return closed_ || level() != 0; });
+  if (level() == 0) return {};  // closed and drained
   return take(max_bytes);
 }
 
 std::optional<std::string> ByteChannel::try_read(std::size_t max_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!buffer_.empty()) return take(max_bytes);
+  if (level() != 0) return take(max_bytes);
   if (closed_) return std::string();  // closed and drained
   return std::nullopt;
 }
 
 std::string ByteChannel::take(std::size_t max_bytes) {
-  const std::size_t n = std::min(max_bytes, buffer_.size());
-  std::string out(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(n));
-  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(n));
-  size_.store(buffer_.size(), std::memory_order_release);
+  const std::size_t n = std::min(max_bytes, level());
+  std::string out(buffer_, head_, n);
+  head_ += n;
+  if (level() == 0) {
+    head_ = 0;
+    buffer_.clear();
+    if (buffer_.capacity() > capacity_) buffer_.shrink_to_fit();
+  }
+  size_.store(level(), std::memory_order_release);
   writable_.notify_all();
   return out;
+}
+
+std::size_t ByteChannel::storage_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return buffer_.capacity();
 }
 
 void ByteChannel::close() {

@@ -26,7 +26,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -69,18 +68,28 @@ class ByteChannel {
   void close();
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
+  /// Bytes of buffer storage held, read or not. Once the channel drains it
+  /// is at most the capacity, so a burst past it is not kept.
+  std::size_t storage_bytes() const;
+
  private:
   /// Appends `bytes` unless closed. Requires mutex_.
   bool append(std::string_view bytes);
   /// Moves up to `max_bytes` out of a non-empty buffer. Requires mutex_.
   std::string take(std::size_t max_bytes);
+  /// Unread bytes. Requires mutex_.
+  std::size_t level() const { return buffer_.size() - head_; }
 
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable readable_;
   std::condition_variable writable_;
-  std::deque<char> buffer_;
-  /// buffer_.size() and the closed flag, published for the lock-free probe;
+  /// Bytes [head_, size) are unread. The read prefix is reclaimed when the
+  /// channel drains, or by an append once it is at least as long as the
+  /// unread rest (one move per byte at most, amortized).
+  std::string buffer_;
+  std::size_t head_ = 0;
+  /// level() and the closed flag, published for the lock-free probe;
   /// written only under mutex_.
   std::atomic<std::size_t> size_{0};
   std::atomic<bool> closed_{false};

@@ -119,10 +119,15 @@ void PlanServerLoop::reader_loop(Connection* connection) {
       admit_plan_requests(connection, &arrivals);
       on_frame(connection, &decoder, *frame);
     }
+    {
+      // Codec counters before the chunk's plan responses go out, like
+      // responses_sent: a client that has read one finds its request's
+      // bytes already counted in codec_stats().
+      std::lock_guard<std::mutex> lock(mutex_);
+      fold_codec_delta(&codec_stats_, &connection->folded, decoder.stats());
+    }
     flush_hits();
     admit_plan_requests(connection, &arrivals);
-    std::lock_guard<std::mutex> lock(mutex_);
-    fold_codec_delta(&codec_stats_, &connection->folded, decoder.stats());
   }
   decoder.finish();
   std::lock_guard<std::mutex> lock(mutex_);
@@ -313,6 +318,11 @@ void PlanServerLoop::shutdown() {
   // 4. Only now do connections close (clients still drain buffered frames).
   for (Connection* connection : connections) connection->server_end->close();
   batch_->stop();
+}
+
+WireCodecStats PlanServerLoop::codec_stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return codec_stats_;
 }
 
 WireTierStats PlanServerLoop::stats() const {

@@ -90,6 +90,10 @@ class PlanServerLoop {
   /// Aggregate tier + wire counters (the payload of a StatsResponse).
   WireTierStats stats() const;
 
+  /// Codec counters across every connection's requests; bytes_consumed is
+  /// the client→server byte total.
+  WireCodecStats codec_stats() const;
+
   ShardedPlanService* tier() { return tier_; }
 
  private:

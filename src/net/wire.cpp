@@ -18,21 +18,28 @@ const char* msg_type_label(MsgType type) {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE, reflected). Table built once at compile time.
+// CRC-32 (IEEE, reflected), slicing-by-8. Tables built once at compile time.
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// kCrc[0] is the classic bytewise table; kCrc[s][b] is the CRC of byte b
+/// followed by s zero bytes, so eight lookups advance the CRC by 8 bytes.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t s = 1; s < t.size(); ++s)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrc = make_crc_tables();
 
 std::uint32_t load_u32_le(const char* p) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
@@ -55,35 +62,21 @@ std::uint64_t load_u64_le(const char* p) {
 
 std::uint32_t crc32(std::string_view bytes) {
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const char ch : bytes)
-    c = kCrcTable[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_u32_le(p) ^ c;
+    const std::uint32_t hi = load_u32_le(p + 4);
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^ kCrc[5][(lo >> 16) & 0xFFu] ^
+        kCrc[4][lo >> 24] ^ kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+        kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = kCrc[0][(c ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
 // ---------------------------------------------------------------------------
-// WireWriter / WireReader.
-
-void WireWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void WireWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v));
-  u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void WireWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void WireWriter::str(std::string_view v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  out_.append(v);
-}
+// WireReader.
 
 bool WireReader::take(std::size_t n) {
   if (!ok_ || in_.size() - pos_ < n) {
@@ -135,6 +128,7 @@ std::string WireReader::str() {
 std::string encode_frame_raw(std::uint16_t version, std::uint16_t type,
                              std::uint64_t request_id, std::string_view payload) {
   WireWriter w;
+  w.reserve(kWireHeaderBytes + payload.size() + kWireTrailerBytes);
   w.u32(kWireMagic);
   w.u16(version);
   w.u16(type);
@@ -163,15 +157,23 @@ WireCodecStats& WireCodecStats::operator+=(const WireCodecStats& o) {
   return *this;
 }
 
+void FrameDecoder::feed(std::string_view bytes) {
+  if (head_ != 0) {
+    buffer_.erase(0, head_);
+    head_ = 0;
+  }
+  buffer_.append(bytes);
+}
+
 void FrameDecoder::drop(std::size_t n) {
   stats_.bytes_consumed += n;
-  buffer_.erase(0, n);
+  head_ += n;
 }
 
 void FrameDecoder::scan_to_magic(std::size_t from) {
+  const std::string_view in = pending();
   std::size_t skip = from;
-  while (skip + 4 <= buffer_.size() && load_u32_le(buffer_.data() + skip) != kWireMagic)
-    ++skip;
+  while (skip + 4 <= in.size() && load_u32_le(in.data() + skip) != kWireMagic) ++skip;
   // Without a full match the scan stops ≤ 3 bytes short of the end — those
   // bytes may be the start of a magic whose remainder has not arrived yet,
   // so they stay buffered (a transport may split anywhere, even mid-magic).
@@ -180,7 +182,7 @@ void FrameDecoder::scan_to_magic(std::size_t from) {
 
 std::optional<WireFrame> FrameDecoder::next() {
   for (;;) {
-    if (buffer_.size() >= 4 && load_u32_le(buffer_.data()) != kWireMagic) {
+    if (pending().size() >= 4 && load_u32_le(pending().data()) != kWireMagic) {
       // Lost framing. Charge ONE reject for the whole lost-sync run —
       // resyncing_ suppresses further framing counts until a valid frame
       // proves sync is restored — then hunt for the next magic.
@@ -190,9 +192,10 @@ std::optional<WireFrame> FrameDecoder::next() {
       }
       scan_to_magic(1);
     }
-    if (buffer_.size() < kWireHeaderBytes) return std::nullopt;
+    const std::string_view in = pending();
+    if (in.size() < kWireHeaderBytes) return std::nullopt;
 
-    const std::uint32_t payload_len = load_u32_le(buffer_.data() + 16);
+    const std::uint32_t payload_len = load_u32_le(in.data() + 16);
     if (payload_len > config_.max_payload_bytes) {
       // The length field is untrusted until the CRC is checked, and an
       // absurd length must never make us buffer unboundedly — reject now
@@ -205,9 +208,9 @@ std::optional<WireFrame> FrameDecoder::next() {
       continue;
     }
     const std::size_t total = kWireHeaderBytes + payload_len + kWireTrailerBytes;
-    if (buffer_.size() < total) return std::nullopt;
+    if (in.size() < total) return std::nullopt;
 
-    const std::string_view frame(buffer_.data(), total);
+    const std::string_view frame = in.substr(0, total);
     const std::uint32_t want_crc = load_u32_le(frame.data() + total - 4);
     if (crc32(frame.substr(0, total - 4)) != want_crc) {
       // The declared length passed the cap check but is still untrusted;
@@ -247,19 +250,23 @@ std::optional<WireFrame> FrameDecoder::next() {
 }
 
 void FrameDecoder::finish() {
-  if (buffer_.empty()) return;
+  if (pending().empty()) return;
   // The stream ended mid-frame: a torn write, a drop, or tail garbage. If
   // we were already resyncing the corruption was charged when sync was
   // lost; otherwise this torn frame is its own (single) reject.
   if (!resyncing_) ++stats_.short_frame;
-  drop(buffer_.size());
+  drop(pending().size());
 }
 
 // ---------------------------------------------------------------------------
 // Message payloads.
 
 std::string encode_plan_request(const PlanRequest& request) {
+  std::size_t bytes = 4 + request.app.name.size() + 1 + 4 + 7 * 8 + 4 + 4;
+  for (const std::string& name : request.allowed_types) bytes += 4 + name.size();
+  for (const std::string& name : request.allowed_zones) bytes += 4 + name.size();
   WireWriter w;
+  w.reserve(bytes);
   w.str(request.app.name);
   w.u8(static_cast<std::uint8_t>(request.app.category));
   w.i32(request.app.processes);
@@ -309,7 +316,14 @@ bool decode_plan_request(std::string_view payload, PlanRequest* out) {
 }
 
 std::string encode_plan_response(const PlanResponse& response) {
+  std::size_t bytes = 1 + 8 + 1;
+  if (response.plan != nullptr) {
+    bytes += 4 + response.plan->app.size() + 6 * 8 + 4 + 1 + 4 + 8 * 8 + 1 + 8;
+    for (const GroupPlan& g : response.plan->groups)
+      bytes += 5 * 8 + 3 * 4 + 4 + g.name.size() + 4 + g.ckpt_policy.size();
+  }
   WireWriter w;
+  w.reserve(bytes);
   w.u8(static_cast<std::uint8_t>(response.outcome));
   w.u64(response.epoch);
   w.u8(response.plan != nullptr ? 1 : 0);
@@ -416,6 +430,7 @@ bool decode_stats_request(std::string_view payload) { return payload.empty(); }
 
 std::string encode_stats_response(const WireTierStats& stats) {
   WireWriter w;
+  w.reserve(17 * 8);
   w.u64(stats.epoch);
   w.u64(stats.requests);
   w.u64(stats.hits);
@@ -463,6 +478,7 @@ bool decode_stats_response(std::string_view payload, WireTierStats* out) {
 
 std::string encode_error_response(std::string_view message) {
   WireWriter w;
+  w.reserve(4 + message.size());
   w.str(message);
   return w.take();
 }

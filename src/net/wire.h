@@ -33,6 +33,7 @@
 //                   (counted by the caller of the decode_* helpers)
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -67,20 +68,36 @@ std::uint32_t crc32(std::string_view bytes);
 
 class WireWriter {
  public:
+  /// Encoders reserve their exact size up front, so a message is built in
+  /// one allocation.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void f64(double v);  ///< IEEE bit pattern — exact, no decimal round trip
+  /// IEEE bit pattern — exact, no decimal round trip.
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   /// u32 length prefix + raw bytes.
-  void str(std::string_view v);
+  void str(std::string_view v) {
+    u32(static_cast<std::uint32_t>(v.size()));
+    out_.append(v);
+  }
   void raw(std::string_view v) { out_.append(v); }
 
   const std::string& bytes() const { return out_; }
   std::string take() { return std::move(out_); }
 
  private:
+  /// One append per fixed-width field, low byte first.
+  template <typename Unsigned>
+  void put_le(Unsigned v) {
+    char le[sizeof(Unsigned)];
+    for (std::size_t i = 0; i < sizeof(Unsigned); ++i) le[i] = static_cast<char>(v >> (8 * i));
+    out_.append(le, sizeof(Unsigned));
+  }
+
   std::string out_;
 };
 
@@ -166,7 +183,7 @@ class FrameDecoder {
   FrameDecoder() : FrameDecoder(Config{}) {}
   explicit FrameDecoder(Config config) : config_(config) {}
 
-  void feed(std::string_view bytes) { buffer_.append(bytes); }
+  void feed(std::string_view bytes);
 
   /// The next complete, CRC-valid, known-version/type frame, consuming (and
   /// counting) any rejected bytes before it. std::nullopt = need more input.
@@ -180,15 +197,22 @@ class FrameDecoder {
   void note_bad_payload() { ++stats_.bad_payload; }
 
  private:
-  /// Drops `n` buffered bytes and accounts them as consumed.
+  /// The buffered bytes not yet consumed.
+  std::string_view pending() const {
+    return std::string_view(buffer_).substr(head_);
+  }
+  /// Drops `n` pending bytes and accounts them as consumed.
   void drop(std::size_t n);
-  /// Skips forward to the next buffered magic at offset >= `from`, keeping
+  /// Skips forward to the next pending magic at offset >= `from`, keeping
   /// up to 3 tail bytes that could be the start of a magic still in flight.
   /// By contract the caller already counted the reject (or is resyncing).
   void scan_to_magic(std::size_t from);
 
   Config config_;
+  /// Bytes [head_, size) are pending; the consumed prefix is reclaimed at
+  /// the next feed(), once per chunk instead of once per frame.
   std::string buffer_;
+  std::size_t head_ = 0;
   WireCodecStats stats_;
   /// True between losing framing and the next CRC-valid frame: one reject
   /// is charged per lost-sync RUN, not per garbage byte or spurious magic.

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
+#include <charconv>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -10,24 +11,47 @@ namespace sompi {
 
 namespace {
 
+/// Decimal (or, with base 16, lowercase hex) digits of an integer, as
+/// std::ostream would print them.
+template <typename Int>
+void put_int(std::string& out, Int value, int base = 10) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value, base).ptr);
+}
+
 /// Doubles are keyed by bit pattern: "%.17g" round-trips but is longer and
 /// slower, and the key must distinguish values that differ in the last ulp —
 /// the optimizer would.
-void put_double(std::ostringstream& os, const char* tag, double value) {
-  os << tag << '=' << std::hex << std::bit_cast<std::uint64_t>(value) << std::dec << '|';
+void put_double(std::string& out, std::string_view tag, double value) {
+  out.append(tag);
+  out += '=';
+  put_int(out, std::bit_cast<std::uint64_t>(value), 16);
+  out += '|';
 }
 
 /// Length-prefixed so a name containing '|' or '=' cannot forge field
 /// boundaries.
-void put_string(std::ostringstream& os, const char* tag, const std::string& value) {
-  os << tag << '=' << value.size() << ':' << value << '|';
+void put_string(std::string& out, std::string_view tag, std::string_view value) {
+  out.append(tag);
+  out += '=';
+  put_int(out, value.size());
+  out += ':';
+  out.append(value);
+  out += '|';
 }
 
-void put_names(std::ostringstream& os, const char* tag,
-               const std::vector<std::string>& names) {
-  os << tag << '=' << names.size() << '[';
-  for (const std::string& name : names) os << name.size() << ':' << name << '|';
-  os << ']';
+void put_names(std::string& out, std::string_view tag, const std::vector<std::string>& names) {
+  out.append(tag);
+  out += '=';
+  put_int(out, names.size());
+  out += '[';
+  for (const std::string& name : names) {
+    put_int(out, name.size());
+    out += ':';
+    out.append(name);
+    out += '|';
+  }
+  out += ']';
 }
 
 void sort_unique(std::vector<std::string>& names) {
@@ -46,58 +70,81 @@ PlanRequest canonicalized(PlanRequest request) {
 }
 
 std::string canonical_key(const PlanRequest& request) {
-  std::ostringstream os;
-  put_string(os, "app", request.app.name);
-  os << "cat=" << static_cast<int>(request.app.category) << '|';
-  os << "n=" << request.app.processes << '|';
-  put_double(os, "instr", request.app.instr_gi);
-  put_double(os, "comm", request.app.comm_gb);
-  put_double(os, "msgs", request.app.msgs_per_rank);
-  put_double(os, "ioseq", request.app.io_seq_gb);
-  put_double(os, "iorand", request.app.io_rand_gb);
-  put_double(os, "state", request.app.state_gb);
-  put_double(os, "deadline", request.deadline_h);
-  put_names(os, "types", request.allowed_types);
-  put_names(os, "zones", request.allowed_zones);
-  return os.str();
+  std::string key;
+  key.reserve(256);
+  put_string(key, "app", request.app.name);
+  key += "cat=";
+  put_int(key, static_cast<int>(request.app.category));
+  key += "|n=";
+  put_int(key, request.app.processes);
+  key += '|';
+  put_double(key, "instr", request.app.instr_gi);
+  put_double(key, "comm", request.app.comm_gb);
+  put_double(key, "msgs", request.app.msgs_per_rank);
+  put_double(key, "ioseq", request.app.io_seq_gb);
+  put_double(key, "iorand", request.app.io_rand_gb);
+  put_double(key, "state", request.app.state_gb);
+  put_double(key, "deadline", request.deadline_h);
+  put_names(key, "types", request.allowed_types);
+  put_names(key, "zones", request.allowed_zones);
+  return key;
 }
 
 std::string plan_fingerprint(const Plan& plan) {
-  std::ostringstream os;
-  put_string(os, "app", plan.app);
-  put_double(os, "step", plan.step_hours);
-  put_double(os, "deadline", plan.deadline_h);
-  put_double(os, "state", plan.state_gb);
-  os << "od=" << plan.od.type_index << ',' << plan.od.instances << ','
-     << plan.od.feasible << '|';
-  put_double(os, "od_t", plan.od.t_h);
-  put_double(os, "od_rate", plan.od.rate_usd_h);
-  os << "groups=" << plan.groups.size() << '[';
+  std::string out;
+  out.reserve(512 + 256 * plan.groups.size());
+  put_string(out, "app", plan.app);
+  put_double(out, "step", plan.step_hours);
+  put_double(out, "deadline", plan.deadline_h);
+  put_double(out, "state", plan.state_gb);
+  out += "od=";
+  put_int(out, plan.od.type_index);
+  out += ',';
+  put_int(out, plan.od.instances);
+  out += ',';
+  put_int(out, static_cast<int>(plan.od.feasible));
+  out += '|';
+  put_double(out, "od_t", plan.od.t_h);
+  put_double(out, "od_rate", plan.od.rate_usd_h);
+  out += "groups=";
+  put_int(out, plan.groups.size());
+  out += '[';
   for (const GroupPlan& g : plan.groups) {
-    os << g.spec.type_index << ',' << g.spec.zone_index << ',';
-    put_string(os, "name", g.name);
-    os << g.instances << ',' << g.t_steps << ',' << g.f_steps << ',';
-    put_double(os, "o", g.o_steps);
-    put_double(os, "r", g.r_steps);
-    put_double(os, "bid", g.bid_usd);
+    put_int(out, g.spec.type_index);
+    out += ',';
+    put_int(out, g.spec.zone_index);
+    out += ',';
+    put_string(out, "name", g.name);
+    put_int(out, g.instances);
+    out += ',';
+    put_int(out, g.t_steps);
+    out += ',';
+    put_int(out, g.f_steps);
+    out += ',';
+    put_double(out, "o", g.o_steps);
+    put_double(out, "r", g.r_steps);
+    put_double(out, "bid", g.bid_usd);
     // The flat S3 policy is omitted so degenerate plans keep their
     // pre-multilevel fingerprints byte-for-byte.
-    if (g.ckpt_policy != "s3") put_string(os, "ckpt", g.ckpt_policy);
+    if (g.ckpt_policy != "s3") put_string(out, "ckpt", g.ckpt_policy);
   }
-  os << ']';
-  put_double(os, "ecost", plan.expected.cost_usd);
-  put_double(os, "etime", plan.expected.time_h);
-  put_double(os, "escost", plan.expected.spot_cost_usd);
-  put_double(os, "eocost", plan.expected.od_cost_usd);
-  put_double(os, "estime", plan.expected.spot_time_h);
-  put_double(os, "eotime", plan.expected.od_time_h);
-  put_double(os, "pspot", plan.expected.p_complete_on_spot);
-  put_double(os, "eratio", plan.expected.e_min_ratio);
-  os << "feasible=" << plan.spot_feasible << '|';
+  out += ']';
+  put_double(out, "ecost", plan.expected.cost_usd);
+  put_double(out, "etime", plan.expected.time_h);
+  put_double(out, "escost", plan.expected.spot_cost_usd);
+  put_double(out, "eocost", plan.expected.od_cost_usd);
+  put_double(out, "estime", plan.expected.spot_time_h);
+  put_double(out, "eotime", plan.expected.od_time_h);
+  put_double(out, "pspot", plan.expected.p_complete_on_spot);
+  put_double(out, "eratio", plan.expected.e_min_ratio);
+  out += "feasible=";
+  put_int(out, static_cast<int>(plan.spot_feasible));
+  out += '|';
   // model_evaluations is deterministic (same inputs ⇒ same count), so it
   // belongs in the fingerprint; the wall-clock timers do not.
-  os << "evals=" << plan.model_evaluations;
-  return os.str();
+  out += "evals=";
+  put_int(out, plan.model_evaluations);
+  return out;
 }
 
 }  // namespace sompi

@@ -9,13 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "profile/paper_profiles.h"
+#include "support/stream_key_oracle.h"
 
 namespace sompi {
 namespace {
@@ -53,6 +58,103 @@ TEST(CanonicalKey, DistinguishesConstraintSets) {
   PlanRequest b = bt_request(30.0);
   b.allowed_zones = {"us-east-1a"};
   EXPECT_NE(canonical_key(canonicalized(a)), canonical_key(canonicalized(b)));
+}
+
+/// A double whose bit pattern is as likely to be NaN, ±0, ±inf or a
+/// denormal as an ordinary value: the key encodes bits, not values.
+double random_bits_double(Rng& rng) {
+  static const double kSpecial[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(std::uint64_t{0x000FFFFFFFFFFFFFull}),  // largest denormal
+      std::bit_cast<double>(std::uint64_t{0x7FF0000000000001ull}),  // signalling NaN
+  };
+  switch (rng.uniform_index(4)) {
+    case 0: return kSpecial[rng.uniform_index(std::size(kSpecial))];
+    case 1: return std::bit_cast<double>(rng());  // any pattern at all
+    default: return rng.uniform(0.0, 1000.0);
+  }
+}
+
+/// Names built from the key's own separators, digits and plain letters.
+std::string random_name(Rng& rng) {
+  static const char kAlphabet[] = "|:[]=,0123456789abcXYZ.-_ ";
+  std::string name(rng.uniform_index(12), ' ');
+  for (char& c : name) c = kAlphabet[rng.uniform_index(sizeof kAlphabet - 1)];
+  return name;
+}
+
+std::vector<std::string> random_names(Rng& rng) {
+  std::vector<std::string> names(rng.uniform_index(4));
+  for (std::string& name : names) name = random_name(rng);
+  return names;
+}
+
+TEST(CanonicalKey, EqualsTheStreamEncoderOverRandomRequests) {
+  Rng rng(0xC0FFEEull);
+  for (int i = 0; i < 20000; ++i) {
+    PlanRequest r;
+    r.app.name = random_name(rng);
+    r.app.category = static_cast<AppCategory>(rng.uniform_index(3));
+    r.app.processes = static_cast<int>(rng.uniform_int(-1000000, 1000000));
+    if (i % 97 == 0) r.app.processes = std::numeric_limits<int>::min();
+    r.app.instr_gi = random_bits_double(rng);
+    r.app.comm_gb = random_bits_double(rng);
+    r.app.msgs_per_rank = random_bits_double(rng);
+    r.app.io_seq_gb = random_bits_double(rng);
+    r.app.io_rand_gb = random_bits_double(rng);
+    r.app.state_gb = random_bits_double(rng);
+    r.deadline_h = random_bits_double(rng);
+    r.allowed_types = random_names(rng);
+    r.allowed_zones = random_names(rng);
+    ASSERT_EQ(canonical_key(r), oracle::stream_canonical_key(r)) << "request " << i;
+  }
+}
+
+TEST(PlanFingerprint, EqualsTheStreamEncoderOverRandomPlans) {
+  Rng rng(0xF1A9ull);
+  for (int i = 0; i < 5000; ++i) {
+    Plan p;
+    p.app = random_name(rng);
+    p.step_hours = random_bits_double(rng);
+    p.deadline_h = random_bits_double(rng);
+    p.state_gb = random_bits_double(rng);
+    p.od.type_index = rng();
+    p.od.t_h = random_bits_double(rng);
+    p.od.instances = static_cast<int>(rng.uniform_int(-100, 100000));
+    p.od.rate_usd_h = random_bits_double(rng);
+    p.od.feasible = rng.bernoulli(0.5);
+    p.groups.resize(rng.uniform_index(5));
+    for (GroupPlan& g : p.groups) {
+      g.spec.type_index = rng.uniform_index(64);
+      g.spec.zone_index = rng();
+      g.name = random_name(rng);
+      g.instances = static_cast<int>(rng.uniform_int(-10, 4096));
+      g.t_steps = static_cast<int>(rng.uniform_int(-10, 100000));
+      g.f_steps = static_cast<int>(rng.uniform_int(-10, 100000));
+      g.o_steps = random_bits_double(rng);
+      g.r_steps = random_bits_double(rng);
+      g.bid_usd = random_bits_double(rng);
+      g.ckpt_policy = rng.bernoulli(0.5) ? "s3" : random_name(rng);
+    }
+    p.expected.cost_usd = random_bits_double(rng);
+    p.expected.time_h = random_bits_double(rng);
+    p.expected.spot_cost_usd = random_bits_double(rng);
+    p.expected.od_cost_usd = random_bits_double(rng);
+    p.expected.spot_time_h = random_bits_double(rng);
+    p.expected.od_time_h = random_bits_double(rng);
+    p.expected.p_complete_on_spot = random_bits_double(rng);
+    p.expected.e_min_ratio = random_bits_double(rng);
+    p.spot_feasible = rng.bernoulli(0.5);
+    p.model_evaluations = static_cast<std::size_t>(rng());
+    ASSERT_EQ(plan_fingerprint(p), oracle::stream_plan_fingerprint(p)) << "plan " << i;
+  }
 }
 
 TEST(CanonicalKey, RejectsNonPositiveDeadline) {

@@ -58,6 +58,36 @@ TEST(WireCodec, Crc32MatchesTheStandardCheckValue) {
   EXPECT_NE(crc32("a"), crc32("b"));
 }
 
+/// Pseudo-random bytes (xorshift64), so no test input is compile-time known.
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+  std::string out(n, '\0');
+  std::uint64_t x = seed;
+  for (char& byte : out) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    byte = static_cast<char>(x & 0xFF);
+  }
+  return out;
+}
+
+TEST(WireCodec, SlicedCrcEqualsTheBitwiseDefinitionAtEveryLengthAndAlignment) {
+  const std::string bytes = random_bytes(4096 + 3, 0xC8C32ull);
+  for (std::size_t start = 0; start < 3; ++start) {
+    // The bitwise definition, advanced one byte per length: `state` is the
+    // un-finalized CRC of bytes[start, start + len).
+    std::uint32_t state = 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(crc32(std::string_view(bytes).substr(start, len)), state ^ 0xFFFFFFFFu)
+          << "start " << start << " length " << len;
+      if (len == 4096) break;
+      state ^= static_cast<unsigned char>(bytes[start + len]);
+      for (int bit = 0; bit < 8; ++bit)
+        state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    }
+  }
+}
+
 TEST(WireCodec, PrimitivesRoundTripAndAreLittleEndian) {
   WireWriter w;
   w.u8(0xAB);
@@ -201,6 +231,65 @@ TEST(WireCodec, DecoderYieldsFramesThroughArbitraryChunkSplits) {
   EXPECT_EQ(decoder.stats().rejects(), 0u);
   EXPECT_EQ(decoder.stats().frames_decoded, 3u);
   EXPECT_EQ(decoder.stats().bytes_consumed, stream.size());
+}
+
+bool same_frames(const std::vector<WireFrame>& a, const std::vector<WireFrame>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](const auto& x, const auto& y) {
+    return x.type == y.type && x.request_id == y.request_id && x.payload == y.payload;
+  });
+}
+
+void expect_same_stats(const WireCodecStats& got, const WireCodecStats& want) {
+  EXPECT_EQ(got.frames_decoded, want.frames_decoded);
+  EXPECT_EQ(got.bytes_consumed, want.bytes_consumed);
+  EXPECT_EQ(got.bad_magic, want.bad_magic);
+  EXPECT_EQ(got.short_frame, want.short_frame);
+  EXPECT_EQ(got.overlong_frame, want.overlong_frame);
+  EXPECT_EQ(got.crc_mismatch, want.crc_mismatch);
+  EXPECT_EQ(got.unknown_version, want.unknown_version);
+  EXPECT_EQ(got.unknown_type, want.unknown_type);
+  EXPECT_EQ(got.bad_payload, want.bad_payload);
+}
+
+TEST(WireCodec, DecoderGivesTheSameFramesAndCountsAtEverySplitPoint) {
+  // Five frames, the third with a flipped payload bit, then a torn tail.
+  std::string stream;
+  stream += encode_frame(MsgType::kPlanRequest, 1, encode_plan_request(sample_request(12.0)));
+  stream += encode_frame(MsgType::kStatsRequest, 2, "");
+  std::string corrupt = encode_frame(MsgType::kErrorResponse, 3, std::string(90, 'e'));
+  corrupt[kWireHeaderBytes + 40] ^= 0x10;
+  stream += corrupt;
+  stream += encode_frame(MsgType::kPlanResponse, 4, std::string(333, 'r'));
+  stream += encode_frame(MsgType::kStatsResponse, 5, encode_stats_response({}));
+  const std::string torn = encode_frame(MsgType::kPlanRequest, 6, "torn");
+  stream += torn.substr(0, torn.size() - 5);
+
+  const auto decode = [&](std::size_t split) {
+    FrameDecoder decoder;
+    std::vector<WireFrame> frames;
+    for (const std::string_view part :
+         {std::string_view(stream).substr(0, split), std::string_view(stream).substr(split)}) {
+      decoder.feed(part);
+      while (auto frame = decoder.next()) frames.push_back(std::move(*frame));
+    }
+    decoder.finish();
+    return std::make_pair(frames, decoder.stats());
+  };
+
+  const auto [want_frames, want_stats] = decode(stream.size());
+  ASSERT_EQ(want_frames.size(), 4u);
+  EXPECT_EQ(want_frames[2].request_id, 4u);
+  EXPECT_EQ(want_frames[2].payload, std::string(333, 'r'));
+  EXPECT_EQ(want_stats.frames_decoded, 4u);
+  EXPECT_EQ(want_stats.crc_mismatch, 1u);
+  EXPECT_EQ(want_stats.short_frame, 1u);
+  EXPECT_EQ(want_stats.rejects(), 2u);
+  EXPECT_EQ(want_stats.bytes_consumed, stream.size());
+  for (std::size_t split = 0; split <= stream.size(); ++split) {
+    const auto [frames, stats] = decode(split);
+    ASSERT_TRUE(same_frames(frames, want_frames)) << "split " << split;
+    expect_same_stats(stats, want_stats);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -442,6 +531,78 @@ TEST(WirePipe, TryReadPollsWithoutBlockingAndSeesEof) {
   pipe.a().close();
   EXPECT_EQ(pipe.b().try_read(), std::optional<std::string>("c"));  // drains first
   EXPECT_EQ(pipe.b().try_read(), std::optional<std::string>(""));   // then EOF
+}
+
+TEST(WirePipe, RandomWritesAndReadsDeliverTheStreamAndReleaseDrainedStorage) {
+  // One thread drives a channel through random bounded and unbounded writes
+  // and capped reads against a model of its level, so no call blocks.
+  constexpr std::size_t kCapacity = 512;
+  ByteChannel channel(kCapacity);
+  const std::string input = random_bytes(1 << 20, 0xB17E5ull);
+  std::uint64_t x = 0x5EED5ull;
+  const auto draw = [&](std::size_t n) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<std::size_t>(x % n);
+  };
+  std::size_t written = 0;
+  std::string got;
+  while (got.size() < input.size()) {
+    const std::size_t level = written - got.size();
+    if (written < input.size() && draw(2) == 0) {
+      // Mostly small writes, sometimes a burst several times the capacity.
+      const std::size_t n =
+          std::min(input.size() - written, draw(8) == 0 ? draw(8 * kCapacity) : draw(300));
+      const std::string_view chunk = std::string_view(input).substr(written, n);
+      ASSERT_TRUE(level < kCapacity && draw(2) == 0 ? channel.write(chunk)
+                                                    : channel.write_unbounded(chunk));
+      written += n;
+    } else if (level != 0) {
+      const std::size_t cap = 1 + draw(draw(4) == 0 ? 4 * kCapacity : 64);
+      const std::string chunk = draw(2) == 0 ? channel.read(cap) : *channel.try_read(cap);
+      ASSERT_EQ(chunk.size(), std::min(cap, level));
+      got += chunk;
+      if (got.size() == written) ASSERT_LE(channel.storage_bytes(), kCapacity);
+    } else {
+      ASSERT_FALSE(channel.try_read(64).has_value());
+    }
+    ASSERT_EQ(channel.readable(), written != got.size());
+  }
+  EXPECT_TRUE(got == input);
+  channel.close();
+  EXPECT_TRUE(channel.readable());
+  EXPECT_EQ(channel.read(64), "");
+}
+
+TEST(WirePipe, AnUnreadBurstIsNotKeptOnceDrained) {
+  ByteChannel channel(512);
+  ASSERT_TRUE(channel.write_unbounded(std::string(1 << 20, 'b')));
+  EXPECT_GE(channel.storage_bytes(), std::size_t{1} << 20);
+  std::size_t drained = 0;
+  while (channel.readable()) drained += channel.read(4096).size();
+  EXPECT_EQ(drained, std::size_t{1} << 20);
+  EXPECT_LE(channel.storage_bytes(), 512u);
+}
+
+TEST(WirePipe, BlockingWritesAndReadsAcrossThreadsDeliverTheStream) {
+  ByteChannel channel(256);
+  const std::string input = random_bytes(1 << 18, 0x7EADull);
+  std::thread writer([&] {
+    for (std::size_t at = 0, n = 1; at < input.size(); at += n, n = n % 700 + 1) {
+      const std::string_view chunk = std::string_view(input).substr(at, n);
+      if (!(n % 3 == 0 ? channel.write_unbounded(chunk) : channel.write(chunk))) return;
+    }
+    channel.close();
+  });
+  std::string got;
+  for (std::size_t cap = 1;; cap = cap % 97 + 1) {
+    const std::string chunk = channel.read(cap);
+    if (chunk.empty()) break;
+    got += chunk;
+  }
+  writer.join();
+  EXPECT_TRUE(got == input);
 }
 
 // ---------------------------------------------------------------------------
