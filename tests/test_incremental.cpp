@@ -22,7 +22,9 @@ TEST(Incremental, HasSnapshotProbesTheCommitMarker) {
     EXPECT_FALSE(ck.has_snapshot(comm));
     ck.save(comm, make_state(600, 3 + comm.rank()));
     EXPECT_TRUE(ck.has_snapshot(comm));
-    if (comm.rank() == 0) EXPECT_TRUE(ck.has_snapshot());
+    if (comm.rank() == 0) {
+      EXPECT_TRUE(ck.has_snapshot());
+    }
   });
 }
 

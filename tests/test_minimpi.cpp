@@ -108,7 +108,9 @@ TEST_P(CollectiveTest, ReduceAndAllreduce) {
   const int n = GetParam();
   const RunResult r = Runtime::run(n, [n](Comm& comm) {
     const int sum = comm.reduce(comm.rank() + 1, ReduceOp::kSum, 0);
-    if (comm.rank() == 0) EXPECT_EQ(sum, n * (n + 1) / 2);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(sum, n * (n + 1) / 2);
+    }
     EXPECT_EQ(comm.allreduce(comm.rank(), ReduceOp::kMax), n - 1);
     EXPECT_EQ(comm.allreduce(comm.rank(), ReduceOp::kMin), 0);
     EXPECT_DOUBLE_EQ(comm.allreduce(0.5, ReduceOp::kSum), 0.5 * n);

@@ -244,8 +244,12 @@ TEST(RedundancyProperty, AdjacentPairLossIsDetectedNotMisdecoded) {
     const auto r2 = redundancy_decode(scheme, b, s, 2);
     // A two-rank loss is beyond both schemes' guarantee for at least one of
     // the pair: whatever happens, the decoder must never return wrong bytes.
-    if (r1.has_value()) EXPECT_EQ(*r1, blobs[1]);
-    if (r2.has_value()) EXPECT_EQ(*r2, blobs[2]);
+    if (r1.has_value()) {
+      EXPECT_EQ(*r1, blobs[1]);
+    }
+    if (r2.has_value()) {
+      EXPECT_EQ(*r2, blobs[2]);
+    }
     EXPECT_FALSE(r1.has_value() && r2.has_value())
         << redundancy_scheme_label(scheme) << ": adjacent pair fully decoded";
   }
@@ -271,7 +275,9 @@ TEST(RedundancyProperty, TornOrCorruptShardsNeverDecodableButWrong) {
           s[victim] = std::vector<std::byte>(shards[victim].begin(),
                                              shards[victim].begin() + cut);
           const auto rebuilt = redundancy_decode(scheme, b, s, lost);
-          if (rebuilt.has_value()) EXPECT_EQ(*rebuilt, blobs[lost]);
+          if (rebuilt.has_value()) {
+            EXPECT_EQ(*rebuilt, blobs[lost]);
+          }
         }
         // Flipped byte somewhere in the payload half of the shard.
         std::vector<std::optional<std::vector<std::byte>>> s(shards.begin(), shards.end());
@@ -281,7 +287,9 @@ TEST(RedundancyProperty, TornOrCorruptShardsNeverDecodableButWrong) {
           corrupt[corrupt.size() / 2] ^= std::byte{0x5A};
           s[victim] = corrupt;
           const auto rebuilt = redundancy_decode(scheme, b, s, lost);
-          if (rebuilt.has_value()) EXPECT_EQ(*rebuilt, blobs[lost]);
+          if (rebuilt.has_value()) {
+            EXPECT_EQ(*rebuilt, blobs[lost]);
+          }
         }
       }
     }
@@ -308,7 +316,9 @@ TEST(Compression, RoundTripsAndRejectsTruncation) {
       const auto torn = decompress_bytes(
           CompressionMode::kRle,
           std::span<const std::byte>(packed.data(), cut));
-      if (torn.has_value()) EXPECT_EQ(*torn, original);  // only the full frame
+      if (torn.has_value()) {  // only the full frame
+        EXPECT_EQ(*torn, original);
+      }
     }
     // kNone is byte-transparent: no frame, no transformation.
     EXPECT_EQ(compress_bytes(CompressionMode::kNone, original), original);

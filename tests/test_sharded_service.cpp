@@ -90,7 +90,9 @@ TEST(ShardRouter, RemovingAShardIsTheMirrorImage) {
   const ShardRouter seven({.shards = 7, .vnodes = 64, .salt = 3});
   for (const std::string& key : keys) {
     // Keys not owned by the removed shard (id 7) must not move at all.
-    if (eight.route(key) != 7) EXPECT_EQ(seven.route(key), eight.route(key)) << key;
+    if (eight.route(key) != 7) {
+      EXPECT_EQ(seven.route(key), eight.route(key)) << key;
+    }
   }
 }
 
