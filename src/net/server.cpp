@@ -344,10 +344,7 @@ WireTierStats PlanServerLoop::stats() const {
   s.responses_sent = responses_sent_.load(std::memory_order_relaxed);
   s.wire_sheds = wire_sheds_.load(std::memory_order_relaxed);
   s.wire_errors = wire_errors_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    s.frames_rejected = codec_stats_.rejects();
-  }
+  s.frames_rejected = codec_stats().rejects();
   return s;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
+#include <concepts>
 #include <string_view>
 
 #include "common/error.h"
@@ -11,46 +12,40 @@ namespace sompi {
 
 namespace {
 
-/// Decimal (or, with base 16, lowercase hex) digits of an integer, as
-/// std::ostream would print them.
-template <typename Int>
-void put_int(std::string& out, Int value, int base = 10) {
+/// One piece of a key, as std::ostream prints it: text verbatim, integers
+/// in decimal. (A bool has no overload: callers pass it as an int, 0 or 1.)
+void put(std::string& out, std::string_view text) { out.append(text); }
+void put(std::string& out, char c) { out += c; }
+template <std::integral Int>
+void put(std::string& out, Int value) {
   char digits[24];
-  out.append(digits, std::to_chars(digits, digits + sizeof digits, value, base).ptr);
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
 }
 
-/// Doubles are keyed by bit pattern: "%.17g" round-trips but is longer and
-/// slower, and the key must distinguish values that differ in the last ulp —
-/// the optimizer would.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (put(out, parts), ...);
+}
+
+/// Doubles are keyed by bit pattern, in lowercase hex: "%.17g" round-trips
+/// but is longer and slower, and the key must distinguish values that
+/// differ in the last ulp — the optimizer would.
 void put_double(std::string& out, std::string_view tag, double value) {
-  out.append(tag);
-  out += '=';
-  put_int(out, std::bit_cast<std::uint64_t>(value), 16);
-  out += '|';
+  char hex[16];
+  const char* end =
+      std::to_chars(hex, hex + sizeof hex, std::bit_cast<std::uint64_t>(value), 16).ptr;
+  append(out, tag, '=', std::string_view(hex, static_cast<std::size_t>(end - hex)), '|');
 }
 
 /// Length-prefixed so a name containing '|' or '=' cannot forge field
 /// boundaries.
 void put_string(std::string& out, std::string_view tag, std::string_view value) {
-  out.append(tag);
-  out += '=';
-  put_int(out, value.size());
-  out += ':';
-  out.append(value);
-  out += '|';
+  append(out, tag, '=', value.size(), ':', value, '|');
 }
 
 void put_names(std::string& out, std::string_view tag, const std::vector<std::string>& names) {
-  out.append(tag);
-  out += '=';
-  put_int(out, names.size());
-  out += '[';
-  for (const std::string& name : names) {
-    put_int(out, name.size());
-    out += ':';
-    out.append(name);
-    out += '|';
-  }
+  append(out, tag, '=', names.size(), '[');
+  for (const std::string& name : names) append(out, name.size(), ':', name, '|');
   out += ']';
 }
 
@@ -73,11 +68,7 @@ std::string canonical_key(const PlanRequest& request) {
   std::string key;
   key.reserve(256);
   put_string(key, "app", request.app.name);
-  key += "cat=";
-  put_int(key, static_cast<int>(request.app.category));
-  key += "|n=";
-  put_int(key, request.app.processes);
-  key += '|';
+  append(key, "cat=", static_cast<int>(request.app.category), "|n=", request.app.processes, '|');
   put_double(key, "instr", request.app.instr_gi);
   put_double(key, "comm", request.app.comm_gb);
   put_double(key, "msgs", request.app.msgs_per_rank);
@@ -92,35 +83,20 @@ std::string canonical_key(const PlanRequest& request) {
 
 std::string plan_fingerprint(const Plan& plan) {
   std::string out;
-  out.reserve(512 + 256 * plan.groups.size());
+  out.reserve(320 + 128 * plan.groups.size());
   put_string(out, "app", plan.app);
   put_double(out, "step", plan.step_hours);
   put_double(out, "deadline", plan.deadline_h);
   put_double(out, "state", plan.state_gb);
-  out += "od=";
-  put_int(out, plan.od.type_index);
-  out += ',';
-  put_int(out, plan.od.instances);
-  out += ',';
-  put_int(out, static_cast<int>(plan.od.feasible));
-  out += '|';
+  append(out, "od=", plan.od.type_index, ',', plan.od.instances, ',',
+         static_cast<int>(plan.od.feasible), '|');
   put_double(out, "od_t", plan.od.t_h);
   put_double(out, "od_rate", plan.od.rate_usd_h);
-  out += "groups=";
-  put_int(out, plan.groups.size());
-  out += '[';
+  append(out, "groups=", plan.groups.size(), '[');
   for (const GroupPlan& g : plan.groups) {
-    put_int(out, g.spec.type_index);
-    out += ',';
-    put_int(out, g.spec.zone_index);
-    out += ',';
+    append(out, g.spec.type_index, ',', g.spec.zone_index, ',');
     put_string(out, "name", g.name);
-    put_int(out, g.instances);
-    out += ',';
-    put_int(out, g.t_steps);
-    out += ',';
-    put_int(out, g.f_steps);
-    out += ',';
+    append(out, g.instances, ',', g.t_steps, ',', g.f_steps, ',');
     put_double(out, "o", g.o_steps);
     put_double(out, "r", g.r_steps);
     put_double(out, "bid", g.bid_usd);
@@ -137,13 +113,13 @@ std::string plan_fingerprint(const Plan& plan) {
   put_double(out, "eotime", plan.expected.od_time_h);
   put_double(out, "pspot", plan.expected.p_complete_on_spot);
   put_double(out, "eratio", plan.expected.e_min_ratio);
-  out += "feasible=";
-  put_int(out, static_cast<int>(plan.spot_feasible));
-  out += '|';
   // model_evaluations is deterministic (same inputs ⇒ same count), so it
   // belongs in the fingerprint; the wall-clock timers do not.
-  out += "evals=";
-  put_int(out, plan.model_evaluations);
+  append(out, "feasible=", static_cast<int>(plan.spot_feasible), "|evals=",
+         plan.model_evaluations);
+  // Callers keep fingerprints (one per run in a campaign), so the result
+  // holds only its own bytes, not the working reservation.
+  out.shrink_to_fit();
   return out;
 }
 
