@@ -191,11 +191,29 @@ Expectation CostModel::evaluate_joint_exact(const std::vector<GroupDecision>& de
 GroupCostTable::GroupCostTable(const GroupSetup& grp, const OnDemandChoice& od,
                                CostModel::Config config,
                                const std::vector<ChoiceSpec>& choices)
-    : ratio_bins_(config.ratio_bins) {
+    : ratio_bins_(config.ratio_bins), t_steps_(grp.t_steps) {
   SOMPI_REQUIRE(!choices.empty());
   SOMPI_REQUIRE(config.step_hours > 0.0);
   SOMPI_REQUIRE(config.ratio_bins >= 8);
   SOMPI_REQUIRE(od.t_h > 0.0 && od.rate_usd_h > 0.0);
+
+  // The guard's worst case per (policy, F), from the first choice of each
+  // policy: its effective O/R are the policy's.
+  for (const ChoiceSpec& ch : choices)
+    policy_count_ = std::max(policy_count_, ch.policy_index + 1);
+  std::vector<const ChoiceSpec*> first(policy_count_, nullptr);
+  for (const ChoiceSpec& ch : choices)
+    if (first[ch.policy_index] == nullptr) first[ch.policy_index] = &ch;
+  const auto t = static_cast<std::size_t>(t_steps_);
+  worst_h_.resize(policy_count_ * t);
+  for (std::size_t p = 0; p < policy_count_; ++p) {
+    SOMPI_REQUIRE_MSG(first[p] != nullptr, "every policy index below the largest needs a choice");
+    for (int f = 1; f <= t_steps_; ++f)
+      worst_h_[p * t + static_cast<std::size_t>(f - 1)] =
+          GroupSchedule(grp.t_steps, f, grp.o_steps * first[p]->o_scale,
+                        grp.r_steps * first[p]->r_scale)
+              .worst_completion_h(config.step_hours, od.t_h);
+  }
 
   const std::size_t bins = config.ratio_bins;
   min_tail_.assign(bins, std::numeric_limits<double>::infinity());
@@ -227,7 +245,9 @@ GroupCostTable::GroupCostTable(const GroupSetup& grp, const OnDemandChoice& od,
     c.spot_term = s_price * grp.instances * e_life * config.step_hours;
     min_spot = std::min(min_spot, c.spot_term);
 
-    c.one_minus_complete = 1.0 - grp.failure.survival_at(b, w);
+    const double survival = grp.failure.survival_at(b, w);
+    c.one_minus_complete = 1.0 - survival;
+    c.survives = !(survival < 0.5);
 
     life_off[ci] = life_pool_.size();
     for (std::size_t t = 0; t < c.w_ceil; ++t)

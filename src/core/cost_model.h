@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/error.h"
 #include "core/problem.h"
 
 namespace sompi {
@@ -109,17 +110,21 @@ struct ChoiceSpec {
 
 /// The immutable per-group block of precomputed (choice → kernel) tables:
 /// every value depends only on (group setup, that group's choice list, od,
-/// config), never on the other groups, so a block built for one solve can be
-/// reused bit-identically by any later solve whose group inputs are
-/// unchanged — the unit the warm-start CostTableStore caches. Non-copyable
-/// and held by shared_ptr: cell pointers into the pools stay valid for the
-/// block's lifetime and the block is safe to share across solver threads.
+/// config), never on the other groups or the deadline, so a block built for
+/// one solve can be reused bit-identically by any later solve whose group
+/// inputs are unchanged — the unit the FailureModelCache shares across
+/// scopes, deadlines and shards. It also holds the deadline guard's
+/// deadline-free facts (DESIGN.md §6b), so a solve only compares them with
+/// its deadline. Non-copyable and held by shared_ptr: cell pointers into the
+/// pools stay valid for the block's lifetime and the block is safe to share
+/// across solver threads.
 class GroupCostTable {
  public:
   struct Cell {
     double wall = 0.0;                 ///< W(F) in fractional steps
     std::size_t w_ceil = 0;            ///< ceil(W)
     int f_steps = 1;                   ///< the tied interval φ(P)
+    bool survives = true;              ///< P[group survives its wall] >= 0.5
     double spot_term = 0.0;            ///< S·M·E[min(fp, W)]·h (Formula 5)
     double one_minus_complete = 1.0;   ///< 1 − P[group finishes on spot]
     const double* life = nullptr;      ///< lifetime factors, w_ceil entries
@@ -140,14 +145,27 @@ class GroupCostTable {
   const double* min_ratio_tail() const { return min_tail_.data(); }
   std::size_t max_w_ceil() const { return max_w_ceil_; }
   std::size_t ratio_bins() const { return ratio_bins_; }
-  /// Resident size of the block, for the store's byte-cap accounting.
+  /// Worst-case completion hours of policy p's schedule at interval F, for
+  /// every F in [1, T] (φ clamps to that range): the max over kill instants
+  /// t of t + Ratio(t)·T_od, the deadline guard's input.
+  double worst_h(std::size_t p, int f_steps) const {
+    SOMPI_ASSERT(p < policy_count_ && f_steps >= 1 && f_steps <= t_steps_);
+    return worst_h_[p * static_cast<std::size_t>(t_steps_) + static_cast<std::size_t>(f_steps) - 1];
+  }
+  /// Whether choice c's group survives its wall with probability >= 0.5.
+  bool survives(std::size_t c) const { return cells_[c].survives; }
+  /// Resident size of the block, for the cache's byte-cap accounting.
   std::size_t bytes() const {
     return sizeof(GroupCostTable) + cells_.size() * sizeof(Cell) +
-           (life_pool_.size() + tail_pool_.size() + min_tail_.size()) * sizeof(double);
+           (life_pool_.size() + tail_pool_.size() + min_tail_.size() + worst_h_.size()) *
+               sizeof(double);
   }
 
  private:
   std::size_t ratio_bins_ = 0;
+  int t_steps_ = 0;
+  std::size_t policy_count_ = 0;
+  std::vector<double> worst_h_;  ///< policy-major, F − 1 within a policy
   std::vector<Cell> cells_;
   std::vector<double> life_pool_;
   std::vector<double> tail_pool_;
@@ -159,8 +177,8 @@ class GroupCostTable {
 /// Per-(group, choice) precomputed kernels over a candidate-group list,
 /// where a choice is a (bid, tied interval, level policy) triple — the
 /// bid-only construction is the degenerate single-policy case. Composes one
-/// GroupCostTable block per group, each freshly built or reused from a
-/// CostTableStore. Groups are borrowed; the pointees must outlive the
+/// GroupCostTable block per group, each freshly built or shared through the
+/// FailureModelCache. Groups are borrowed; the pointees must outlive the
 /// tables. Read-only after construction.
 class CostTables {
  public:
@@ -203,7 +221,8 @@ class CostTables {
   /// max over the group's bids of w_ceil (sizes the common lifetime grid).
   std::size_t max_w_ceil(std::size_t g) const { return blocks_[g]->max_w_ceil(); }
 
-  /// Group g's block, shareable with a CostTableStore (and future solves).
+  /// Group g's block, shareable through the FailureModelCache (and with
+  /// future solves).
   const std::shared_ptr<const GroupCostTable>& block(std::size_t g) const {
     return blocks_[g];
   }

@@ -19,11 +19,6 @@ std::size_t heap_bytes(const std::string& s) {
 
 }  // namespace
 
-std::size_t GroupArtifact::bytes() const {
-  return sizeof(GroupArtifact) + f_guard_max.capacity() * sizeof(int) + fits.capacity() +
-         surv_ok.capacity();
-}
-
 std::size_t CostTableStore::entry_bytes(const GroupArtifact& artifact) {
   return artifact.bytes() + kControlBlock + kTreeNode + sizeof(std::pair<const SpecKey, Entry>);
 }

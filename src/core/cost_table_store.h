@@ -1,13 +1,13 @@
 // CostTableStore — the warm-start re-optimization cache (DESIGN.md §14).
 //
-// One solve derives, per candidate group, a stack of artifacts that depend
-// only on (that group's price history, the optimizer config, the app, the
-// deadline, the on-demand tier): the GroupSetup with its Monte-Carlo
-// FailureModel — a minority of a cold solve, which the search dominates —
-// plus the φ-tied checkpoint intervals, the guard tables and the search's
-// GroupCostTable block. All of it is a pure function of those
-// inputs, so when an epoch bump moves only SOME groups' histories, the clean
-// groups' artifacts can be reused bit-identically instead of rebuilt.
+// One solve derives, per candidate group, artifacts that depend only on
+// (that group's price history, the optimizer config, the app, the on-demand
+// tier): the GroupSetup with its Monte-Carlo FailureModel — a minority of a
+// cold solve, which the search dominates — plus the search's GroupCostTable
+// block, which holds the φ-tied checkpoint intervals and the deadline
+// guard's deadline-free facts. All of it is a pure function of those inputs,
+// so when an epoch bump moves only SOME groups' histories, the clean groups'
+// artifacts can be reused bit-identically instead of rebuilt.
 //
 // The store keys artifacts two ways:
 //   * the *scope* — the canonical request key, which pins app, deadline and
@@ -26,7 +26,8 @@
 // (φ intervals included) come from the cache's entry of their model, keyed
 // by everything else they read: a scope rebuilding a group derives the block
 // only when no scope has derived it for that model, app setup and on-demand
-// choice yet. Only the deadline-dependent guard tables are the scope's own.
+// choice yet. A scope keeps no data of its own beyond its handles and its
+// last plan: each solve compares the blocks' guard facts with its deadline.
 //
 // Memory is bounded by a byte cap with scope-granularity LRU eviction: a
 // scope's artifacts live and die together (partial scopes would only
@@ -47,7 +48,6 @@
 #include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "cloud/catalog.h"
 #include "core/cost_model.h"
@@ -72,19 +72,15 @@ struct GroupArtifact {
   std::uint64_t version = 0;
   GroupSetup setup;
   /// Per-choice cost table block; its cells carry the φ-tied interval of
-  /// each composite (policy, bid) choice. Shared through the FailureModelCache.
+  /// each composite (policy, bid) choice, and it holds the guard's
+  /// worst-case hours and survival bits. Shared through the FailureModelCache.
   std::shared_ptr<const GroupCostTable> table;
-  /// Guard-clamped max interval per policy (g·n_pol row of the solve).
-  std::vector<int> f_guard_max;
-  /// Per-choice guard bits: worst case fits the deadline / survival >= 0.5.
-  std::vector<unsigned char> fits;
-  std::vector<unsigned char> surv_ok;
 
   bool has_derived() const { return table != nullptr; }
-  /// Approximate footprint for the store's byte accounting. The failure
-  /// model and the table block count as their handles: both are shared, and
-  /// the model cache and the block memo account for them.
-  std::size_t bytes() const;
+  /// Footprint for the store's byte accounting. The failure model and the
+  /// table block count as their handles: both are shared, and the
+  /// FailureModelCache accounts for them.
+  std::size_t bytes() const { return sizeof(GroupArtifact); }
 };
 
 class CostTableStore {

@@ -13,7 +13,6 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "core/schedule.h"
 
 namespace sompi {
 
@@ -54,7 +53,7 @@ std::uint64_t replan_config_hash(const OptimizerConfig& config, const AppProfile
   hash_double(h, app.io_seq_gb);
   hash_double(h, app.io_rand_gb);
   hash_double(h, app.state_gb);
-  // The on-demand tier: φ and the guard tables see it.
+  // The on-demand tier: φ and the table blocks see it.
   hash_mix(h, od.type_index);
   hash_double(h, od.t_h);
   hash_mix(h, static_cast<std::uint64_t>(od.instances));
@@ -74,7 +73,6 @@ std::uint64_t replan_config_hash(const OptimizerConfig& config, const AppProfile
   // Search knobs that shape artifact content.
   hash_mix(h, config.ratio_bins);
   hash_mix(h, static_cast<std::uint64_t>(config.phi_mode));
-  hash_mix(h, config.worst_case_guard ? 1 : 0);
   // The EFFECTIVE policy list: an empty config means the degenerate {s3}.
   std::vector<CkptPolicy> policies = config.ckpt_policies;
   if (policies.empty()) policies.push_back(CkptPolicy{});
@@ -253,10 +251,10 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
 
   // Warm start (DESIGN.md §14): resolve each kept candidate's cached
   // artifact. A hit whose shape matches the current composite choice space
-  // lets every derived table below — the GroupCostTable block with its φ
-  // intervals, and the guard tables — be reused bit-identically instead of
-  // recomputed; everything else is computed as on the cold path and stored
-  // back for the next epoch.
+  // lets its GroupCostTable block, with the φ intervals and the guard's
+  // deadline-free facts, be reused bit-identically instead of recomputed;
+  // everything else is computed as on the cold path and stored back for the
+  // next epoch.
   const bool warm = ctx != nullptr && ctx->usable();
   const std::size_t zone_count = catalog_->zones().size();
   const auto version_of = [&](const CircleGroupSpec& spec) {
@@ -269,9 +267,7 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
                                    version_of(candidates[g].spec), chash);
   const auto derived_ok = [&](std::size_t g) {
     const auto& a = arts[g];
-    return a != nullptr && a->has_derived() && a->table->choice_count() == choice_count(g) &&
-           a->f_guard_max.size() == n_pol && a->fits.size() == choice_count(g) &&
-           a->surv_ok.size() == choice_count(g);
+    return a != nullptr && a->has_derived() && a->table->choice_count() == choice_count(g);
   };
   /// What the search actually did (Plan::stats; fingerprint-excluded).
   PlanStats stats;
@@ -329,49 +325,6 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
     return GroupDecision{ch.bid_index, ch.f_steps, ch.o_scale, ch.r_scale, ch.policy_index};
   };
 
-  const double step_h = config_.setup.step_hours;
-
-  // Worst-case completion time of a group killed at its most damaging
-  // instant, recovering from its last checkpoint on the on-demand tier:
-  // max over t of (t + Ratio(t)·T_od). The max over all groups bounds the
-  // joint worst case of any plan: if every group dies at time t_i,
-  //   Time <= max_i t_i + T_od·min_i Ratio_i(t_i) <= max_i (t_i + T_od·Ratio_i(t_i)).
-  // O(checkpoints) per call: each ratio run's maximum sits at its last step.
-  const auto group_worst_h = [&](const GroupSetup& g, int f_steps, double o_scale,
-                                 double r_scale) {
-    return GroupSchedule(g.t_steps, f_steps, g.o_steps * o_scale, g.r_steps * r_scale)
-        .worst_completion_h(step_h, od.t_h);
-  };
-
-  // Largest checkpoint interval whose worst case still fits the deadline —
-  // the guard-clamped alternative tried for single-group plans. worst(F) is
-  // monotone in F (fewer checkpoints → more redone work), so binary search.
-  // The clamp depends on the policy's effective O/R, so it is per (group,
-  // policy), indexed g·n_pol + p.
-  std::vector<int> f_guard_max(candidates.size() * n_pol, 0);
-  if (config_.worst_case_guard) {
-    for (std::size_t idx = 0; idx < f_guard_max.size(); ++idx) {
-      if (warm && derived_ok(idx / n_pol)) {
-        f_guard_max[idx] = arts[idx / n_pol]->f_guard_max[idx % n_pol];
-        continue;
-      }
-      const GroupSetup& g = candidates[idx / n_pol];
-      const CkptPolicy& pol = policies[idx % n_pol];
-      if (group_worst_h(g, 1, pol.o_scale, pol.r_scale) > deadline_h)
-        continue;  // even F = 1 unsafe
-      int lo = 1, hi = g.t_steps;
-      while (lo < hi) {
-        const int mid = lo + (hi - lo + 1) / 2;
-        if (group_worst_h(g, mid, pol.o_scale, pol.r_scale) <= deadline_h) {
-          lo = mid;
-        } else {
-          hi = mid - 1;
-        }
-      }
-      f_guard_max[idx] = lo;
-    }
-  }
-
   const std::size_t k_max =
       std::min<std::size_t>(config_.max_groups, candidates.size());
   // Never the empty subset: with no candidates there is nothing to search.
@@ -389,33 +342,45 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
   /// pruning and warm starts, feeds Plan::model_evaluations (fingerprint).
   std::size_t evaluations = 0;
 
-  // Per-(group, composite-choice) guard tables, hoisted out of the tuple
-  // loop instead of an O(wall) group_worst_h scan per tuple per group: both
-  // the deadline-fit and the survival-vs-0.5 test depend only on the
-  // (group, policy, bid) triple once F is tied to them.
+  // The guard tables of this solve (DESIGN.md §6b). Each block holds the
+  // worst-case completion time of a group killed at its most damaging
+  // instant — max over t of (t + Ratio(t)·T_od) — per (policy, F), and the
+  // survival-vs-0.5 bit per choice; only the comparison with the deadline is
+  // this solve's own. The max over all groups bounds the joint worst case of
+  // any plan: if every group dies at time t_i,
+  //   Time <= max_i t_i + T_od·min_i Ratio_i(t_i) <= max_i (t_i + T_od·Ratio_i(t_i)).
+  // fits and surv_ok are flat per (group, composite choice) because the
+  // tuple loop reads them. f_guard_max is the largest interval whose worst
+  // case still fits the deadline — the guard-clamped alternative tried for
+  // single-group plans. worst(F) is monotone in F (fewer checkpoints → more
+  // redone work), so binary search. The clamp depends on the policy's
+  // effective O/R, so it is per (group, policy), indexed g·n_pol + p.
   std::vector<std::size_t> choice_off(candidates.size() + 1, 0);
   for (std::size_t g = 0; g < candidates.size(); ++g)
     choice_off[g + 1] = choice_off[g] + choice_count(g);
   std::vector<unsigned char> fits(choice_off.back(), 1);
   std::vector<unsigned char> surv_ok(choice_off.back(), 1);
+  std::vector<int> f_guard_max(candidates.size() * n_pol, 0);
   if (config_.worst_case_guard) {
     for (std::size_t g = 0; g < candidates.size(); ++g) {
-      if (warm && derived_ok(g)) {
-        std::copy(arts[g]->fits.begin(), arts[g]->fits.end(), fits.begin() + choice_off[g]);
-        std::copy(arts[g]->surv_ok.begin(), arts[g]->surv_ok.end(),
-                  surv_ok.begin() + choice_off[g]);
-        continue;
-      }
-      const GroupSetup& grp = candidates[g];
-      const std::size_t bids = grp.failure.bid_count();
+      const GroupCostTable& blk = *blocks[g];
       for (std::size_t c = 0; c < choice_count(g); ++c) {
-        const CkptPolicy& pol = policies[c / bids];
-        const GroupSchedule sched(grp.t_steps, f_of(g, c), grp.o_steps * pol.o_scale,
-                                  grp.r_steps * pol.r_scale);
-        fits[choice_off[g] + c] =
-            group_worst_h(grp, f_of(g, c), pol.o_scale, pol.r_scale) <= deadline_h;
-        surv_ok[choice_off[g] + c] =
-            !(grp.failure.survival_at(c % bids, sched.wall_duration()) < 0.5);
+        const GroupCostTable::Cell& cell = blk.cell(c);
+        fits[choice_off[g] + c] = blk.worst_h(cell.choice.policy_index, cell.f_steps) <= deadline_h;
+        surv_ok[choice_off[g] + c] = blk.survives(c);
+      }
+      for (std::size_t p = 0; p < n_pol; ++p) {
+        if (blk.worst_h(p, 1) > deadline_h) continue;  // even F = 1 unsafe
+        int lo = 1, hi = candidates[g].t_steps;
+        while (lo < hi) {
+          const int mid = lo + (hi - lo + 1) / 2;
+          if (blk.worst_h(p, mid) <= deadline_h) {
+            lo = mid;
+          } else {
+            hi = mid - 1;
+          }
+        }
+        f_guard_max[g * n_pol + p] = lo;
       }
     }
   }
@@ -486,12 +451,6 @@ Plan SompiOptimizer::optimize_with(const AppProfile& app, std::vector<GroupSetup
       if (derived_ok(g)) continue;
       auto art = std::make_shared<GroupArtifact>(version_of(candidates[g].spec), candidates[g]);
       art->table = blocks[g];
-      art->f_guard_max.assign(f_guard_max.begin() + static_cast<std::ptrdiff_t>(g * n_pol),
-                              f_guard_max.begin() + static_cast<std::ptrdiff_t>((g + 1) * n_pol));
-      art->fits.assign(fits.begin() + static_cast<std::ptrdiff_t>(choice_off[g]),
-                       fits.begin() + static_cast<std::ptrdiff_t>(choice_off[g + 1]));
-      art->surv_ok.assign(surv_ok.begin() + static_cast<std::ptrdiff_t>(choice_off[g]),
-                          surv_ok.begin() + static_cast<std::ptrdiff_t>(choice_off[g + 1]));
       ctx->store->store(ctx->scope, candidates[g].spec, chash, std::move(art));
     }
   }

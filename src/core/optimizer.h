@@ -93,9 +93,10 @@ struct ReplanContext {
 /// per-group artifact's CONTENT. Deliberately excludes knobs that are
 /// bit-neutral for artifacts — max_groups / max_candidates /
 /// enumerate_smaller_subsets select which artifacts are used, not what they
-/// hold — so artifacts survive across solver variants that share the same
-/// problem. False mismatches only cost a rebuild; false matches are
-/// impossible for inputs the hash covers.
+/// hold, and worst_case_guard only decides whether a solve reads the guard
+/// facts every block holds — so artifacts survive across solver variants
+/// that share the same problem. False mismatches only cost a rebuild; false
+/// matches are impossible for inputs the hash covers.
 std::uint64_t replan_config_hash(const OptimizerConfig& config, const AppProfile& app,
                                  const OnDemandChoice& od, double deadline_h);
 

@@ -44,8 +44,9 @@ struct PlanStats {
   std::size_t subsets_pruned = 0;    ///< whole subsets skipped by their bound
   std::size_t subsets_searched = 0;  ///< subsets actually enumerated
   // Warm-start accounting (DESIGN.md §14): how many per-group cost-table
-  // blocks this solve reused from its scope's CostTableStore artifacts vs
-  // had to obtain otherwise (tables_built), how many of the latter came from
+  // blocks (φ intervals and guard facts included) this solve took from its
+  // scope's CostTableStore artifacts (tables_reused) vs had to obtain
+  // otherwise (tables_built), how many of the latter came from
   // the FailureModelCache instead of being derived (tables_shared), and
   // whether the previous plan seeded the B&B incumbent.
   // Like the prune counters these never enter the plan fingerprint — a warm

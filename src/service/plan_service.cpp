@@ -239,15 +239,16 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
 }
 
 std::optional<PlanResponse> PlanService::try_cached(const std::string& canonical_key) {
-  // Same floor-before-snapshot discipline as serve(): while this probe is
-  // live no sweep can evict the entry it is about to return.
-  const EpochRegistration registration(this, board_->epoch());
-  const MarketSnapshot snap = board_->snapshot();
-  note_epoch(snap.epoch);
-  if (auto plan = cache_.lookup(canonical_key, snap.epoch)) {
+  // One epoch read, no registration: the probe never solves, and the cache
+  // hands out the plan under its shard lock, so a sweep racing past this
+  // epoch can only turn the probe into a miss, which serve() then handles
+  // under its own registration.
+  const std::uint64_t epoch = board_->epoch();
+  note_epoch(epoch);
+  if (auto plan = cache_.lookup(canonical_key, epoch)) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return PlanResponse{PlanOutcome::kHit, snap.epoch, std::move(plan)};
+    return PlanResponse{PlanOutcome::kHit, epoch, std::move(plan)};
   }
   return std::nullopt;
 }

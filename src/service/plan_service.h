@@ -170,9 +170,11 @@ class PlanService {
   /// and returns it; otherwise returns nullopt WITHOUT touching any counter
   /// — the caller falls through to serve(), which does its own accounting.
   /// Never sheds, joins a flight, or blocks on a solve (injected shed chaos
-  /// rolls only on the serve() path). The wire server uses this to answer
-  /// warm hits inline in its reader thread instead of paying the worker and
-  /// pump handoffs.
+  /// rolls only on the serve() path). It reads the board's epoch once and
+  /// registers no epoch floor: a sweep racing past that epoch can only turn
+  /// the probe into a miss. The wire server uses this to answer warm hits
+  /// inline in its reader thread instead of paying the worker and pump
+  /// handoffs.
   std::optional<PlanResponse> try_cached(const std::string& canonical_key);
 
   /// Eagerly drops cache entries older than every epoch any in-progress

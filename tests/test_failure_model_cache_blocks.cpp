@@ -87,7 +87,10 @@ std::size_t block_mismatches(const GroupCostTable& got, const GroupCostTable& wa
          !same_bits(a.choice.r_scale, b.choice.r_scale);
     m += a.f_steps != b.f_steps || a.w_ceil != b.w_ceil || !same_bits(a.wall, b.wall) ||
          !same_bits(a.spot_term, b.spot_term) ||
-         !same_bits(a.one_minus_complete, b.one_minus_complete);
+         !same_bits(a.one_minus_complete, b.one_minus_complete) || a.survives != b.survives;
+    if (a.choice.policy_index == b.choice.policy_index && a.f_steps == b.f_steps)
+      m += !same_bits(got.worst_h(a.choice.policy_index, a.f_steps),
+                      want.worst_h(b.choice.policy_index, b.f_steps));
     if (a.w_ceil != b.w_ceil) continue;
     for (std::size_t t = 0; t < b.w_ceil; ++t) m += !same_bits(a.life[t], b.life[t]);
     for (std::size_t j = 0; j < want.ratio_bins(); ++j) m += !same_bits(a.tail[j], b.tail[j]);

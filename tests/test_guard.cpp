@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/optimizer.h"
 #include "core/schedule.h"
 #include "profile/paper_profiles.h"
 #include "service/market_board.h"
+#include "service/request.h"
 #include "support/reference_search.h"
 
 namespace sompi {
@@ -61,14 +63,18 @@ TEST_F(GuardTest, EveryGuardedPlanIsWorstCaseSafeOrReplicated) {
 }
 
 TEST_F(GuardTest, GuardTablesEqualThePerStepReference) {
-  // The guard tables a warm solve stores with each candidate's artifact:
-  // the clamp f_guard_max per policy and the fits bit per (policy, bid)
-  // choice, against the per-step worst-case scan of tests/support.
+  // The guard facts every block a warm solve stores holds: the worst case
+  // per (policy, F) for every F in [1, T], and the survival bit per
+  // (policy, bid) choice, against the per-step worst-case scan and the
+  // model's survival at the choice's wall. The per-solve clamp and fits
+  // bits they feed are checked through plan identity with the exhaustive
+  // scan, which derives both from the reference worst case.
   const MarketBoard board(market_);
   const MarketSnapshot snap = board.snapshot();
-  std::size_t artifacts = 0, clamps = 0, unfit = 0;
+  std::size_t blocks = 0, clamps = 0, unfit = 0, dying = 0;
   for (const bool multilevel : {false, true}) {
     OptimizerConfig config = fast(true);
+    config.max_groups = 2;  // keeps the exhaustive scan quick; k == 1 still clamps
     if (multilevel)
       config.ckpt_policies = {CkptPolicy::single_s3(), CkptPolicy::cache_s3(),
                               CkptPolicy::cache_xor_s3()};
@@ -77,6 +83,7 @@ TEST_F(GuardTest, GuardTablesEqualThePerStepReference) {
     for (const char* name : {"BT", "LU", "FT", "BTIO"}) {
       const AppProfile app = paper_profile(name);
       for (const double factor : {1.05, 1.1, 1.3, 1.5}) {
+        const std::string what = std::string(name) + " @" + std::to_string(factor);
         const double deadline = selector_.baseline(app).t_h * factor;
         CostTableStore store;
         ReplanContext ctx;
@@ -84,6 +91,9 @@ TEST_F(GuardTest, GuardTablesEqualThePerStepReference) {
         ctx.scope = "scope";
         ctx.versions = snap.versions;
         const Plan plan = opt.optimize(app, *snap.market, deadline, &ctx);
+        const Plan want = reference_optimize(catalog_, est_, config, app, *snap.market, deadline);
+        ASSERT_EQ(plan_fingerprint(plan), plan_fingerprint(want)) << what;
+        ASSERT_EQ(plan.model_evaluations, want.model_evaluations) << what;
         const std::uint64_t chash = replan_config_hash(config, app, plan.od, deadline);
         for (const CircleGroupSpec& spec : catalog_.all_groups()) {
           const auto art = store.lookup(
@@ -91,34 +101,73 @@ TEST_F(GuardTest, GuardTablesEqualThePerStepReference) {
                                                spec.zone_index),
               chash);
           if (art == nullptr || !art->has_derived()) continue;
-          ++artifacts;
+          ++blocks;
           const GroupSetup& g = art->setup;
+          const GroupCostTable& blk = *art->table;
           const std::size_t bids = g.failure.bid_count();
-          ASSERT_EQ(art->f_guard_max.size(), n_pol);
-          ASSERT_EQ(art->fits.size(), n_pol * bids);
+          ASSERT_EQ(blk.choice_count(), n_pol * bids);
           for (std::size_t p = 0; p < n_pol; ++p) {
             const CkptPolicy pol = multilevel ? config.ckpt_policies[p] : CkptPolicy{};
-            const int want = reference_f_guard_max(g, pol.o_scale, pol.r_scale,
-                                                   plan.step_hours, plan.od.t_h, deadline);
-            ASSERT_EQ(art->f_guard_max[p], want) << name << " @" << factor << " policy " << p;
-            clamps += want > 0 && want < g.t_steps;
+            for (int f = 1; f <= g.t_steps; ++f)
+              ASSERT_EQ(blk.worst_h(p, f),
+                        reference_group_worst_h(g, f, pol.o_scale, pol.r_scale, plan.step_hours,
+                                                plan.od.t_h))
+                  << what << " policy " << p << " F " << f;
+            const int clamp = reference_f_guard_max(g, pol.o_scale, pol.r_scale,
+                                                    plan.step_hours, plan.od.t_h, deadline);
+            clamps += clamp > 0 && clamp < g.t_steps;
             for (std::size_t b = 0; b < bids; ++b) {
               const std::size_t c = p * bids + b;
-              const bool fits =
-                  reference_group_worst_h(g, art->table->cell(c).f_steps, pol.o_scale, pol.r_scale,
-                                          plan.step_hours, plan.od.t_h) <= deadline;
-              ASSERT_EQ(art->fits[c] != 0, fits) << name << " @" << factor << " choice " << c;
-              unfit += !fits;
+              const int f = blk.cell(c).f_steps;
+              unfit += !(reference_group_worst_h(g, f, pol.o_scale, pol.r_scale,
+                                                 plan.step_hours, plan.od.t_h) <= deadline);
+              const double wall = GroupSchedule(g.t_steps, f, g.o_steps * pol.o_scale,
+                                                g.r_steps * pol.r_scale)
+                                      .wall_duration();
+              const bool survives = g.failure.survival_at(b, wall) >= 0.5;
+              ASSERT_EQ(blk.survives(c), survives) << what << " choice " << c;
+              dying += !survives;
             }
           }
         }
       }
     }
   }
-  // Both guard outcomes occur: active clamps and choices that miss.
-  EXPECT_GT(artifacts, 50u);
+  // Both guard outcomes occur: active clamps and choices that miss, and
+  // both survival outcomes.
+  EXPECT_GT(blocks, 50u);
   EXPECT_GT(clamps, 0u);
   EXPECT_GT(unfit, 0u);
+  EXPECT_GT(dying, 0u);
+}
+
+TEST_F(GuardTest, ASurvivalOfExactlyOneHalfPassesTheSurvivalTest) {
+  // The survival test is !(survival < 0.5), as in the exhaustive scan, so a
+  // group that survives its wall with probability exactly 0.5 passes it.
+  // Two samples over a two-step history, cheap then dear: a start at the
+  // cheap step outlives the first step and a start at the dear one does
+  // not, so a seed that draws one of each gives survival 0.5 at W = 1.
+  const SpotTrace history(0.25, {0.01, 0.05});
+  const OnDemandChoice od{.t_h = 1.0, .instances = 1, .rate_usd_h = 1.0, .feasible = true};
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 64 && checked == 0; ++seed) {
+    FailureEstimationConfig fec;
+    fec.samples = 2;
+    fec.horizon_steps = 4;
+    fec.seed = seed;
+    const GroupSetup g{.spec = {0, 0},
+                       .instances = 1,
+                       .t_steps = 1,
+                       .o_steps = 0.5,
+                       .r_steps = 0.5,
+                       .failure = FailureModel(history, {0.02}, fec)};
+    if (g.failure.survival_at(0, 1.0) != 0.5) continue;
+    const GroupCostTable blk(g, od, {.step_hours = 0.25, .ratio_bins = 16},
+                             {ChoiceSpec{.bid_index = 0, .f_steps = 1}});
+    EXPECT_TRUE(blk.survives(0)) << "seed " << seed;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 1u);
 }
 
 TEST_F(GuardTest, SingleGroupPlansCheckpointDenselyUnderPressure) {

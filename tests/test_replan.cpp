@@ -53,9 +53,9 @@ TEST_F(ReplanHashTest, DeterministicAndCoversContentKnobs) {
   const std::uint64_t h = replan_config_hash(base, app_, od_, deadline_h_);
   EXPECT_EQ(h, replan_config_hash(base, app_, od_, deadline_h_));
 
-  // Every knob that shapes artifact CONTENT must move the hash: the deadline
-  // (guard tables), the bid grid, the failure estimator, the integration
-  // resolution, and the policy set.
+  // Every knob that shapes artifact CONTENT must move the hash: the bid
+  // grid, the failure estimator, the integration resolution, and the policy
+  // set. So does the deadline, which keeps artifacts per deadline.
   EXPECT_NE(h, replan_config_hash(base, app_, od_, deadline_h_ * 1.01));
   OptimizerConfig c = base;
   c.setup.log_levels = base.setup.log_levels + 1;  // different bid grid
@@ -67,23 +67,24 @@ TEST_F(ReplanHashTest, DeterministicAndCoversContentKnobs) {
   c.ratio_bins = base.ratio_bins * 2;
   EXPECT_NE(h, replan_config_hash(c, app_, od_, deadline_h_));
   c = base;
-  c.worst_case_guard = !base.worst_case_guard;
-  EXPECT_NE(h, replan_config_hash(c, app_, od_, deadline_h_));
-  c = base;
   c.ckpt_policies = {CkptPolicy{}, CkptPolicy{}};
   EXPECT_NE(h, replan_config_hash(c, app_, od_, deadline_h_));
 }
 
 TEST_F(ReplanHashTest, IgnoresSelectionOnlyKnobs) {
-  // The candidate/subset bounds change which work runs, never what any
-  // per-group artifact contains — two configs differing only there must
-  // share a store.
+  // The candidate/subset bounds change which work runs, and the guard
+  // switch only whether a solve reads the guard facts every block holds,
+  // never what any per-group artifact contains — two configs differing only
+  // there must share a store.
   const OptimizerConfig base = tiny_config();
   const std::uint64_t h = replan_config_hash(base, app_, od_, deadline_h_);
   OptimizerConfig c = base;
   c.max_candidates = 1;
   c.max_groups = 1;
   c.enumerate_smaller_subsets = false;
+  EXPECT_EQ(h, replan_config_hash(c, app_, od_, deadline_h_));
+  c = base;
+  c.worst_case_guard = !base.worst_case_guard;
   EXPECT_EQ(h, replan_config_hash(c, app_, od_, deadline_h_));
 }
 
@@ -279,20 +280,17 @@ class ScanEvictionOracle {
 };
 
 TEST_F(CostTableStoreTest, LruEvictionMatchesTheScanOracleOnRandomTraces) {
-  // Artifacts of several sizes (the derived vectors set their bytes) and
-  // versions; one is larger than the cap, so a store of it evicts every
-  // other scope and leaves the kept scope over the cap.
+  // Scopes of several sizes (their names' heap bytes set them; artifacts
+  // are all one size) and artifacts of several versions. One name is longer
+  // than the cap, so a store into its scope evicts every other scope and
+  // leaves the kept scope over the cap.
   std::vector<std::shared_ptr<GroupArtifact>> arts;
-  for (std::uint64_t version = 1; version <= 3; ++version)
-    for (std::size_t size : {0, 40, 300, 2000}) {
-      auto a = artifact(version);
-      a->f_guard_max.assign(size, 1);
-      arts.push_back(std::move(a));
-    }
-  const std::size_t cap = 4 * arts[2]->bytes();
-  auto huge = artifact(1);
-  huge->f_guard_max.assign(cap, 1);
-  arts.push_back(huge);
+  for (std::uint64_t version = 1; version <= 3; ++version) arts.push_back(artifact(version));
+  const std::vector<std::size_t> name_lengths = {0, 40, 300, 2000};
+  const std::size_t cap = 4 * (CostTableStore::entry_bytes(*arts[0]) +
+                               CostTableStore::scope_bytes(std::string(300, 'x')));
+  const std::string huge = "h" + std::string(cap, 'x');
+  ASSERT_GT(CostTableStore::scope_bytes(huge), cap);
 
   Rng rng(0x57012E);
   std::uint64_t evictions = 0;
@@ -300,19 +298,23 @@ TEST_F(CostTableStoreTest, LruEvictionMatchesTheScanOracleOnRandomTraces) {
     CostTableStore store(CostTableStore::Config{cap});
     ScanEvictionOracle oracle(cap);
     const std::size_t names = 2 + rng.uniform_index(14);
+    std::vector<std::string> scope_names;
+    for (std::size_t i = 0; i < names; ++i)
+      scope_names.push_back("s" + std::to_string(i) +
+                            std::string(name_lengths[i % name_lengths.size()], 'x'));
     for (int op = 0; op < 2000; ++op) {
-      const std::string name = "s" + std::to_string(rng.uniform_index(names));
+      const std::size_t kind = rng.uniform_index(10);
+      const bool huge_store = kind >= 4 && kind < 8 && rng.bernoulli(0.02);
+      const std::string& name = huge_store ? huge : scope_names[rng.uniform_index(names)];
       const CircleGroupSpec spec{rng.uniform_index(3), rng.uniform_index(2)};
       const std::uint64_t hash = 1 + rng.uniform_index(2);
-      const std::size_t kind = rng.uniform_index(10);
       if (kind < 4) {
         const std::uint64_t version = 1 + rng.uniform_index(3);
         ASSERT_EQ(store.lookup(name, spec, version, hash),
                   oracle.lookup(name, spec, version, hash))
             << "trace " << trace << " op " << op;
       } else if (kind < 8) {
-        const auto& a = rng.bernoulli(0.02) ? arts.back()
-                                            : arts[rng.uniform_index(arts.size() - 1)];
+        const auto& a = arts[rng.uniform_index(arts.size())];
         store.store(name, spec, hash, a);
         oracle.store(name, spec, hash, a);
       } else {
@@ -336,10 +338,9 @@ TEST_F(CostTableStoreTest, LruEvictionMatchesTheScanOracleOnRandomTraces) {
       // Over the cap only when the scope just touched is the last one left.
       ASSERT_TRUE(got.bytes <= cap || got.scopes == 1) << "trace " << trace << " op " << op;
       // last_plan touches nothing: which scopes survive, and with what.
-      for (std::size_t i = 0; i < names; ++i) {
-        const std::string n = "s" + std::to_string(i);
+      for (const std::string& n : scope_names)
         ASSERT_EQ(store.last_plan(n), oracle.last_plan(n)) << "trace " << trace << " op " << op;
-      }
+      ASSERT_EQ(store.last_plan(huge), oracle.last_plan(huge)) << "trace " << trace << " op " << op;
     }
     evictions += oracle.stats.evictions;
   }

@@ -17,7 +17,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
+#include <optional>
+#include <set>
+#include <tuple>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -25,6 +29,7 @@
 
 #include "profile/paper_profiles.h"
 #include "service/plan_service.h"
+#include "service/sharded/sharded_service.h"
 
 namespace sompi {
 namespace {
@@ -241,6 +246,163 @@ TEST_F(ServiceStressTest, RapidEpochChurnNeverServesStalePlans) {
   // pressure, or reclaimed by the stale sweeps.
   EXPECT_EQ(cache.size() + s.evictions + s.stale_dropped, s.insertions);
   EXPECT_GT(board.epoch(), static_cast<std::uint64_t>(kChurnPublishes));
+}
+
+// ---------------------------------------------------------------------------
+// The warm-hit probe (try_cached) registers no epoch floor: it reads the
+// board's epoch once. Readers probe and fall back to serve() on a miss while
+// a bumper moves the epoch and sweeps the cache after every bump, so probes
+// race sweeps past their epoch.
+
+class ServiceHitProbeRace : public ServiceStressTest {
+ protected:
+  static constexpr int kReaders = 4;
+  static constexpr int kRequests = 3;
+  static constexpr int kMinItersPerReader = 40;
+  static constexpr int kMaxItersPerReader = 1'000'000;
+  static constexpr int kBumps = 6;
+  static constexpr int kSweepsPerBump = 20;
+
+  /// A hit as (request index, epoch, plan): every hit of one reader is one
+  /// of its distinct triples.
+  using Hit = std::tuple<int, std::uint64_t, std::shared_ptr<const Plan>>;
+
+  /// Runs the race: readers keep asking until the bumper is done. `probe`
+  /// is the hit-only door (nullopt on a miss), `serve` the full one; `bump`
+  /// advances every board one epoch and returns (epoch, market at it);
+  /// `sweep` drops stale cache entries; `cold` is the cold solve. Checks
+  /// that every hit equals the cold solve at its epoch; returns the number
+  /// of requests asked.
+  std::size_t race(
+      const std::function<std::optional<PlanResponse>(int, const PlanRequest&)>& probe,
+      const std::function<PlanResponse(int, const PlanRequest&)>& serve,
+      const std::function<std::pair<std::uint64_t, std::shared_ptr<const Market>>(int)>& bump,
+      const std::function<void()>& sweep,
+      const std::function<Plan(const PlanRequest&, const Market&)>& cold,
+      std::shared_ptr<const Market> first_world, std::uint64_t first_epoch) {
+    std::map<std::uint64_t, std::shared_ptr<const Market>> worlds{{first_epoch, first_world}};
+    std::atomic<bool> bumps_done{false};
+    std::atomic<std::uint64_t> last_hit_epoch{0};
+    std::thread bumper([&] {
+      std::uint64_t epoch = first_epoch;
+      for (int b = 0; b < kBumps; ++b) {
+        // Bump only once a probe has hit at the current epoch, so hits
+        // span every epoch however slow the solves run.
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (last_hit_epoch.load() < epoch && std::chrono::steady_clock::now() < give_up)
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        const auto world = bump(b);
+        epoch = world.first;
+        worlds.insert(world);  // read only after join
+        for (int i = 0; i < kSweepsPerBump; ++i) {
+          sweep();
+          std::this_thread::yield();
+        }
+      }
+      bumps_done.store(true);
+    });
+    std::vector<std::set<Hit>> hits(kReaders);
+    std::vector<std::size_t> asked(kReaders, 0);
+    std::vector<std::thread> readers;
+    for (int w = 0; w < kReaders; ++w) {
+      readers.emplace_back([&, w] {
+        for (int i = 0;
+             i < kMaxItersPerReader && (i < kMinItersPerReader || !bumps_done.load()); ++i) {
+          const int which = (w + i) % kRequests;
+          const PlanRequest r = request(which);
+          ++asked[w];
+          if (const std::optional<PlanResponse> hit = probe(w + i, r)) {
+            hits[w].emplace(which, hit->epoch, hit->plan);
+            std::uint64_t seen = last_hit_epoch.load();
+            while (seen < hit->epoch && !last_hit_epoch.compare_exchange_weak(seen, hit->epoch)) {
+            }
+          } else {
+            ASSERT_NE(serve(w + i, r).plan, nullptr);  // roomy queues: no sheds expected
+          }
+          std::this_thread::yield();  // leave the bumper a core
+        }
+      });
+    }
+    for (auto& th : readers) th.join();
+    bumper.join();
+
+    std::set<std::uint64_t> hit_epochs;
+    std::map<std::pair<int, std::uint64_t>, std::string> cold_fp;
+    for (const auto& reader_hits : hits)
+      for (const auto& [which, epoch, plan] : reader_hits) {
+        hit_epochs.insert(epoch);
+        const auto world = worlds.find(epoch);
+        EXPECT_NE(world, worlds.end()) << "hit at an epoch no bump made";
+        if (world == worlds.end()) continue;
+        auto want = cold_fp.find({which, epoch});
+        if (want == cold_fp.end())
+          want = cold_fp
+                     .emplace(std::make_pair(which, epoch),
+                              plan_fingerprint(cold(canonicalized(request(which)), *world->second)))
+                     .first;
+        EXPECT_EQ(plan_fingerprint(*plan), want->second)
+            << "hit deviates from a cold solve at epoch " << epoch;
+      }
+    // The probes hit at every epoch the bumper waited on: they raced the
+    // bumps and the sweeps after them.
+    EXPECT_GE(hit_epochs.size(), static_cast<std::size_t>(kBumps));
+    std::size_t total = 0;
+    for (const std::size_t n : asked) total += n;
+    return total;
+  }
+};
+
+TEST_F(ServiceHitProbeRace, PlanServiceHitsEqualColdSolvesAndCountsBalance) {
+  PlanService service(&catalog_, &est_, &board_, stress_config());
+  const MarketSnapshot start = board_.snapshot();
+  const std::size_t asked = race(
+      [&](int, const PlanRequest& r) {
+        return service.try_cached(canonical_key(canonicalized(r)));
+      },
+      [&](int, const PlanRequest& r) { return service.serve(r); },
+      [&](int b) {
+        const double price = 0.02 + 0.01 * b;
+        const std::uint64_t epoch = board_.ingest({PriceUpdate{{0, 0}, {price, price}}});
+        return std::make_pair(epoch, board_.snapshot().market);
+      },
+      [&] { service.invalidate_stale(); },
+      [&](const PlanRequest& canon, const Market& m) { return service.solve(canon, m); },
+      start.market, start.epoch);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, asked);
+  EXPECT_EQ(stats.hits + stats.solves + stats.dedup_joins + stats.sheds, stats.requests);
+  EXPECT_EQ(stats.sheds, 0u);
+}
+
+TEST_F(ServiceHitProbeRace, ShardedTierRecordsNoDuplicateSolve) {
+  ShardedConfig config;
+  config.shards = 4;
+  config.vnodes = 16;
+  config.salt = 0x9B0BEULL;
+  config.service = stress_config();
+  ShardedPlanService tier(&catalog_, &est_, market_, config);
+  const MarketSnapshot start = tier.board(0).snapshot();
+  const auto landing = [](int i) { return static_cast<std::size_t>(i) % 4; };
+  const std::size_t asked = race(
+      [&](int i, const PlanRequest& r) { return tier.try_serve_hit(landing(i), r); },
+      [&](int i, const PlanRequest& r) { return tier.serve_on(landing(i), r); },
+      [&](int b) {
+        const double price = 0.02 + 0.01 * b;
+        const std::uint64_t epoch = tier.fanout().ingest({PriceUpdate{{0, 0}, {price, price}}});
+        return std::make_pair(epoch, tier.board(0).snapshot().market);
+      },
+      [&] { tier.invalidate_stale(); },
+      [&](const PlanRequest& canon, const Market& m) { return tier.shard(0).solve(canon, m); },
+      start.market, start.epoch);
+
+  const ShardedStats stats = tier.stats();
+  EXPECT_EQ(stats.total.requests, asked);
+  EXPECT_EQ(stats.total.hits + stats.total.solves + stats.total.dedup_joins + stats.total.sheds,
+            stats.total.requests);
+  EXPECT_EQ(stats.total.sheds, 0u);
+  EXPECT_EQ(stats.duplicate_solves, 0u);
+  EXPECT_EQ(stats.total.solves, static_cast<std::uint64_t>(tier.distinct_solves()));
 }
 
 }  // namespace

@@ -480,6 +480,12 @@ class ShardedServiceTest : public ::testing::Test {
     double factor = 1.5;
     std::size_t landing = 0;
     std::vector<double> prices;  // kBump: appended to group {0, 0}
+
+    static Step serve(double factor) { return {kServe, factor, 0, {}}; }
+    static Step spray(double factor, std::size_t landing) {
+      return {kSpray, factor, landing, {}};
+    }
+    static Step bump(std::vector<double> prices) { return {kBump, 0, 0, std::move(prices)}; }
   };
 
   struct StreamResult {
@@ -513,13 +519,13 @@ class ShardedServiceTest : public ::testing::Test {
     // Three epochs, six distinct requests, repeats for hits, sprays landing
     // on deliberately wrong shards — every outcome class except shed.
     return {
-        {Step::kServe, 1.3}, {Step::kServe, 1.5},  {Step::kSpray, 1.3, 3},
-        {Step::kServe, 1.7}, {Step::kSpray, 1.5, 5}, {Step::kServe, 1.3},
-        {Step::kBump, 0, 0, {0.021, 0.027}},
-        {Step::kServe, 1.3}, {Step::kSpray, 1.7, 1}, {Step::kServe, 1.9},
-        {Step::kSpray, 1.9, 6}, {Step::kServe, 1.5},
-        {Step::kBump, 0, 0, {0.024}},
-        {Step::kSpray, 1.3, 2}, {Step::kServe, 1.9}, {Step::kServe, 1.3},
+        Step::serve(1.3), Step::serve(1.5),    Step::spray(1.3, 3),
+        Step::serve(1.7), Step::spray(1.5, 5), Step::serve(1.3),
+        Step::bump({0.021, 0.027}),
+        Step::serve(1.3), Step::spray(1.7, 1), Step::serve(1.9),
+        Step::spray(1.9, 6), Step::serve(1.5),
+        Step::bump({0.024}),
+        Step::spray(1.3, 2), Step::serve(1.9), Step::serve(1.3),
     };
   }
 

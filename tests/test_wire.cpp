@@ -563,7 +563,9 @@ TEST(WirePipe, RandomWritesAndReadsDeliverTheStreamAndReleaseDrainedStorage) {
       const std::string chunk = draw(2) == 0 ? channel.read(cap) : *channel.try_read(cap);
       ASSERT_EQ(chunk.size(), std::min(cap, level));
       got += chunk;
-      if (got.size() == written) ASSERT_LE(channel.storage_bytes(), kCapacity);
+      if (got.size() == written) {
+        ASSERT_LE(channel.storage_bytes(), kCapacity);
+      }
     } else {
       ASSERT_FALSE(channel.try_read(64).has_value());
     }
